@@ -120,6 +120,13 @@ impl Vocabulary {
         v
     }
 
+    /// Number of interned named constants. Together with
+    /// [`Vocabulary::num_relations`] this sizes the vocabulary: both lists
+    /// are append-only, so equal sizes mean neither side grew.
+    pub fn num_named_consts(&self) -> usize {
+        self.consts.len()
+    }
+
     /// The print name of a value: the interned name for named constants,
     /// the number otherwise.
     pub fn value_name(&self, v: Value) -> String {

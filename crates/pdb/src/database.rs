@@ -61,6 +61,8 @@ pub struct ProbDb {
     /// content state, which is what cross-database caches (the engine's
     /// result cache) key by — version stamps alone collide across
     /// independently grown databases and across diverged clones.
+    /// In-place mutation ([`ProbDb::apply`], [`ProbDb::replay_from`])
+    /// keeps the `uid` and moves the version.
     uid: u64,
     pub voc: Vocabulary,
     tuples: Vec<ProbTuple>,
@@ -433,16 +435,91 @@ impl ProbDb {
                 }
             }
         }
-        self.version += 1;
-        self.log.push_back(AppliedDelta {
-            version: self.version,
+        self.push_log(AppliedDelta {
+            version: self.version + 1,
             changes,
         });
+        self.version
+    }
+
+    /// Advance to `delta.version` and append `delta` to the log, trimmed
+    /// to [`MAX_DELTA_LOG`] entries.
+    fn push_log(&mut self, delta: AppliedDelta) {
+        self.version = delta.version;
+        self.log.push_back(delta);
         while self.log.len() > MAX_DELTA_LOG {
             let dropped = self.log.pop_front().expect("non-empty log");
             self.logged_from = dropped.version;
         }
-        self.version
+    }
+
+    /// Catch a stale copy up to `ahead` by replaying `ahead`'s delta log:
+    /// O(changes since `self.version()`), not O(database). `self` must be
+    /// a state `ahead` passed through — a clone taken (or an epoch
+    /// published) at an earlier version of the same history; vocabularies
+    /// are append-only, so a size difference is the only way they differ.
+    /// Afterwards `self` equals `ahead.clone()` on every observable except
+    /// `uid`, which it keeps.
+    ///
+    /// Returns `false`, leaving `self` untouched, when the log cannot
+    /// bridge the gap: `self` is behind [`ProbDb::delta_log_start`]
+    /// ([`MAX_DELTA_LOG`] overflow, or an out-of-band
+    /// [`ProbDb::insert`] / [`ProbDb::delete`] in between), the log does
+    /// not hold one entry per missing version, the shard layouts differ,
+    /// or `self` has more tuple slots than `ahead`.
+    ///
+    /// # Panics
+    /// If a replayed change resolves to a different tuple id than the one
+    /// logged — `self` was not an earlier state of `ahead`.
+    pub fn replay_from(&mut self, ahead: &ProbDb) -> bool {
+        // An intact log holds exactly the versions `logged_from + 1 ..=
+        // version`, so the missing ones are its last `behind` entries —
+        // if it still has that many, and they start right after `self`.
+        let Some(skip) = ahead
+            .version
+            .checked_sub(self.version)
+            .and_then(|behind| ahead.log.len().checked_sub(usize::try_from(behind).ok()?))
+        else {
+            return false;
+        };
+        let bridged = |first: &AppliedDelta| first.version == self.version + 1;
+        if !ahead.log.get(skip).is_none_or(bridged)
+            || self.layout != ahead.layout
+            || self.tuples.len() > ahead.tuples.len()
+        {
+            return false;
+        }
+        if self.voc.num_relations() != ahead.voc.num_relations()
+            || self.voc.num_named_consts() != ahead.voc.num_named_consts()
+        {
+            self.voc = ahead.voc.clone();
+        }
+        for delta in ahead.log.range(skip..) {
+            for c in &delta.changes {
+                // `ahead` keeps the args of every slot, tombstones
+                // included. An `Inserted` entry logs no probability:
+                // insert with the slot's final one, which is also where
+                // any later `Updated` / `Deleted` entries for it end.
+                let t = &ahead.tuples[c.id.0 as usize];
+                match c.kind {
+                    ChangeKind::Inserted => {
+                        let minted = self.insert_inner(t.rel, t.args.clone(), t.prob);
+                        assert_eq!(minted, (c.id, true), "replay minted a different id");
+                    }
+                    ChangeKind::Updated { new_prob, .. } => {
+                        self.tuples[c.id.0 as usize].prob = new_prob;
+                        self.resident_overwrite(c.id, new_prob);
+                    }
+                    ChangeKind::Deleted { .. } => {
+                        let deleted = self.delete_inner(t.rel, &t.args).map(|(id, _)| id);
+                        assert_eq!(deleted, Some(c.id), "replay deleted a different id");
+                    }
+                }
+            }
+            // Per entry, so the kernels' `version + 1` shard stamps match.
+            self.push_log(delta.clone());
+        }
+        true
     }
 
     /// The current version stamp. Starts at 0; every mutation — applied
@@ -452,7 +529,10 @@ impl ProbDb {
     }
 
     /// Process-unique identity of this database value, fresh per
-    /// construction and per clone. `(uid(), version())` names one
+    /// construction and per clone, kept while the value is mutated in
+    /// place — by [`ProbDb::apply`], or by [`ProbDb::replay_from`] when
+    /// the epoch store recycles a retired snapshot, so successive epochs
+    /// may alternate between two `uid`s. `(uid(), version())` names one
     /// immutable-under-`&` content state — the key cross-database caches
     /// use (version stamps alone collide across databases and clones).
     pub fn uid(&self) -> u64 {

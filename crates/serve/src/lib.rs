@@ -5,7 +5,8 @@
 //! fixed worker pool; every worker owns one wait-free reader slot in the
 //! shared [`pdb::EpochStore`] and evaluates against immutable
 //! `Arc<ProbDb>` snapshots while a single writer applies `DeltaBatch`es
-//! and publishes new epochs.
+//! to the store's second buffer — the retired epoch, caught up by
+//! delta-log replay — and publishes it as the new epoch.
 //!
 //! ## Wire protocol
 //!
@@ -21,7 +22,7 @@
 //! | Method | Path      | Body                                              | Response |
 //! |--------|-----------|---------------------------------------------------|----------|
 //! | GET    | `/health` | —                                                 | `{ok, version, epoch}` |
-//! | GET    | `/stats`  | —                                                 | versions, uptime, per-endpoint latency summaries, plan/result-cache counters (incl. contention), publish latency, recorder state |
+//! | GET    | `/stats`  | —                                                 | versions, uptime, per-endpoint latency summaries, plan/result-cache counters (incl. contention), publish latency and recycled/cloned counts, recorder state |
 //! | GET    | `/metrics` | —                                                | the telemetry registry in Prometheus text exposition (`text/plain; version=0.0.4`) |
 //! | GET    | `/debug/requests` | —                                         | the flight recorder: per-endpoint window summaries + recent requests, newest first, with span captures for slow ones |
 //! | POST   | `/eval`   | `{query, samples?, exact?, trace?}`               | `{probability, std_error, method, cache_hit, result_cache_hit, version, epoch, trace?}` |
@@ -53,8 +54,15 @@
 //! ## Epoch discipline invariants
 //!
 //! 1. **Published epochs are immutable.** A snapshot handed to a reader
-//!    never changes; the writer clones, mutates the clone, and swaps the
-//!    published pointer.
+//!    never changes. The writer mutates only a buffer nobody else can
+//!    reach — a retired epoch it holds the last reference to, replayed
+//!    up to date in O(delta), or failing that a deep clone — and swaps
+//!    the published pointer to it. A reader that still holds a retired
+//!    epoch when the next write starts keeps it intact and costs that
+//!    write the clone (`publish.cloned` in `/stats`,
+//!    `server.publish.cloned` in `/metrics`); handlers let go of their
+//!    snapshot before writing the response, so a read costs no clone
+//!    unless it outlasts a whole write interval.
 //! 2. **Versions are monotone.** Each publish carries a strictly greater
 //!    database version; a reader's successive snapshots never go
 //!    backwards.

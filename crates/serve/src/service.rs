@@ -2,10 +2,17 @@
 //! worker holding its own wait-free [`pdb::ReaderHandle`] into the shared
 //! [`pdb::EpochStore`]. Reads (`/eval`, `/rank`, `/watch`) evaluate
 //! against immutable `Arc<ProbDb>` snapshots and never block the writer;
-//! `/apply` runs under the store's single-writer lock and publishes a new
-//! epoch. The engine is shared across workers — its plan cache is the
-//! sharded-lock LRU and its result cache short-circuits repeated
-//! identical reads within an epoch.
+//! `/apply` runs under the store's single-writer lock on the store's
+//! second buffer — the retired epoch, caught up by replaying the delta
+//! log — and publishes it as the new epoch, so a write costs O(delta).
+//! That only works while nobody holds the retired epoch when the next
+//! write starts: handlers keep a snapshot for one evaluation and let go
+//! before they write the response, so neither a slow peer nor an open
+//! `/watch` stream pins one (a held one forces that write to deep-clone —
+//! counted in `server.publish.cloned`). The engine
+//! is shared across workers — its plan cache is the sharded-lock LRU and
+//! its result cache short-circuits repeated identical reads within an
+//! epoch.
 //!
 //! # Observability (on by default)
 //!
@@ -41,7 +48,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use cq::{parse_query, Query, Term, Var, Vocabulary};
 use dichotomy::engine::{Engine, ExecOptions, Strategy};
 use dichotomy::ranking::{ranked_answers_captured, ranked_answers_counted};
-use pdb::{EpochStore, ProbDb, ReaderHandle};
+use pdb::{EpochStore, ProbDb, PublishCounts, ReaderHandle};
 use telemetry::json::{escape, parse, Json};
 use telemetry::metrics::format_f64;
 use telemetry::recorder::Ring;
@@ -154,6 +161,12 @@ struct Metrics {
     errors: Arc<Counter>,
     inflight: Arc<Gauge>,
     publish_ns: Arc<Histogram>,
+    /// Publishes by the buffer they started from (`cloned` is the
+    /// O(database) slow case), fed from [`EpochStore::publish_counts`].
+    publish_recycled: Arc<Counter>,
+    publish_cloned: Arc<Counter>,
+    /// What the two counters above have been fed so far.
+    publish_fed: Mutex<PublishCounts>,
     watch_updates: Arc<Counter>,
     endpoints: Vec<EndpointMetrics>,
 }
@@ -166,6 +179,9 @@ impl Metrics {
             errors: r.counter("server.errors"),
             inflight: r.gauge("server.inflight"),
             publish_ns: r.histogram("server.publish_ns"),
+            publish_recycled: r.counter("server.publish.recycled"),
+            publish_cloned: r.counter("server.publish.cloned"),
+            publish_fed: Mutex::new(PublishCounts::default()),
             watch_updates: r.counter("server.watch.updates"),
             endpoints: ENDPOINTS
                 .iter()
@@ -177,6 +193,17 @@ impl Metrics {
                 })
                 .collect(),
         }
+    }
+
+    /// Bring `server.publish.{recycled,cloned}` up to the store's counts
+    /// (the store cannot reach the registry itself: `pdb` sits below
+    /// `telemetry`). Called after every `/apply` and before every scrape.
+    fn feed_publish_counts(&self, store: &EpochStore) {
+        let mut fed = self.publish_fed.lock().expect("publish counts poisoned");
+        let now = store.publish_counts();
+        self.publish_recycled.add(now.recycled - fed.recycled);
+        self.publish_cloned.add(now.cloned - fed.cloned);
+        *fed = now;
     }
 
     /// The instruments for `name` (falls back to `other`).
@@ -339,7 +366,8 @@ pub struct ApplySummary {
     pub version: u64,
     pub batches: usize,
     pub ops: usize,
-    /// Snapshot-publication latency of this epoch (clone + pointer swap).
+    /// Snapshot-publication latency of this epoch: catching the writable
+    /// buffer up (log replay, or a clone) + the pointer swap.
     pub publish_ns: u64,
 }
 
@@ -602,7 +630,7 @@ fn dispatch(
     let status = match (req.method.as_str(), path) {
         ("GET", "/health") => handle_health(shared, wr)?,
         ("GET", "/stats") => handle_stats(shared, wr)?,
-        ("GET", "/metrics") => handle_metrics(wr)?,
+        ("GET", "/metrics") => handle_metrics(shared, wr)?,
         ("GET", "/debug/requests") => handle_debug_requests(shared, wr)?,
         ("POST", "/eval") => handle_eval(shared, reader, &req.body, wr, &mut info)?,
         ("POST", "/rank") => handle_rank(shared, reader, &req.body, wr, &mut info)?,
@@ -690,6 +718,8 @@ fn handle_stats(shared: &Arc<Shared>, wr: &mut TcpStream) -> io::Result<u16> {
         None => (0, 0, 0, 0),
     };
     let m = &shared.metrics;
+    m.feed_publish_counts(&shared.store);
+    let published = shared.store.publish_counts();
     // Per-endpoint latency summaries from the registry histograms (note:
     // the registry is process-global, so in a multi-server process these
     // aggregate across servers — same as every `server.*` counter).
@@ -720,7 +750,8 @@ fn handle_stats(shared: &Arc<Shared>, wr: &mut TcpStream) -> io::Result<u16> {
             "\"contended\":{},\"ranked_contended\":{}}},",
             "\"result_cache\":{{\"enabled\":{},\"hits\":{},\"misses\":{},\"entries\":{},",
             "\"contended\":{}}},",
-            "\"publish\":{{\"count\":{},\"last_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}},",
+            "\"publish\":{{\"count\":{},\"last_ns\":{},\"p50_ns\":{},\"p99_ns\":{},",
+            "\"recycled\":{},\"cloned\":{}}},",
             "\"endpoints\":{{{}}},",
             "\"recorder\":{{\"enabled\":{},\"capacity\":{},\"recorded\":{},\"slow_ms\":{}}}}}"
         ),
@@ -747,6 +778,8 @@ fn handle_stats(shared: &Arc<Shared>, wr: &mut TcpStream) -> io::Result<u16> {
         shared.store.last_publish_ns(),
         m.publish_ns.quantile_ns(0.50),
         m.publish_ns.quantile_ns(0.99),
+        published.recycled,
+        published.cloned,
         endpoints.join(","),
         rec_enabled,
         rec_capacity,
@@ -758,7 +791,8 @@ fn handle_stats(shared: &Arc<Shared>, wr: &mut TcpStream) -> io::Result<u16> {
 }
 
 /// `GET /metrics` — the whole registry in Prometheus text exposition.
-fn handle_metrics(wr: &mut TcpStream) -> io::Result<u16> {
+fn handle_metrics(shared: &Arc<Shared>, wr: &mut TcpStream) -> io::Result<u16> {
+    shared.metrics.feed_publish_counts(&shared.store);
     let body = telemetry::prometheus_text(telemetry::registry());
     http::respond_text(wr, 200, "text/plain; version=0.0.4", &body)?;
     Ok(200)
@@ -986,6 +1020,8 @@ fn handle_eval(
         shared.store.epoch(),
         trace_field,
     );
+    // Not across the write: a slow peer must not pin the epoch.
+    drop(snap);
     http::respond_json(wr, 200, &out)?;
     Ok(200)
 }
@@ -1077,13 +1113,15 @@ fn handle_rank(
         rows.join(","),
         trace_field,
     );
+    drop(snap);
     http::respond_json(wr, 200, &out)?;
     Ok(200)
 }
 
 /// The shared `/apply` path: parse the delta script against a clone of
-/// the writer's vocabulary (so a rejected script leaves nothing behind),
-/// apply every batch under the writer lock, publish, and wake watchers.
+/// the writable buffer's vocabulary (so a rejected script leaves nothing
+/// behind), apply every batch under the writer lock, publish, and wake
+/// watchers.
 fn apply_script(shared: &Arc<Shared>, script: &str) -> Result<ApplySummary, String> {
     let applied = shared.store.with_writer(|db| {
         let mut voc = db.voc.clone();
@@ -1101,6 +1139,7 @@ fn apply_script(shared: &Arc<Shared>, script: &str) -> Result<ApplySummary, Stri
     let (batches, ops, version) = applied?;
     let publish_ns = shared.store.last_publish_ns();
     shared.metrics.publish_ns.record_ns(publish_ns);
+    shared.metrics.feed_publish_counts(&shared.store);
     {
         let mut latest = shared.publish.lock().expect("publish poisoned");
         if version > *latest {
@@ -1178,6 +1217,9 @@ fn handle_watch(
         Ok(r) => r,
         Err(e) => return bad_request(wr, &e.to_string()),
     };
+    // Let the subscribe-time epoch go: held for the life of the stream it
+    // could neither be freed nor recycled as the writer's next buffer.
+    drop(snap);
 
     let mut resp = ChunkedResponse::begin(wr.try_clone()?, 200)?;
     let mut last_version = first.version;
@@ -1212,6 +1254,7 @@ fn handle_watch(
             Ok(r) => r,
             Err(_) => break,
         };
+        drop(snap);
         resp.chunk(&reading_json(&reading))?;
         shared.metrics.watch_updates.incr();
         last_version = reading.version;

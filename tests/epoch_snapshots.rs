@@ -6,6 +6,11 @@
 //! sequence serially to build a `version → probability-bits` oracle, then
 //! racing {2, 4, 8} readers against the live writer and checking every
 //! observation for oracle membership.
+//!
+//! The writer recycles retired epochs as its next write buffer, so half
+//! the readers also *hold* each snapshot across a random number of further
+//! publishes and check it again when they let go: a buffer recycled while
+//! a reader still had it would have moved under them.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -66,6 +71,10 @@ fn random_batches(voc: &Vocabulary, rng: &mut StdRng) -> Vec<DeltaBatch> {
         .collect()
 }
 
+fn prob_bits(db: &ProbDb) -> Vec<u64> {
+    db.tuples().iter().map(|t| t.prob.to_bits()).collect()
+}
+
 #[test]
 fn readers_only_observe_published_epochs() {
     let mut rng = StdRng::seed_from_u64(0xE90C);
@@ -98,12 +107,14 @@ fn readers_only_observe_published_epochs() {
         let done = Arc::new(AtomicBool::new(false));
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            for _ in 0..readers {
+            for idx in 0..readers {
                 let mut reader = store.reader();
                 let engine = Arc::clone(&engine);
                 let done = Arc::clone(&done);
                 let oracle = &oracle;
                 let q = &q;
+                let store = &store;
+                let mut hold_rng = StdRng::seed_from_u64(0x401D + idx as u64);
                 handles.push(scope.spawn(move || {
                     let mut last_version = 0u64;
                     let mut observations = 0usize;
@@ -126,6 +137,30 @@ fn readers_only_observe_published_epochs() {
                              the serial replay of that epoch"
                         );
                         observations += 1;
+                        if idx % 2 == 1 {
+                            // Keep this epoch while the writer publishes
+                            // 1–4 more (retiring it, and looking for a
+                            // buffer to recycle), then look again.
+                            let held = prob_bits(&snap);
+                            let release_at = store.epoch() + hold_rng.gen_range(1..=4u64);
+                            while store.epoch() < release_at && !done.load(Ordering::Relaxed) {
+                                std::thread::yield_now();
+                            }
+                            assert_eq!(snap.version(), version, "held snapshot changed version");
+                            assert_eq!(
+                                prob_bits(&snap),
+                                held,
+                                "held epoch {version} mutated under its reader"
+                            );
+                            // A fresh engine: no result cache can answer
+                            // from memory instead of from the held epoch.
+                            let ev = Engine::new().evaluate(&snap, q, Strategy::Auto).unwrap();
+                            assert_eq!(
+                                ev.probability.to_bits(),
+                                *expected,
+                                "held epoch {version} no longer evaluates to its published result"
+                            );
+                        }
                     }
                     observations
                 }));

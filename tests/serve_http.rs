@@ -242,3 +242,136 @@ fn watch_streams_follow_published_epochs() {
         assert!(w[0] < w[1], "watch versions must be monotone: {versions:?}");
     }
 }
+
+#[test]
+fn publishes_are_counted_by_kind_in_stats_and_metrics() {
+    let server = start_server();
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    // Sequential writes, no snapshot held anywhere: the first has nothing
+    // to recycle and clones; after that the two buffers leapfrog.
+    for i in 0..4 {
+        server.apply(&format!("~ R(3) @ 0.{}", i + 1)).unwrap();
+    }
+    let counts = server.store().publish_counts();
+    assert_eq!((counts.cloned, counts.recycled), (1, 3));
+
+    let stats = parse(&client.get("/stats").unwrap().body).unwrap();
+    let publish = stats.get("publish").expect("publish object");
+    assert_eq!(num(publish, "cloned") as u64, 1);
+    assert_eq!(num(publish, "recycled") as u64, 3);
+
+    // The registry is process-global (other tests' servers feed it too),
+    // so the scrape can only be bounded from below.
+    let scrape = client.get("/metrics").unwrap();
+    let families = telemetry::expose::parse_exposition(&scrape.body).expect("valid exposition");
+    for (name, at_least) in [
+        ("server_publish_cloned_total", 1.0),
+        ("server_publish_recycled_total", 3.0),
+    ] {
+        let family = families
+            .iter()
+            .find(|f| f.name == name)
+            .unwrap_or_else(|| panic!("{name} family"));
+        assert!(family.value(name).unwrap() >= at_least, "{name}");
+    }
+}
+
+#[test]
+fn an_open_watch_stream_does_not_pin_its_subscribe_time_epoch() {
+    use std::io::{BufRead, BufReader, Read, Write};
+
+    let server = start_server();
+
+    // Speak to /watch by hand: `HttpClient` only returns once the stream
+    // has ended, and this test is about what holds while it is open.
+    let mut wr = std::net::TcpStream::connect(server.addr()).unwrap();
+    let body = "{\"query\":\"R(x), S(x, y)\",\"updates\":3}";
+    write!(
+        wr,
+        "POST /watch HTTP/1.1\r\nHost: probdb\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut rd = BufReader::new(wr.try_clone().unwrap());
+    let mut line = String::new();
+    while rd.read_line(&mut line).unwrap() > 2 {
+        line.clear(); // response head, up to the blank line
+    }
+    let mut next_version = || {
+        line.clear();
+        rd.read_line(&mut line).unwrap();
+        let size = usize::from_str_radix(line.trim(), 16).unwrap();
+        let mut chunk = vec![0u8; size + 2]; // data + CRLF
+        rd.read_exact(&mut chunk).unwrap();
+        let doc = parse(std::str::from_utf8(&chunk[..size]).unwrap()).unwrap();
+        num(&doc, "version") as u64
+    };
+
+    // The first reading has arrived, so the subscription is set up; the
+    // epoch it was taken from is still the published one.
+    let v0 = next_version();
+    assert_eq!(v0, server.version());
+
+    // One publish (a clone: nothing to recycle yet) retires that epoch.
+    // With the stream still open nothing may be holding it: it is the
+    // next write's buffer, so that write replays instead of cloning.
+    let v1 = server.apply("~ R(3) @ 0.9").unwrap().version;
+    assert_eq!(next_version(), v1);
+    let v2 = server.apply("~ R(3) @ 0.8").unwrap().version;
+    let counts = server.store().publish_counts();
+    assert_eq!(
+        (counts.cloned, counts.recycled),
+        (1, 1),
+        "the open /watch stream still holds its subscribe-time epoch"
+    );
+    assert_eq!(next_version(), v2);
+}
+
+#[test]
+fn a_peer_that_stops_reading_its_response_does_not_pin_the_epoch() {
+    use std::io::{Read, Write};
+
+    // One relation of constants with 4 KiB names: ranking it is cheap and
+    // the response (~12 MB) is more than the socket buffers take, so the
+    // handler blocks in its write until the peer reads on.
+    let mut voc = Vocabulary::new();
+    let big = voc.relation("Big", 1).unwrap();
+    let mut batch = DeltaBatch::new();
+    for i in 0..3000 {
+        let name = format!("c{i:04}{}", "x".repeat(4096));
+        batch.insert(big, vec![voc.named_const(&name)], 0.5);
+    }
+    let mut db = ProbDb::new(voc);
+    db.apply(&batch);
+    let opts = ServeOptions {
+        workers: 2,
+        ..ServeOptions::default()
+    };
+    let server = Server::start(db, opts).expect("server starts");
+
+    let mut peer = std::net::TcpStream::connect(server.addr()).unwrap();
+    let body = "{\"query\":\"Big(x)\",\"head\":\"x0\"}";
+    write!(
+        peer,
+        "POST /rank HTTP/1.1\r\nHost: probdb\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    // The start of the response: the evaluation is over and the handler
+    // is writing. Then the peer stops reading.
+    let mut start = vec![0u8; 1 << 16];
+    peer.read_exact(&mut start).unwrap();
+    assert!(start.starts_with(b"HTTP/1.1 200"));
+
+    // The epoch that request read retires at the first publish. Nobody
+    // holds it, so the second write recycles it.
+    let name = format!("c0000{}", "x".repeat(4096));
+    server.apply(&format!("~ Big('{name}') @ 0.9")).unwrap();
+    server.apply(&format!("~ Big('{name}') @ 0.8")).unwrap();
+    let counts = server.store().publish_counts();
+    assert_eq!(
+        (counts.cloned, counts.recycled),
+        (1, 1),
+        "the stalled response still holds its epoch"
+    );
+}
