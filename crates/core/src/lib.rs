@@ -15,13 +15,13 @@
 //!   (§2.6, Appendix E.1).
 //! * [`eraser`] — the `N(C,σ)` inclusion–exclusion coefficients
 //!   (Definition 2.11) and eraser search (Definition 2.21).
-//! * [`classify`] — the dichotomy decision procedure (Theorem 1.8).
+//! * [`classify`](mod@classify) — the dichotomy decision procedure (Theorem 1.8).
 //! * [`catalog`] — the paper's named queries with their claimed
 //!   complexities, as data.
 //!
 //! ## The evaluation layer (MystiQ's architecture, split in two)
 //!
-//! * [`planner`] — runs [`classify`] **once** per canonical query, compiles
+//! * [`planner`] — runs [`classify`](fn@classify) **once** per canonical query, compiles
 //!   a [`plan::PhysicalPlan`], and memoizes it in an LRU cache keyed by
 //!   [`cq::Query::cache_key`]; alpha-renamed and atom-permuted variants
 //!   share one entry, so repeated traffic never re-classifies. Also plans
@@ -34,12 +34,15 @@
 //!   root recursion ([`safe_eval`]), exact lineage compilation, or
 //!   Karp–Luby sampling — with exact runtime fallbacks between them.
 //! * [`engine`] — the facade: plan (with caching), execute, report planning
-//!   and execution time separately. [`engine::ExecOptions`] selects the
-//!   morsel-driven parallel executor (`safeplan::par`, scoped-thread worker
-//!   pool from the `exec-parallel` crate): extensional plans and batched
-//!   ranked plans partition scans/joins/aggregations across workers
-//!   bit-for-bit identically to serial execution, and sampling plans fan
-//!   their budget over seed-split per-worker RNG streams; [`Evaluation`]
+//!   and execution time separately. Extensional plans and batched ranked
+//!   plans run on one of two executors: the serial columnar executor
+//!   (`safeplan::exec`) at one thread and one shard, and otherwise the
+//!   operator-DAG executor (`safeplan::dag`, scoped-thread worker pool
+//!   from the `exec-parallel` crate), chosen by [`engine::ExecOptions`]
+//!   and the plan's shard fan-out. The DAG executor overlaps operators,
+//!   fans scans out over shards and morsels inside each task, and
+//!   returns bit-for-bit the serial executor's result; sampling plans fan
+//!   their budget over seed-split per-worker RNG streams. [`Evaluation`]
 //!   then carries per-thread timing counters.
 //! * [`ranking`] — non-Boolean queries: answer tuples ranked by marginal
 //!   probability; tractable shapes run as **one** batched plan over all

@@ -145,7 +145,7 @@ pub fn multisim_top_k(
             "head variable {h} does not occur in the query"
         );
     }
-    let probs = db.prob_vector();
+    let probs = db.probs();
 
     // Candidates and their lineages, extracted in one shared pass over the
     // valuations (earlier revisions re-enumerated the join once per
@@ -252,7 +252,7 @@ pub fn multisim_top_k(
                             let hits = sample_batch(
                                 &c.dnf,
                                 &c.vars,
-                                &probs,
+                                probs,
                                 &mut rng,
                                 config.batch,
                                 &mut scratch,
@@ -273,7 +273,7 @@ pub fn multisim_top_k(
                     c.hits += sample_batch(
                         &c.dnf,
                         &c.vars,
-                        &probs,
+                        probs,
                         &mut c.rng,
                         config.batch,
                         &mut scratch,
@@ -336,7 +336,7 @@ pub fn multisim_marginals(
             "head variable {h} does not occur in the query"
         );
     }
-    let probs = db.prob_vector();
+    let probs = db.probs();
     let lineages = lineages_by_head(db, q, head);
     let mut master = StdRng::seed_from_u64(seed);
     let streams = master.split(lineages.len());
@@ -355,7 +355,7 @@ pub fn multisim_marginals(
         } else {
             let vars: Vec<u32> = dnf.vars().into_iter().collect();
             let mut rng = rng.clone();
-            let hits = sample_batch(dnf, &vars, &probs, &mut rng, samples, scratch);
+            let hits = sample_batch(dnf, &vars, probs, &mut rng, samples, scratch);
             let e = hits as f64 / samples as f64;
             (e, (e * (1.0 - e) / samples as f64).sqrt())
         };

@@ -320,7 +320,7 @@ impl Executor {
 
     pub(crate) fn exact_lineage(&self, db: &ProbDb, q: &Query) -> f64 {
         let dnf = lineage_of(db, q);
-        exact_probability(&dnf, &db.prob_vector())
+        exact_probability(&dnf, db.probs())
     }
 
     /// Karp–Luby over the lineage; at `threads > 1` the sample budget fans
@@ -334,15 +334,14 @@ impl Executor {
     ) -> (f64, f64, Option<ExecStats>) {
         let dnf = lineage_of(db, q);
         if self.threads > 1 {
-            let (est, stats) =
-                karp_luby_par(&dnf, &db.prob_vector(), samples, self.threads, self.seed);
+            let (est, stats) = karp_luby_par(&dnf, db.probs(), samples, self.threads, self.seed);
             // Degenerate lineages short-circuit without fanning out; empty
             // stats mean nothing ran in parallel, so report no counters.
             let stats = (stats.threads() > 0).then_some(stats);
             (est.estimate, est.std_error, stats)
         } else {
             let mut rng = StdRng::seed_from_u64(self.seed);
-            let est = karp_luby(&dnf, &db.prob_vector(), samples, &mut rng);
+            let est = karp_luby(&dnf, db.probs(), samples, &mut rng);
             (est.estimate, est.std_error, None)
         }
     }

@@ -1,7 +1,7 @@
 //! The planner: one classification, one plan, many executions.
 //!
 //! [`Planner::plan`] runs the dichotomy decision procedure
-//! ([`crate::classify`]) exactly once per *canonical* query and compiles
+//! ([`crate::classify`](fn@crate::classify)) exactly once per *canonical* query and compiles
 //! the outcome into a [`PhysicalPlan`]. Plans are memoized in an LRU cache
 //! keyed by [`Query::cache_key`], so alpha-renamed and atom-permuted
 //! variants of the same query share one entry and repeated traffic skips

@@ -171,7 +171,7 @@ fn ranked_auto(
             let pairs = if engine.exec.threads > 1 || fanout > 1 {
                 let (pairs, dag) = safeplan::dag_ranked_probabilities_counted(
                     db,
-                    &db.prob_vector(),
+                    db.probs(),
                     plan,
                     head,
                     &safeplan::DagOptions::new(engine.exec.threads, fanout),
@@ -182,13 +182,7 @@ fn ranked_auto(
                 run.sharding = Some(dag.shards);
                 pairs
             } else {
-                safeplan::ranked_probabilities_counted(
-                    db,
-                    &db.prob_vector(),
-                    plan,
-                    head,
-                    &mut counters,
-                )
+                safeplan::ranked_probabilities_counted(db, db.probs(), plan, head, &mut counters)
             };
             run.extensional = Some(counters);
             Ok((

@@ -24,7 +24,7 @@ use crate::lru::LruMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use telemetry::Counter;
 
-/// Minimum total capacity at which the cache splits into [`SHARDS`]
+/// Minimum total capacity at which the cache splits into `SHARDS`
 /// shards. Below this a single shard preserves exact global LRU order;
 /// at or above it, per-shard eviction is an approximation of global LRU
 /// (each shard evicts its own stalest entry).

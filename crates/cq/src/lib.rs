@@ -15,7 +15,7 @@
 //! * a consistency/entailment theory for the arithmetic predicates
 //!   ([`predicate::PredTheory`]),
 //! * homomorphisms and containment ([`homomorphism`]),
-//! * query minimization — the *core* computation ([`minimize`]),
+//! * query minimization — the *core* computation ([`minimize`](fn@minimize)),
 //! * most-general unifiers of subgoals, with the paper's *strictness* test
 //!   ([`unify`]),
 //! * a small datalog-style text syntax ([`parser`]).

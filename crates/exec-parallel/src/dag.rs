@@ -6,7 +6,7 @@
 //! input subtrees of a join) runs **concurrently**. This is the
 //! plan-level complement to the morsel pool in the crate root: the pool
 //! parallelizes *inside* one operator, the DAG overlaps *different*
-//! operators — a task may itself fan morsels out on a nested [`Pool`]
+//! operators — a task may itself fan morsels out on a nested [`Pool`](crate::Pool)
 //! dispatch (scoped threads are spawned per dispatch, so nesting is
 //! safe).
 //!

@@ -89,7 +89,7 @@ mod tests {
     }
 
     fn assert_matches_cold(view: &IncrementalView, db: &ProbDb, plan: &safeplan::PlanNode) {
-        let cold = execute(db, &db.prob_vector(), plan);
+        let cold = execute(db, db.probs(), plan);
         let got = view.output();
         assert_eq!(got.cols(), cold.cols());
         assert_eq!(got.len(), cold.len());

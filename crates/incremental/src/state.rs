@@ -343,7 +343,7 @@ impl ScanState {
         for &id in db.tuples_of(atom.rel) {
             let t = db.tuple(id);
             if match_tuple(&slots, &t.args, &mut rowbuf) {
-                out.push(&[u64::from(id.0)], &rowbuf, t.prob);
+                out.push(&[u64::from(id.0)], &rowbuf, db.prob(id));
             }
         }
         ScanState {
@@ -376,11 +376,11 @@ impl ScanState {
             let mut probs: Vec<f64> = Vec::new();
             let mut rowbuf = vec![Value(0); self.out.arity];
             for &p in &parts[s] {
-                let t = db.tuple(ids[p as usize]);
-                if match_tuple(&self.slots, &t.args, &mut rowbuf) {
+                let id = ids[p as usize];
+                if match_tuple(&self.slots, &db.tuple(id).args, &mut rowbuf) {
                     pos.push(p);
                     rows.extend_from_slice(&rowbuf);
-                    probs.push(t.prob);
+                    probs.push(db.prob(id));
                 }
             }
             (pos, rows, probs)
@@ -500,7 +500,7 @@ impl ScanState {
                         rem_keys.extend_from_slice(&key);
                     }
                 } else {
-                    let prob = db.tuple(id).prob;
+                    let prob = db.prob(id);
                     self.out.probs[lb] = prob;
                     delta.updated.push(&key, self.out.row(lb), prob);
                 }
@@ -519,7 +519,7 @@ impl ScanState {
                     NetChange::Added => {
                         let t = db.tuple(id);
                         if match_tuple(&self.slots, &t.args, &mut rowbuf) {
-                            delta.added.push(&key, &rowbuf, t.prob);
+                            delta.added.push(&key, &rowbuf, db.prob(id));
                             shard_rows[0] += 1;
                         }
                     }
@@ -542,7 +542,7 @@ impl ScanState {
                                     rem_keys.extend_from_slice(&key);
                                 }
                             } else {
-                                let p = db.tuple(id).prob;
+                                let p = db.prob(id);
                                 self.out.probs[lb] = p;
                                 delta.updated.push(&key, self.out.row(lb), p);
                             }

@@ -91,8 +91,8 @@ impl BidDb {
     /// blocks.
     pub fn from_independent(db: &ProbDb) -> BidDb {
         let mut out = BidDb::new(db.voc.clone());
-        for t in db.tuples() {
-            out.add_block(t.rel, vec![(t.args.clone(), t.prob)]);
+        for (t, &p) in db.tuples().iter().zip(db.probs()) {
+            out.add_block(t.rel, vec![(t.args.clone(), p)]);
         }
         out
     }

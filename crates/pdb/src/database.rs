@@ -9,12 +9,14 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct TupleId(pub u32);
 
-/// A possible tuple with its marginal probability.
+/// A possible tuple: its relation and arguments. The marginal
+/// probability lives in the database's probability column
+/// ([`ProbDb::probs`] / [`ProbDb::prob`]), indexed by the same
+/// [`TupleId`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProbTuple {
     pub rel: RelId,
     pub args: Vec<Value>,
-    pub prob: f64,
 }
 
 /// One relation's resident rows inside one shard: a contiguous columnar
@@ -30,9 +32,10 @@ pub struct ShardColumn {
     /// Row values, `ids.len() * arity`, row-major with the relation's
     /// arity as stride.
     pub data: Vec<Value>,
-    /// Marginal probabilities, parallel to `ids` (the `f64` mirror of
-    /// tuple storage; exact-rational readers index their own probability
-    /// vectors by tuple id).
+    /// Marginal probabilities, parallel to `ids` (the shard-local mirror
+    /// of the database's probability column, [`ProbDb::probs`];
+    /// exact-rational readers index their own probability vectors by
+    /// tuple id).
     pub probs: Vec<f64>,
 }
 
@@ -66,6 +69,12 @@ pub struct ProbDb {
     uid: u64,
     pub voc: Vocabulary,
     tuples: Vec<ProbTuple>,
+    /// The probability column `p(t)`, parallel to `tuples` — the only
+    /// copy. Evaluators borrow it whole ([`ProbDb::probs`]) as the
+    /// id-indexed probability slice every executor and lineage counter
+    /// takes; it is written only by the `insert_inner` / `delete_inner`
+    /// kernels and `replay_from`'s overwrite, and a tombstone reads 0.0.
+    probs: Vec<f64>,
     /// Tombstone flags, parallel to `tuples`: deleting a tuple keeps its
     /// slot (ids never shift — the incremental views and probability
     /// vectors key by id) but removes it from every index and zeroes its
@@ -131,6 +140,7 @@ impl Clone for ProbDb {
             uid: fresh_uid(),
             voc: self.voc.clone(),
             tuples: self.tuples.clone(),
+            probs: self.probs.clone(),
             dead: self.dead.clone(),
             index: self.index.clone(),
             by_rel: self.by_rel.clone(),
@@ -187,6 +197,7 @@ impl ProbDb {
             uid: fresh_uid(),
             voc,
             tuples: Vec::new(),
+            probs: Vec::new(),
             dead: Vec::new(),
             index: HashMap::new(),
             by_rel: HashMap::new(),
@@ -227,10 +238,12 @@ impl ProbDb {
         deleted
     }
 
-    /// The insert kernel shared by [`ProbDb::insert`] and
-    /// [`ProbDb::apply`]; does not touch the version or the log. The flag
-    /// distinguishes a fresh id from a probability overwrite.
-    fn insert_inner(&mut self, rel: RelId, args: Vec<Value>, prob: f64) -> (TupleId, bool) {
+    /// The insert kernel shared by [`ProbDb::insert`], [`ProbDb::apply`]
+    /// and [`ProbDb::replay_from`]; does not touch the version or the
+    /// log. Returns the id and, for an overwrite of present content, the
+    /// probability it replaced (`None` for a fresh id) — one content-hash
+    /// probe either way.
+    fn insert_inner(&mut self, rel: RelId, args: Vec<Value>, prob: f64) -> (TupleId, Option<f64>) {
         assert_eq!(
             args.len(),
             self.voc.arity(rel),
@@ -243,12 +256,11 @@ impl ProbDb {
         );
         let h = content_hash(rel, &args);
         if let Some(id) = self.lookup_hashed(h, rel, &args) {
-            let changed = self.tuples[id.0 as usize].prob.to_bits() != prob.to_bits();
-            self.tuples[id.0 as usize].prob = prob;
-            if changed {
+            let old = std::mem::replace(&mut self.probs[id.0 as usize], prob);
+            if old.to_bits() != prob.to_bits() {
                 self.resident_overwrite(id, prob);
             }
-            return (id, false);
+            return (id, Some(old));
         }
         let id = TupleId(self.tuples.len() as u32);
         self.index.entry(h).or_default().push(id);
@@ -256,10 +268,11 @@ impl ProbDb {
         for (pos, &v) in args.iter().enumerate() {
             self.cols.entry((rel, pos as u32, v)).or_default().push(id);
         }
-        self.tuples.push(ProbTuple { rel, args, prob });
+        self.tuples.push(ProbTuple { rel, args });
+        self.probs.push(prob);
         self.dead.push(false);
         self.resident_insert(id);
-        (id, true)
+        (id, None)
     }
 
     /// The delete kernel: tombstone the slot and splice the id out of the
@@ -284,12 +297,10 @@ impl ProbDb {
                 self.cols.remove(&key);
             }
         }
-        let t = &mut self.tuples[id.0 as usize];
-        let old_prob = t.prob;
         // The tombstone keeps its args (diagnostics, late readers) but can
         // never contribute probability mass: every evaluator that bypasses
         // the indexes (brute force, lineage) sees `p = 0`.
-        t.prob = 0.0;
+        let old_prob = std::mem::replace(&mut self.probs[id.0 as usize], 0.0);
         self.dead[id.0 as usize] = true;
         self.resident_delete(id);
         Some((id, old_prob))
@@ -306,6 +317,7 @@ impl ProbDb {
         let owner = self.layout.shard_of(id);
         let ProbDb {
             tuples,
+            probs,
             resident,
             shard_versions,
             version,
@@ -316,7 +328,7 @@ impl ProbDb {
         let col = slab.by_rel.entry(t.rel).or_default();
         col.ids.push(id);
         col.data.extend_from_slice(&t.args);
-        col.probs.push(t.prob);
+        col.probs.push(probs[id.0 as usize]);
         for (pos, &v) in t.args.iter().enumerate() {
             slab.cols
                 .entry((t.rel, pos as u32, v))
@@ -402,21 +414,15 @@ impl ProbDb {
         for op in &batch.ops {
             match op {
                 DeltaOp::Insert { rel, args, prob } | DeltaOp::Update { rel, args, prob } => {
-                    let old = self
-                        .find(*rel, args)
-                        .map(|id| self.tuples[id.0 as usize].prob);
-                    let (id, fresh) = self.insert_inner(*rel, args.clone(), *prob);
-                    let kind = if fresh {
-                        ChangeKind::Inserted
-                    } else {
-                        let old_prob = old.expect("overwrite had a prior probability");
-                        if old_prob.to_bits() == prob.to_bits() {
-                            continue; // identical probability: nothing changed
-                        }
-                        ChangeKind::Updated {
+                    let (id, old) = self.insert_inner(*rel, args.clone(), *prob);
+                    let kind = match old {
+                        None => ChangeKind::Inserted,
+                        // Identical probability: nothing changed.
+                        Some(old_prob) if old_prob.to_bits() == prob.to_bits() => continue,
+                        Some(old_prob) => ChangeKind::Updated {
                             old_prob,
                             new_prob: *prob,
-                        }
+                        },
                     };
                     changes.push(TupleChange {
                         id,
@@ -503,11 +509,11 @@ impl ProbDb {
                 let t = &ahead.tuples[c.id.0 as usize];
                 match c.kind {
                     ChangeKind::Inserted => {
-                        let minted = self.insert_inner(t.rel, t.args.clone(), t.prob);
-                        assert_eq!(minted, (c.id, true), "replay minted a different id");
+                        let minted = self.insert_inner(t.rel, t.args.clone(), ahead.prob(c.id));
+                        assert_eq!(minted, (c.id, None), "replay minted a different id");
                     }
                     ChangeKind::Updated { new_prob, .. } => {
-                        self.tuples[c.id.0 as usize].prob = new_prob;
+                        self.probs[c.id.0 as usize] = new_prob;
                         self.resident_overwrite(c.id, new_prob);
                     }
                     ChangeKind::Deleted { .. } => {
@@ -592,6 +598,19 @@ impl ProbDb {
         &self.tuples[id.0 as usize]
     }
 
+    /// The probability column: `probs()[id]` is `p(t)` of tuple `id`
+    /// (0.0 for a tombstone), `num_tuples()` long. This is the slice every
+    /// executor, lineage counter and sampler takes — borrowed, not
+    /// rebuilt, so a query that touches five tuples pays for five.
+    pub fn probs(&self) -> &[f64] {
+        &self.probs
+    }
+
+    /// Marginal probability of tuple `id` (0.0 for a tombstone).
+    pub fn prob(&self, id: TupleId) -> f64 {
+        self.probs[id.0 as usize]
+    }
+
     /// Ids of the possible tuples of relation `rel`.
     pub fn tuples_of(&self, rel: RelId) -> &[TupleId] {
         self.by_rel.get(&rel).map_or(&[], |v| v.as_slice())
@@ -626,6 +645,7 @@ impl ProbDb {
         self.shard_versions = vec![self.version; shards];
         let ProbDb {
             tuples,
+            probs,
             by_rel,
             cols,
             resident,
@@ -634,11 +654,10 @@ impl ProbDb {
         } = self;
         for (&rel, ids) in by_rel.iter() {
             for &id in ids {
-                let t = &tuples[id.0 as usize];
                 let col = resident[layout.shard_of(id)].by_rel.entry(rel).or_default();
                 col.ids.push(id);
-                col.data.extend_from_slice(&t.args);
-                col.probs.push(t.prob);
+                col.data.extend_from_slice(&tuples[id.0 as usize].args);
+                col.probs.push(probs[id.0 as usize]);
             }
         }
         for (&key, list) in cols.iter() {
@@ -723,10 +742,7 @@ impl ProbDb {
 
     /// Marginal probability of a (possibly absent) tuple.
     pub fn prob_of(&self, rel: RelId, args: &[Value]) -> f64 {
-        match self.find(rel, args) {
-            Some(id) => self.tuples[id.0 as usize].prob,
-            None => 0.0,
-        }
+        self.find(rel, args).map_or(0.0, |id| self.prob(id))
     }
 
     /// The active domain: every value occurring in some possible (live)
@@ -748,19 +764,11 @@ impl ProbDb {
         dom
     }
 
-    /// The probability vector indexed by [`TupleId`], for the lineage
-    /// model counters.
+    /// An owned copy of the probability column ([`ProbDb::probs`]), for
+    /// callers that need a `Vec` to keep or modify. Evaluating against
+    /// the database itself needs no copy: borrow `probs()`.
     pub fn prob_vector(&self) -> Vec<f64> {
-        self.tuples.iter().map(|t| t.prob).collect()
-    }
-
-    /// A copy of the database with one tuple's probability replaced —
-    /// conditioning on presence (`1.0`) or absence (`0.0`) — used by the
-    /// safe evaluator to handle ground sub-goals.
-    pub fn conditioned(&self, rel: RelId, args: &[Value], prob: f64) -> ProbDb {
-        let mut out = self.clone();
-        out.insert(rel, args.to_vec(), prob);
-        out
+        self.probs.clone()
     }
 
     /// Render one tuple for diagnostics.
@@ -771,7 +779,7 @@ impl ProbDb {
             "{}({}) @ {:.3}",
             self.voc.rel_name(t.rel),
             args.join(","),
-            t.prob
+            self.prob(id)
         )
     }
 }
@@ -784,6 +792,102 @@ mod tests {
         let mut voc = Vocabulary::new();
         let r = voc.relation("R", 2).unwrap();
         (ProbDb::new(voc), r)
+    }
+
+    /// The probability-column invariant: one entry per tuple slot,
+    /// tombstones at 0.0, `prob` / `prob_vector` reading the same bits,
+    /// and every resident shard row's probability bit-equal to the
+    /// column at its id.
+    fn assert_prob_column(db: &ProbDb) {
+        let probs = db.probs();
+        assert_eq!(probs.len(), db.num_tuples());
+        for (i, &p) in probs.iter().enumerate() {
+            let id = TupleId(i as u32);
+            assert_eq!(db.prob(id).to_bits(), p.to_bits());
+            if !db.is_live(id) {
+                assert_eq!(p.to_bits(), 0.0f64.to_bits(), "tombstone {i} reads 0.0");
+            }
+        }
+        let owned: Vec<u64> = db.prob_vector().iter().map(|p| p.to_bits()).collect();
+        let borrowed: Vec<u64> = probs.iter().map(|p| p.to_bits()).collect();
+        assert_eq!(owned, borrowed);
+        for col in db.resident.iter().flat_map(|slab| slab.by_rel.values()) {
+            assert_eq!(col.probs.len(), col.ids.len());
+            for (&id, &p) in col.ids.iter().zip(&col.probs) {
+                assert_eq!(
+                    p.to_bits(),
+                    probs[id.0 as usize].to_bits(),
+                    "resident {id:?}"
+                );
+            }
+        }
+    }
+
+    /// Every mutation kind writes the column through the shared kernels:
+    /// fresh inserts push, overwrites replace, deletes zero, re-inserted
+    /// content gets a fresh slot, and clone / replay / re-layout carry the
+    /// column bit for bit.
+    #[test]
+    fn probability_column_tracks_every_mutation() {
+        use crate::delta::DeltaBatch;
+        let (mut db, r) = setup();
+        let t = |a: u64, b: u64| vec![Value(a), Value(b)];
+        let mut b1 = DeltaBatch::new();
+        for i in 0..12u64 {
+            b1.insert(r, t(i, i % 4), 0.05 * (i + 1) as f64);
+        }
+        db.apply(&b1); // fresh inserts
+        assert_prob_column(&db);
+        assert_eq!(db.prob(TupleId(3)), 0.2);
+        let behind = db.clone();
+        assert_prob_column(&behind);
+
+        let mut b2 = DeltaBatch::new();
+        b2.update(r, t(0, 0), 0.05) // same probability
+            .insert(r, t(1, 1), 0.75) // overwrite, different probability
+            .delete(r, t(2, 2));
+        db.apply(&b2);
+        assert_prob_column(&db);
+        assert_eq!(db.prob(TupleId(0)), 0.05);
+        assert_eq!(db.prob(TupleId(1)), 0.75);
+        assert_eq!(db.prob(TupleId(2)), 0.0);
+
+        let mut b3 = DeltaBatch::new();
+        b3.insert(r, t(2, 2), 0.6); // delete-then-reinsert: fresh slot
+        db.apply(&b3);
+        assert_prob_column(&db);
+        let reborn = db.find(r, &t(2, 2)).expect("re-inserted");
+        assert_eq!(reborn, TupleId(12));
+        assert_eq!(db.prob(reborn), 0.6);
+        assert_eq!(db.prob(TupleId(2)), 0.0, "old slot stays a tombstone");
+
+        // Replay carries the column; so does a clone.
+        let mut caught_up = behind;
+        assert!(caught_up.replay_from(&db));
+        assert_prob_column(&caught_up);
+        assert_eq!(caught_up.probs(), db.probs());
+        assert_eq!(db.clone().probs(), db.probs());
+
+        // Out-of-band mutations, then re-layout 1 → 3 → 1 with writes in
+        // between.
+        db.insert(r, t(20, 0), 0.9);
+        db.delete(r, &t(5, 1));
+        assert_prob_column(&db);
+        db.set_shard_layout(3);
+        assert_prob_column(&db);
+        let mut b4 = DeltaBatch::new();
+        b4.update(r, t(6, 2), 0.45)
+            .delete(r, t(7, 3))
+            .insert(r, t(7, 3), 0.35)
+            .insert(r, t(30, 1), 0.15);
+        db.apply(&b4);
+        db.insert(r, t(31, 2), 0.55);
+        assert_prob_column(&db);
+        let expect = db.prob_vector();
+        db.set_shard_layout(1);
+        assert_prob_column(&db);
+        assert_eq!(db.probs(), expect.as_slice());
+        assert_eq!(db.probs().len(), 17);
     }
 
     #[test]
@@ -827,15 +931,6 @@ mod tests {
         db.insert(r, vec![Value(2), Value(7)], 0.5);
         let dom = db.active_domain();
         assert_eq!(dom, BTreeSet::from([Value(1), Value(2), Value(7)]));
-    }
-
-    #[test]
-    fn conditioning_copies() {
-        let (mut db, r) = setup();
-        db.insert(r, vec![Value(1), Value(2)], 0.5);
-        let cond = db.conditioned(r, &[Value(1), Value(2)], 1.0);
-        assert_eq!(cond.prob_of(r, &[Value(1), Value(2)]), 1.0);
-        assert_eq!(db.prob_of(r, &[Value(1), Value(2)]), 0.5);
     }
 
     #[test]
@@ -884,7 +979,7 @@ mod tests {
         assert_eq!(db.num_tuples(), 2, "slot retained");
         assert!(!db.is_live(a));
         assert!(db.is_live(b));
-        assert_eq!(db.tuple(a).prob, 0.0, "tombstone carries no mass");
+        assert_eq!(db.prob(a), 0.0, "tombstone carries no mass");
         assert_eq!(db.active_domain(), BTreeSet::from([Value(2), Value(9)]));
         // Deleting an absent tuple is a no-op.
         assert_eq!(db.delete(r, &[Value(1), Value(9)]), None);
@@ -983,12 +1078,12 @@ mod tests {
                         assert_eq!(colrel.data.len(), colrel.ids.len() * 2, "stride");
                         assert_eq!(colrel.probs.len(), colrel.ids.len());
                         for (i, &id) in colrel.ids.iter().enumerate() {
-                            let t = db.tuple(id);
-                            assert_eq!(&colrel.data[i * 2..(i + 1) * 2], t.args.as_slice());
-                            assert_eq!(colrel.probs[i].to_bits(), t.prob.to_bits());
+                            let args = db.tuple(id).args.as_slice();
+                            assert_eq!(&colrel.data[i * 2..(i + 1) * 2], args);
                         }
                     }
                 }
+                assert_prob_column(db);
             };
             check(&db);
             // Delta splice/tombstone + overwrite, then re-check the oracle.

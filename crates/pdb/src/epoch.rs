@@ -512,7 +512,7 @@ mod tests {
     }
 
     fn prob_bits(db: &ProbDb) -> Vec<u64> {
-        db.tuples().iter().map(|t| t.prob.to_bits()).collect()
+        db.probs().iter().map(|p| p.to_bits()).collect()
     }
 
     fn update0(r: cq::RelId, prob: f64) -> DeltaBatch {

@@ -37,9 +37,9 @@ impl RatProbs {
     pub fn from_db(db: &ProbDb) -> Self {
         RatProbs {
             probs: db
-                .tuples()
+                .probs()
                 .iter()
-                .map(|t| QRat::from_f64_exact(t.prob))
+                .map(|&p| QRat::from_f64_exact(p))
                 .collect(),
         }
     }

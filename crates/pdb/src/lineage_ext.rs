@@ -49,7 +49,7 @@ fn clause_of_valuation(db: &ProbDb, q: &Query, val: &Valuation) -> Option<Vec<Li
 }
 
 /// Compute the lineage DNF of `q` over `db`. Event variable `i` is
-/// `TupleId(i)`; pair the result with [`ProbDb::prob_vector`] for the model
+/// `TupleId(i)`; pair the result with [`ProbDb::probs`] for the model
 /// counters.
 pub fn lineage_of(db: &ProbDb, q: &Query) -> Dnf {
     let mut dnf = Dnf::new();
@@ -95,7 +95,7 @@ mod tests {
 
     fn check_agrees(db: &ProbDb, q: &Query) {
         let dnf = lineage_of(db, q);
-        let p_lin = exact_probability(&dnf, &db.prob_vector());
+        let p_lin = exact_probability(&dnf, db.probs());
         let p_bf = brute_force_probability(db, q);
         assert!(
             (p_lin - p_bf).abs() < 1e-10,
@@ -195,9 +195,9 @@ mod tests {
         for (tuple, dnf) in &grouped {
             let residual = q.apply(&Subst::singleton(x, tuple[0]));
             let direct = lineage_of(&db, &residual);
-            let pv = db.prob_vector();
+            let pv = db.probs();
             assert!(
-                (exact_probability(dnf, &pv) - exact_probability(&direct, &pv)).abs() < 1e-12,
+                (exact_probability(dnf, pv) - exact_probability(&direct, pv)).abs() < 1e-12,
                 "candidate {tuple:?}: grouped {dnf} vs direct {direct}"
             );
         }

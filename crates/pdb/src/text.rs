@@ -120,7 +120,7 @@ pub fn load_db(voc: &mut Vocabulary, text: &str) -> Result<ProbDb, TextError> {
 }
 
 /// Parse a delta script: one mutation per line, blank lines separating
-/// [`DeltaBatch`]es (each batch applies atomically under one version
+/// [`DeltaBatch`](crate::DeltaBatch)es (each batch applies atomically under one version
 /// stamp). `#` comments are ignored.
 ///
 /// ```text
@@ -353,7 +353,8 @@ pub fn dump_db_exact(db: &ProbDb, probs: &RatProbs) -> String {
 pub fn dump_db(db: &ProbDb) -> String {
     let mut out = String::new();
     for (i, t) in db.tuples().iter().enumerate() {
-        if !db.is_live(crate::TupleId(i as u32)) {
+        let id = crate::TupleId(i as u32);
+        if !db.is_live(id) {
             continue; // tombstones left by deletions are not data
         }
         let args: Vec<String> = t.args.iter().map(|&v| db.voc.value_name(v)).collect();
@@ -361,7 +362,7 @@ pub fn dump_db(db: &ProbDb) -> String {
             "{}({}) @ {}\n",
             db.voc.rel_name(t.rel),
             args.join(", "),
-            t.prob
+            db.prob(id)
         ));
     }
     out

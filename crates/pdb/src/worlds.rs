@@ -40,8 +40,8 @@ impl Iterator for WorldIter<'_> {
         let n = self.db.num_tuples();
         let world: Vec<bool> = (0..n).map(|i| self.mask >> i & 1 == 1).collect();
         let mut prob = 1.0;
-        for (i, t) in self.db.tuples().iter().enumerate() {
-            prob *= if world[i] { t.prob } else { 1.0 - t.prob };
+        for (i, &p) in self.db.probs().iter().enumerate() {
+            prob *= if world[i] { p } else { 1.0 - p };
         }
         if self.mask == (1u64 << n) - 1 {
             self.done = true;

@@ -26,6 +26,8 @@ struct Observed {
     relations: usize,
     named_consts: Vec<String>,
     tuples: Vec<ProbTuple>,
+    /// The probability column, as bits (`tuples` no longer carries it).
+    probs: Vec<u64>,
     live: Vec<bool>,
     by_rel: Vec<Vec<TupleId>>,
     /// `find` and `tuples_with` for every `(rel, col, value)` in the
@@ -92,6 +94,7 @@ fn observe(db: &ProbDb) -> Observed {
             .map(|i| db.voc.value_name(named(i)))
             .collect(),
         tuples: db.tuples().to_vec(),
+        probs: db.probs().iter().map(|p| p.to_bits()).collect(),
         live: (0..db.num_tuples())
             .map(|i| db.is_live(TupleId(i as u32)))
             .collect(),

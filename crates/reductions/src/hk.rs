@@ -156,7 +156,7 @@ pub fn negation_probability(
             oracle(&inst.db, &inst.query)
         } else {
             let dnf = pdb::lineage_of(&inst.db, &conj);
-            lineage::exact_probability(&dnf, &inst.db.prob_vector())
+            lineage::exact_probability(&dnf, inst.db.probs())
         };
         let sign = if mask.count_ones() % 2 == 1 {
             1.0
@@ -233,7 +233,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn lineage_oracle(db: &ProbDb, q: &Query) -> f64 {
-        exact_probability(&lineage_of(db, q), &db.prob_vector())
+        exact_probability(&lineage_of(db, q), db.probs())
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub fn count_via_pattern(
     let y_probs = vec![0.5; phi.n];
     let red = build_pattern_reduction(pattern, x, y, phi, &x_probs, &y_probs, voc);
     let dnf = pdb::lineage_of(&red.db, &red.query);
-    let p = lineage::exact_probability(&dnf, &red.db.prob_vector());
+    let p = lineage::exact_probability(&dnf, red.db.probs());
     (p * (1u64 << phi.num_vars()) as f64).round() as u64
 }
 

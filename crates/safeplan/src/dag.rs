@@ -21,7 +21,7 @@
 //!   fusion is invisible in the output; [`DagStats::inlined`] counts the
 //!   operators absorbed this way.
 //! * An `IndependentJoin` over inputs `i0, i1, …` becomes a chain of
-//!   [`JoinStage`](Task) tasks replicating the serial fold
+//!   `JoinStage` tasks replicating the serial fold
 //!   `certain ⋈ i0 ⋈ i1 ⋈ …` — stage `k` depends on stage `k−1` *and*
 //!   input `k`, so input `k+1` evaluates while stage `k` joins.
 //!
@@ -29,7 +29,7 @@
 //! posting-list estimates** ([`estimate_rows`]) at decomposition time —
 //! before either input materializes — mirroring the incremental estimate
 //! the join-ordering rule uses. The output is bit-identical either way
-//! (see [`par_join_sided`]); [`OpCounters::est_builds`] counts the
+//! (see `par_join_sided`); [`OpCounters::est_builds`] counts the
 //! estimate-driven choices and [`OpCounters::est_build_overrides`] how
 //! many disagreed with the materialized-row-count rule.
 //!
@@ -42,7 +42,7 @@
 //!
 //! * **Shard-resident** (`db.shard_layout() == shards`): the scan
 //!   resolves against per-shard posting lists and reads rows off each
-//!   shard's resident columnar buffer ([`scan_column_keyed`]) — zero
+//!   shard's resident columnar buffer (`scan_column_keyed`) — zero
 //!   global-index probes, no split step — and the merge keys are tuple
 //!   ids (global scan order *is* ascending-id order).
 //! * **Split-derived** (no matching layout): the global id list is
@@ -51,7 +51,7 @@
 //!   survived; the merge keys are those positions.
 //!
 //! When the pool is inline (one worker), the resident plane fuses the
-//! k-way id merge into the scan itself ([`scan_columns_merged`]) — one
+//! k-way id merge into the scan itself (`scan_columns_merged`) — one
 //! pass over the resident buffers, no per-shard materialization, same
 //! rows in the same ascending-id order. Complement scans stay monolithic
 //! (their rows are generated bindings with no tuple ids). Independent
@@ -548,7 +548,7 @@ pub fn dag_query_probability_counted(
     opts: &DagOptions,
     counters: &mut OpCounters,
 ) -> (f64, DagRun) {
-    let (rel, run) = dag_execute_counted(db, &db.prob_vector(), plan, opts, counters);
+    let (rel, run) = dag_execute_counted(db, db.probs(), plan, opts, counters);
     (rel.scalar(), run)
 }
 

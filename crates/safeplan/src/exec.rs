@@ -255,12 +255,12 @@ fn join_counted<P: ProbValue>(
 
 /// `p(q)` of a Boolean plan in `f64` arithmetic.
 pub fn query_probability(db: &ProbDb, plan: &PlanNode) -> f64 {
-    execute(db, &db.prob_vector(), plan).scalar()
+    execute(db, db.probs(), plan).scalar()
 }
 
 /// [`query_probability`] with operator counters.
 pub fn query_probability_counted(db: &ProbDb, plan: &PlanNode, counters: &mut OpCounters) -> f64 {
-    execute_counted(db, &db.prob_vector(), plan, counters).scalar()
+    execute_counted(db, db.probs(), plan, counters).scalar()
 }
 
 /// `p(q)` of a Boolean plan in exact rational arithmetic.

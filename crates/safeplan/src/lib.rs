@@ -1,7 +1,7 @@
 //! # safeplan — extensional safe plans for hierarchical queries
 //!
 //! The paper's introduction describes how MystiQ evaluates self-join-free
-//! queries: "we test if they have a PTIME plan using the techniques in [9]"
+//! queries: "we test if they have a PTIME plan using the techniques in \[9\]"
 //! — an *extensional* relational-algebra plan whose operators manipulate
 //! probabilities directly inside the database engine. This crate builds that
 //! subsystem: a plan language with *independent join* and *independent

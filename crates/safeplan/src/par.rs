@@ -166,7 +166,7 @@ fn par_node<P: ProbValue + Send + Sync>(
 /// also reports how the work spread over the workers.
 pub fn par_query_probability(db: &ProbDb, plan: &PlanNode, opts: ParOptions) -> (f64, ExecStats) {
     let pool = opts.pool();
-    let p = par_execute(db, &db.prob_vector(), plan, &pool).scalar();
+    let p = par_execute(db, db.probs(), plan, &pool).scalar();
     (p, pool.stats())
 }
 
@@ -179,7 +179,7 @@ pub fn par_query_probability_counted(
     counters: &mut OpCounters,
 ) -> (f64, ExecStats) {
     let pool = opts.pool();
-    let p = par_execute_counted(db, &db.prob_vector(), plan, &pool, counters).scalar();
+    let p = par_execute_counted(db, db.probs(), plan, &pool, counters).scalar();
     (p, pool.stats())
 }
 

@@ -26,7 +26,7 @@
 //!   morsel order reproduces a serial left-to-right pass bit for bit.
 //! * **Order is meaning** — row order is the serial executor's output
 //!   order. Joins emit probe-major/build-insertion-order rows *regardless
-//!   of which side was hashed* (see [`choose_build_side`]), and grouping
+//!   of which side was hashed* (see `choose_build_side`), and grouping
 //!   emits groups in first-seen row order folding each group's rows in row
 //!   order, so `f64` results are bit-identical across executors and thread
 //!   counts.
@@ -34,7 +34,7 @@
 //! Scans, joins, projections, and filters touch **no per-row heap
 //! allocations**: values are copied slice-to-slice into the flat buffer,
 //! and grouping keys are packed into `u64`/`u128` machine words for arity
-//! ≤ 2 ([`Grouper`]) with a hashed fallback (with explicit collision
+//! ≤ 2 (`Grouper`) with a hashed fallback (with explicit collision
 //! chains) above that. The pre-columnar row executor is preserved in
 //! [`crate::rowref`] as the correctness oracle and bench baseline.
 
@@ -221,7 +221,7 @@ impl<P: ProbValue> ProbRelation<P> {
     /// with `1 − Π (1 − p)`. Correct when rows mapping to the same group are
     /// independent events (distinct values of the projected-away root
     /// variable pin disjoint tuples). Groups are interned through the
-    /// packed-key [`Grouper`]; emission order is first-seen row order and
+    /// packed-key `Grouper`; emission order is first-seen row order and
     /// each group folds its rows in row order (the serial multiplication
     /// order).
     ///

@@ -216,7 +216,7 @@ pub fn row_execute<P: ProbValue>(db: &ProbDb, probs: &[P], plan: &PlanNode) -> R
 
 /// `p(q)` of a Boolean plan, row-at-a-time.
 pub fn row_query_probability(db: &ProbDb, plan: &PlanNode) -> f64 {
-    row_execute(db, &db.prob_vector(), plan).scalar()
+    row_execute(db, db.probs(), plan).scalar()
 }
 
 /// Ranked-plan read-off in the row layout: one `(head binding, marginal)`

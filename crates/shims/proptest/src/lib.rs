@@ -193,7 +193,7 @@ pub mod collection {
     use rand::Rng as _;
     use std::ops::{Range, RangeInclusive};
 
-    /// Vector lengths accepted by [`vec`].
+    /// Vector lengths accepted by [`vec()`].
     pub trait SizeRange {
         fn pick(&self, rng: &mut TestRng) -> usize;
     }
@@ -216,7 +216,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S, R> {
         element: S,

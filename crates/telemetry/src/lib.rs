@@ -3,7 +3,7 @@
 //!
 //! Four pieces:
 //!
-//! * **Span tracing** ([`span`], [`span_with`], [`take_spans`]) — per-thread
+//! * **Span tracing** ([`span`](fn@span), [`span_with`], [`take_spans`]) — per-thread
 //!   span buffers recording `(id, parent, tid, label, start, end)` against a
 //!   process-global monotonic [`Clock`]. Buffers are thread-local (lock-free
 //!   on the record path); a thread's buffer drains into a global sink when

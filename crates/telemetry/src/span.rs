@@ -6,7 +6,7 @@
 //! a per-thread stack of open spans — guards are strictly nested by RAII,
 //! so the stack discipline holds without synchronisation. A lane's buffer
 //! drains into the global sink when the thread exits (thread-local
-//! destructor) or when the buffer reaches [`FLUSH_AT`]; [`take_spans`]
+//! destructor) or when the buffer reaches `FLUSH_AT`; [`take_spans`]
 //! flushes the calling thread and takes the sink.
 //!
 //! The sink is capped at [`SPAN_CAP`] records so a long test suite run

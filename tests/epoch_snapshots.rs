@@ -72,7 +72,7 @@ fn random_batches(voc: &Vocabulary, rng: &mut StdRng) -> Vec<DeltaBatch> {
 }
 
 fn prob_bits(db: &ProbDb) -> Vec<u64> {
-    db.tuples().iter().map(|t| t.prob.to_bits()).collect()
+    db.probs().iter().map(|p| p.to_bits()).collect()
 }
 
 #[test]

@@ -97,7 +97,8 @@ proptest! {
         let idx = bump % s_rows.len();
         let s = db.voc.find_relation("S").unwrap();
         let (a, b, _) = s_rows[idx];
-        let db2 = db.conditioned(s, &[Value(a), Value(b)], 1.0);
+        let mut db2 = db.clone();
+        db2.insert(s, vec![Value(a), Value(b)], 1.0);
         let p1 = eval_recurrence(&db2, &q).unwrap();
         prop_assert!(p1 + 1e-12 >= p0, "{p1} < {p0}");
     }

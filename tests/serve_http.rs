@@ -375,3 +375,85 @@ fn a_peer_that_stops_reading_its_response_does_not_pin_the_epoch() {
         "the stalled response still holds its epoch"
     );
 }
+
+#[test]
+fn point_reads_after_applies_match_a_fresh_mirror_at_every_version() {
+    // Each publish updates, deletes or inserts tuples the point query
+    // `R(3), S(3, y)` reads — including a delete-then-reinsert that mints
+    // a fresh id — so a recycled buffer whose probability column fell
+    // behind the published epoch would answer with stale bits.
+    let scripts = [
+        "~ S(3, 103) @ 0.35\n~ R(3) @ 0.55",
+        "- S(3, 103)\n+ S(3, 104) @ 0.6",
+        "+ S(3, 103) @ 0.25\n~ S(3, 104) @ 0.9",
+        "- R(3)\n+ S(3, 105) @ 0.45",
+        "+ R(3) @ 0.65\n~ S(3, 105) @ 0.15",
+    ];
+    let server = start_server();
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    let opts = ServeOptions::default();
+    let engine = Engine::with_options(opts.mc_samples, opts.seed, opts.exec);
+    let qtext = "R(3), S(3, y)";
+    for (step, script) in scripts.iter().enumerate() {
+        let body = format!("{{\"deltas\":\"{}\"}}", script.replace('\n', "\\n"));
+        let apply = client.post("/apply", &body).unwrap();
+        assert_eq!(apply.status, 200, "{}", apply.body);
+
+        // The mirror: the fixture loaded afresh, every script so far
+        // applied directly.
+        let (mut mirror, _) = sensor_db();
+        for s in &scripts[..=step] {
+            for batch in pdb::parse_delta_batches(&mut mirror.voc, s).unwrap() {
+                mirror.apply(&batch);
+            }
+        }
+        let q = parse_query(&mut mirror.voc, qtext).unwrap();
+
+        let eval = client
+            .post("/eval", &format!("{{\"query\":\"{qtext}\"}}"))
+            .unwrap();
+        assert_eq!(eval.status, 200, "{}", eval.body);
+        let doc = parse(&eval.body).unwrap();
+        assert_eq!(num(&doc, "version") as u64, mirror.version(), "step {step}");
+        let direct = engine.evaluate(&mirror, &q, Strategy::Auto).unwrap();
+        assert_eq!(
+            num(&doc, "probability").to_bits(),
+            direct.probability.to_bits(),
+            "step {step}: served /eval vs direct"
+        );
+
+        let rank = client
+            .post(
+                "/rank",
+                &format!("{{\"query\":\"{qtext}\",\"head\":\"x0\"}}"),
+            )
+            .unwrap();
+        assert_eq!(rank.status, 200, "{}", rank.body);
+        let doc = parse(&rank.body).unwrap();
+        assert_eq!(num(&doc, "version") as u64, mirror.version(), "step {step}");
+        let served: Vec<(String, u64)> = doc
+            .get("answers")
+            .and_then(|j| j.as_arr())
+            .unwrap()
+            .iter()
+            .map(|a| {
+                let tuple = a.get("tuple").and_then(|j| j.as_arr()).unwrap();
+                let name = tuple[0].as_str().unwrap().to_string();
+                (name, num(a, "probability").to_bits())
+            })
+            .collect();
+        let want: Vec<(String, u64)> =
+            ranked_answers(&engine, &mirror, &q, &[Var(0)], Strategy::Auto)
+                .unwrap()
+                .iter()
+                .map(|a| (mirror.voc.value_name(a.tuple[0]), a.probability.to_bits()))
+                .collect();
+        assert_eq!(served, want, "step {step}: served /rank vs direct");
+    }
+    let stats = parse(&client.get("/stats").unwrap().body).unwrap();
+    let publish = stats.get("publish").expect("publish object");
+    assert!(
+        num(publish, "recycled") >= 1.0,
+        "some publish must have recycled a retired buffer: {stats:?}"
+    );
+}
