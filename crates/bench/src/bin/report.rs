@@ -1,15 +1,16 @@
-//! Regenerate every table and figure of the paper's evaluation artifacts
-//! (experiment index E1–E8, DESIGN.md §1).
+//! Print the paper experiments E1–E11: the Table 1 classification of the
+//! query catalog, the MystiQ safe-plan vs Monte-Carlo gap, scaling,
+//! hardness reductions, exact-compilation blow-up, estimator
+//! convergence, the Fig. 1 ablation, safe plans vs the Eq. 3 recurrence,
+//! substructure counting, and multisimulation top-k.
 //!
 //! ```text
 //! cargo run --release -p bench-harness --bin report -- all
-//! cargo run --release -p bench-harness --bin report -- table1 | mystiq | scaling | hardness | blowup | mc | columnar | incremental | pipeline | sharded
+//! cargo run --release -p bench-harness --bin report -- table1 | mystiq | scaling | hardness | blowup | mc | ablation | plans | counting | multisim
 //! ```
 
 use bench_harness::{
-    deep_workload, h0_workload, loglog_slope, measure_columnar, measure_incremental, measure_obs,
-    measure_pipeline, measure_serve, measure_sharded, selfjoin_workload, star_workload, time,
-    LatencySummary,
+    deep_workload, h0_workload, loglog_slope, selfjoin_workload, star_workload, time,
 };
 use cq::{parse_query, Query, Vocabulary};
 use dichotomy::engine::{Engine, Strategy};
@@ -23,7 +24,6 @@ use rand::SeedableRng;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(String::as_str).unwrap_or("all");
-    let smoke = args.iter().any(|a| a == "--smoke");
     match which {
         "table1" => table1(),
         "mystiq" => mystiq(),
@@ -35,12 +35,6 @@ fn main() {
         "plans" => plans(),
         "counting" => counting(),
         "multisim" => multisim(),
-        "columnar" => columnar(smoke),
-        "incremental" => incremental(smoke),
-        "pipeline" => pipeline(smoke),
-        "sharded" => sharded(smoke),
-        "obs" => obs(smoke),
-        "serve" => serve_report(smoke),
         "all" => {
             table1();
             mystiq();
@@ -52,17 +46,11 @@ fn main() {
             plans();
             counting();
             multisim();
-            columnar(smoke);
-            incremental(smoke);
-            pipeline(smoke);
-            sharded(smoke);
-            obs(smoke);
-            serve_report(smoke);
         }
         other => {
             eprintln!("unknown report: {other}");
             eprintln!(
-                "available: table1 mystiq scaling hardness blowup mc ablation plans counting multisim columnar incremental pipeline sharded obs serve all (columnar/incremental/pipeline/sharded/obs/serve take --smoke)"
+                "available: table1 mystiq scaling hardness blowup mc ablation plans counting multisim all"
             );
             std::process::exit(2);
         }
@@ -73,509 +61,6 @@ fn header(title: &str) {
     println!(
         "\n=== {title} {}",
         "=".repeat(76usize.saturating_sub(title.len()))
-    );
-}
-
-/// Row vs. columnar data plane on the star workload, with the measurement
-/// also emitted as machine-readable `BENCH_columnar.json` (written to the
-/// working directory) so future PRs can track the perf trajectory.
-/// `--smoke` shrinks the workload for CI: same gates and JSON shape, a few
-/// seconds of wall time.
-fn columnar(smoke: bool) {
-    header("columnar data plane: row vs flat-buffer executor");
-    let roots: u64 = if smoke { 2_000 } else { 20_000 };
-    let runs = if smoke { 3 } else { 5 };
-    // Gates (bit-for-bit row/columnar agreement) and timing configurations
-    // are shared with the `columnar_exec` bench via `measure_columnar`.
-    let m = measure_columnar(roots, 4, 7, runs);
-
-    println!(
-        "workload: star, {} roots x fanout {} = {} tuples{}",
-        m.roots,
-        m.fanout,
-        m.tuples,
-        if smoke { " (smoke)" } else { "" }
-    );
-    println!("  row      serial: {:>8.2} ms", m.row_serial_s * 1e3);
-    println!(
-        "  columnar serial: {:>8.2} ms   speedup {:.2}x",
-        m.columnar_serial_s * 1e3,
-        m.speedup_serial()
-    );
-    println!("  row      par/4 : {:>8.2} ms", m.row_par4_s * 1e3);
-    println!(
-        "  columnar par/4 : {:>8.2} ms   speedup {:.2}x",
-        m.columnar_par4_s * 1e3,
-        m.speedup_par4()
-    );
-    println!("  (hardware threads available: {})", m.hardware_threads);
-
-    let json = format!(
-        "{{\n  \"workload\": \"star\",\n  \"roots\": {roots},\n  \"fanout\": {fanout},\n  \
-         \"tuples\": {tuples},\n  \"smoke\": {smoke},\n  \"hardware_threads\": {hw},\n  \
-         \"row_serial_s\": {t_row:.6},\n  \"columnar_serial_s\": {t_col:.6},\n  \
-         \"row_par4_s\": {t_row4:.6},\n  \"columnar_par4_s\": {t_col4:.6},\n  \
-         \"speedup_serial\": {su:.3},\n  \"speedup_par4\": {su4:.3},\n  \
-         \"bit_for_bit_agreement\": true\n}}\n",
-        roots = m.roots,
-        fanout = m.fanout,
-        tuples = m.tuples,
-        hw = m.hardware_threads,
-        t_row = m.row_serial_s,
-        t_col = m.columnar_serial_s,
-        t_row4 = m.row_par4_s,
-        t_col4 = m.columnar_par4_s,
-        su = m.speedup_serial(),
-        su4 = m.speedup_par4(),
-    );
-    std::fs::write("BENCH_columnar.json", &json).expect("write BENCH_columnar.json");
-    println!("-> wrote BENCH_columnar.json");
-}
-
-/// Incremental view refresh vs full re-execution on the star workload
-/// under 1% churn per round, with the measurement also emitted as
-/// machine-readable `BENCH_incremental.json`. `--smoke` shrinks the
-/// workload for CI: same bit-for-bit gates and JSON shape.
-fn incremental(smoke: bool) {
-    header("incremental views: delta refresh vs full re-execution (1% churn)");
-    let roots: u64 = if smoke { 2_000 } else { 20_000 };
-    let rounds = if smoke { 3 } else { 5 };
-    // Bit-for-bit gates (refresh == cold execution every round) and the
-    // timing rounds are shared with the `incremental_refresh` bench via
-    // `measure_incremental`.
-    let m = measure_incremental(roots, 4, rounds, 11);
-
-    println!(
-        "workload: star, {} roots x fanout {} = {} tuples, {} ops/round ({} rounds){}",
-        m.roots,
-        m.fanout,
-        m.tuples,
-        m.churn_per_round,
-        m.rounds,
-        if smoke { " (smoke)" } else { "" }
-    );
-    println!(
-        "  full re-execution : {:>9.3} ms / round",
-        m.full_reexec_s * 1e3
-    );
-    println!(
-        "  incremental refresh: {:>9.3} ms / round   speedup {:.1}x",
-        m.refresh_s * 1e3,
-        m.speedup()
-    );
-    println!(
-        "  rows re-touched: {}  avoided: {}  groups refolded: {}",
-        m.rows_retouched, m.rows_avoided, m.groups_refolded
-    );
-    println!("  (hardware threads available: {})", m.hardware_threads);
-
-    let json = format!(
-        "{{\n  \"workload\": \"star\",\n  \"roots\": {roots},\n  \"fanout\": {fanout},\n  \
-         \"tuples\": {tuples},\n  \"smoke\": {smoke},\n  \"rounds\": {rounds},\n  \
-         \"churn_per_round\": {churn},\n  \"hardware_threads\": {hw},\n  \
-         \"full_reexec_s\": {t_full:.9},\n  \"refresh_s\": {t_ref:.9},\n  \
-         \"speedup\": {su:.3},\n  \"rows_retouched\": {touched},\n  \
-         \"rows_avoided\": {avoided},\n  \"groups_refolded\": {groups},\n  \
-         \"bit_for_bit_agreement\": true\n}}\n",
-        roots = m.roots,
-        fanout = m.fanout,
-        tuples = m.tuples,
-        rounds = m.rounds,
-        churn = m.churn_per_round,
-        hw = m.hardware_threads,
-        t_full = m.full_reexec_s,
-        t_ref = m.refresh_s,
-        su = m.speedup(),
-        touched = m.rows_retouched,
-        avoided = m.rows_avoided,
-        groups = m.groups_refolded,
-    );
-    std::fs::write("BENCH_incremental.json", &json).expect("write BENCH_incremental.json");
-    println!("-> wrote BENCH_incremental.json");
-}
-
-/// Operator-DAG pipelining + sharded scans vs the barrier-style parallel
-/// executor on a bushy workload, with the measurement also emitted as
-/// machine-readable `BENCH_pipeline.json`. `--smoke` shrinks the workload
-/// for CI: same bit-for-bit gates and JSON shape.
-fn pipeline(smoke: bool) {
-    header("plan pipelining: operator-DAG scheduler + sharded data plane");
-    let roots: u64 = if smoke { 2_000 } else { 12_000 };
-    let runs = if smoke { 3 } else { 5 };
-    // Bit-for-bit gates (DAG/sharded == serial at every tuning) and timing
-    // configurations live in `measure_pipeline`.
-    let m = measure_pipeline(roots, 4, 7, runs);
-
-    println!(
-        "workload: bushy, {} roots x fanout {} = {} tuples{}",
-        m.roots,
-        m.fanout,
-        m.tuples,
-        if smoke { " (smoke)" } else { "" }
-    );
-    println!("  serial            : {:>8.2} ms", m.serial_s * 1e3);
-    println!(
-        "  dag t=1 s=1       : {:>8.2} ms   overhead {:.2}x vs serial",
-        m.dag_serial_s * 1e3,
-        m.dag_overhead_vs_serial()
-    );
-    println!("  barrier par/4     : {:>8.2} ms", m.barrier_par4_s * 1e3);
-    println!(
-        "  dag t=4 s=1       : {:>8.2} ms   speedup {:.2}x vs barrier",
-        m.dag_par4_s * 1e3,
-        m.speedup_dag_vs_barrier()
-    );
-    println!(
-        "  dag t=4 s=4       : {:>8.2} ms",
-        m.dag_par4_sharded_s * 1e3
-    );
-    println!(
-        "  scheduler: {} task(s), peak {} ready, {:.2} ms overlapped",
-        m.tasks,
-        m.max_ready,
-        m.overlap_s * 1e3
-    );
-    println!(
-        "  shard rows: {:?}  (hardware threads available: {})",
-        m.shard_rows, m.hardware_threads
-    );
-
-    let shard_rows = m
-        .shard_rows
-        .iter()
-        .map(|r| r.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n  \"workload\": \"bushy\",\n  \"roots\": {roots},\n  \"fanout\": {fanout},\n  \
-         \"tuples\": {tuples},\n  \"smoke\": {smoke},\n  \"hardware_threads\": {hw},\n  \
-         \"serial_s\": {t_ser:.6},\n  \"dag_serial_s\": {t_dag1:.6},\n  \
-         \"barrier_par4_s\": {t_bar:.6},\n  \"dag_par4_s\": {t_dag4:.6},\n  \
-         \"dag_par4_sharded_s\": {t_dag44:.6},\n  \"speedup_dag_vs_barrier\": {su:.3},\n  \
-         \"dag_overhead_vs_serial\": {ov:.3},\n  \"tasks\": {tasks},\n  \
-         \"max_ready\": {ready},\n  \"overlap_s\": {overlap:.6},\n  \
-         \"shard_rows\": [{shard_rows}],\n  \"bit_for_bit_agreement\": true\n}}\n",
-        roots = m.roots,
-        fanout = m.fanout,
-        tuples = m.tuples,
-        hw = m.hardware_threads,
-        t_ser = m.serial_s,
-        t_dag1 = m.dag_serial_s,
-        t_bar = m.barrier_par4_s,
-        t_dag4 = m.dag_par4_s,
-        t_dag44 = m.dag_par4_sharded_s,
-        su = m.speedup_dag_vs_barrier(),
-        ov = m.dag_overhead_vs_serial(),
-        tasks = m.tasks,
-        ready = m.max_ready,
-        overlap = m.overlap_s,
-    );
-    std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
-    println!("-> wrote BENCH_pipeline.json");
-}
-
-/// Shard-resident storage: the DAG executor over per-shard columnar
-/// buffers and posting lists vs the serial executor on the 100k-tuple
-/// star, plus sharded incremental refresh under churn, with the
-/// measurement emitted as machine-readable `BENCH_sharded.json`.
-/// `--smoke` shrinks the workload for CI: same bit-for-bit and
-/// zero-global-probe gates, same JSON shape.
-fn sharded(smoke: bool) {
-    header("shard-resident storage: per-shard buffers + posting lists");
-    let roots: u64 = if smoke { 2_000 } else { 20_000 };
-    let runs = if smoke { 3 } else { 5 };
-    // Bit-for-bit gates (DAG == serial at every layout, zero global-index
-    // probes when resident, refresh == cold execution every churn round)
-    // and the timing configurations live in `measure_sharded`.
-    let m = measure_sharded(roots, 4, 7, runs);
-
-    println!(
-        "workload: star, {} roots x fanout {} = {} tuples{}",
-        m.roots,
-        m.fanout,
-        m.tuples,
-        if smoke { " (smoke)" } else { "" }
-    );
-    println!("  serial            : {:>8.2} ms", m.serial_s * 1e3);
-    let t = m.timed_threads;
-    for (i, &shards) in m.shard_counts.iter().enumerate() {
-        println!(
-            "  dag t={t} s={shards} resident: {:>8.2} ms   {:.2}x vs serial   refresh {:>7.3} ms   rows {:?}",
-            m.dag_s[i] * 1e3,
-            m.dag_vs_serial(shards),
-            m.refresh_s[i] * 1e3,
-            m.shard_rows[i]
-        );
-    }
-    println!(
-        "  global-index probes avoided: {}  shard-local probes: {}  tasks fused: {}",
-        m.probes_avoided, m.shard_index_probes, m.inlined
-    );
-    println!("  (hardware threads available: {})", m.hardware_threads);
-
-    let shard_counts = m
-        .shard_counts
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let join_f64s = |v: &[f64]| {
-        v.iter()
-            .map(|t| format!("{t:.6}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let shard_rows = m
-        .shard_rows
-        .iter()
-        .map(|rows| {
-            format!(
-                "[{}]",
-                rows.iter()
-                    .map(|r| r.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n  \"workload\": \"star\",\n  \"roots\": {roots},\n  \"fanout\": {fanout},\n  \
-         \"tuples\": {tuples},\n  \"smoke\": {smoke},\n  \"hardware_threads\": {hw},\n  \
-         \"timed_threads\": {threads},\n  \
-         \"serial_s\": {t_ser:.6},\n  \"shard_counts\": [{shard_counts}],\n  \
-         \"dag_par_s\": [{dag}],\n  \"refresh_par_s\": [{refresh}],\n  \
-         \"shard_rows\": [{shard_rows}],\n  \"dag_vs_serial_s4\": {gate:.3},\n  \
-         \"global_index_probes_avoided\": {avoided},\n  \
-         \"shard_index_probes\": {local},\n  \"inlined_tasks\": {inlined},\n  \
-         \"global_index_probes_resident\": 0,\n  \"bit_for_bit_agreement\": true\n}}\n",
-        roots = m.roots,
-        fanout = m.fanout,
-        tuples = m.tuples,
-        hw = m.hardware_threads,
-        threads = m.timed_threads,
-        t_ser = m.serial_s,
-        dag = join_f64s(&m.dag_s),
-        refresh = join_f64s(&m.refresh_s),
-        gate = m.dag_vs_serial(4),
-        avoided = m.probes_avoided,
-        local = m.shard_index_probes,
-        inlined = m.inlined,
-    );
-    std::fs::write("BENCH_sharded.json", &json).expect("write BENCH_sharded.json");
-    println!("-> wrote BENCH_sharded.json");
-}
-
-/// Telemetry cost: the same threaded + sharded engine evaluation with span
-/// tracing off vs forced on, on the 100k-tuple star workload, with the
-/// measurement emitted as `BENCH_obs.json` and the captured trace as
-/// `TRACE_obs.json` (Perfetto-loadable). `--smoke` shrinks the workload
-/// for CI: same gates and JSON shape.
-fn obs(smoke: bool) {
-    header("observability: span tracing cost + Chrome trace export");
-    let roots: u64 = if smoke { 2_000 } else { 20_000 };
-    let runs = if smoke { 3 } else { 5 };
-    // roots × (1 + fanout) tuples: fanout 4 makes the full run the
-    // 100k-tuple star. Bit-for-bit gate (traced == untraced) lives in
-    // `measure_obs`.
-    let m = measure_obs(roots, 4, 7, runs);
-
-    println!(
-        "workload: star, {} roots x fanout {} = {} tuples, threads=4 shards=4{}",
-        m.roots,
-        m.fanout,
-        m.tuples,
-        if smoke { " (smoke)" } else { "" }
-    );
-    println!("  tracing off: {:>8.2} ms", m.untraced_s * 1e3);
-    println!(
-        "  tracing on : {:>8.2} ms   overhead {:.2}x",
-        m.traced_s * 1e3,
-        m.overhead()
-    );
-    println!(
-        "  one traced run: {} span(s), {} dropped, {} bytes of Chrome trace",
-        m.spans, m.dropped, m.trace_bytes
-    );
-    println!("  (hardware threads available: {})", m.hardware_threads);
-
-    std::fs::write("TRACE_obs.json", &m.trace_json).expect("write TRACE_obs.json");
-    println!("-> wrote TRACE_obs.json (load in Perfetto / chrome://tracing)");
-
-    let json = format!(
-        "{{\n  \"workload\": \"star\",\n  \"roots\": {roots},\n  \"fanout\": {fanout},\n  \
-         \"tuples\": {tuples},\n  \"smoke\": {smoke},\n  \"hardware_threads\": {hw},\n  \
-         \"untraced_s\": {t_off:.6},\n  \"traced_s\": {t_on:.6},\n  \
-         \"traced_overhead\": {ov:.3},\n  \"spans\": {spans},\n  \
-         \"spans_dropped\": {dropped},\n  \"trace_bytes\": {bytes},\n  \
-         \"bit_for_bit_agreement\": true\n}}\n",
-        roots = m.roots,
-        fanout = m.fanout,
-        tuples = m.tuples,
-        hw = m.hardware_threads,
-        t_off = m.untraced_s,
-        t_on = m.traced_s,
-        ov = m.overhead(),
-        spans = m.spans,
-        dropped = m.dropped,
-        bytes = m.trace_bytes,
-    );
-    std::fs::write("BENCH_obs.json", &json).expect("write BENCH_obs.json");
-    println!("-> wrote BENCH_obs.json");
-}
-
-/// Closed-loop query serving over real sockets: one vs. many clients,
-/// mixed eval/rank/watch/apply, per-endpoint percentiles, cache hit
-/// rates, snapshot-publication latency, and eval latency under writer
-/// churn — emitted as `BENCH_serve.json`. `--smoke` shrinks the workload
-/// for CI: same gates (bit-identical cache hits, no failed requests,
-/// readers never block on apply) and JSON shape.
-fn serve_report(smoke: bool) {
-    header("query serving: epoch snapshots, shared caches, closed-loop QPS");
-    // roots × (1 + fanout): fanout 4 makes the full run the 100k-tuple
-    // star of the acceptance criteria.
-    let roots: u64 = if smoke { 2_000 } else { 20_000 };
-    let requests = if smoke { 60 } else { 300 };
-    let clients = 4;
-    let m = measure_serve(roots, 4, 7, clients, requests);
-
-    println!(
-        "workload: star, {} roots x fanout {} = {} tuples, {} clients x {} requests{}",
-        m.roots,
-        m.fanout,
-        m.tuples,
-        m.clients,
-        m.requests_per_client,
-        if smoke { " (smoke)" } else { "" }
-    );
-    println!(
-        "  single-client read QPS {:>10.0}   multi-client aggregate QPS {:>10.0}   ratio {:.2}x",
-        m.single_qps, m.multi_qps, m.qps_ratio
-    );
-    println!(
-        "  per-request: direct engine {:>9} ns | served cold {:>9} ns | served warm {:>9} ns  (warm overhead {:.3}x vs direct)",
-        m.direct_ns, m.served_cold_ns, m.served_warm_ns, m.warm_overhead
-    );
-    let lat = |name: &str, l: &LatencySummary| {
-        println!(
-            "  {name:<6} n={:<6} p50 {:>9} ns   p95 {:>9} ns   p99 {:>9} ns",
-            l.count, l.p50_ns, l.p95_ns, l.p99_ns
-        );
-    };
-    lat("eval", &m.eval);
-    lat("rank", &m.rank);
-    lat("apply", &m.apply);
-    lat("watch", &m.watch);
-    println!(
-        "  result cache: {} hit(s) / {} miss(es)   plan cache: {} hit(s) / {} miss(es)",
-        m.result_cache_hits, m.result_cache_misses, m.plan_hits, m.plan_misses
-    );
-    println!(
-        "  snapshot publication: {} publish(es), p50 {} ns, p99 {} ns",
-        m.publish_count, m.publish_p50_ns, m.publish_p99_ns
-    );
-    println!(
-        "  eval p95 quiet {} ns vs under writer churn {} ns ({:.2}x — readers never block on apply)",
-        m.quiet_eval_p95_ns, m.churn_eval_p95_ns, m.churn_ratio
-    );
-    println!(
-        "  observability: warm eval p95 {} ns (obs on) vs {} ns (obs off) = {:.3}x overhead (gate <= 1.05)",
-        m.obs_warm_p95_ns, m.baseline_warm_p95_ns, m.obs_overhead_p95
-    );
-    println!(
-        "  /metrics scrape: {} families ({} bytes, valid Prometheus text)   access log: {} line(s), {} slow   flight recorder: {} request(s)",
-        m.metrics_families,
-        m.metrics_text.len(),
-        m.access_log.len(),
-        m.slow_log_lines,
-        m.debug_recorded
-    );
-    println!("  (hardware threads available: {})", m.hardware_threads);
-    if m.hardware_threads == 1 {
-        println!(
-            "  note: 1 hardware thread — closed-loop clients serialize, so the \
-             QPS ratio stays ~1x; the per-request warm overhead vs the direct \
-             engine call ({:.3}x) is the gate on this machine",
-            m.warm_overhead
-        );
-    }
-
-    let lat_json = |l: &LatencySummary| {
-        format!(
-            "{{\"count\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}}}",
-            l.count, l.p50_ns, l.p95_ns, l.p99_ns
-        )
-    };
-    let json = format!(
-        "{{\n  \"workload\": \"star\",\n  \"roots\": {roots},\n  \"fanout\": {fanout},\n  \
-         \"tuples\": {tuples},\n  \"smoke\": {smoke},\n  \"hardware_threads\": {hw},\n  \
-         \"clients\": {clients},\n  \"requests_per_client\": {requests},\n  \
-         \"single_client_qps\": {single:.1},\n  \"multi_client_qps\": {multi:.1},\n  \
-         \"qps_ratio\": {ratio:.3},\n  \"direct_engine_ns\": {direct},\n  \
-         \"served_cold_ns\": {cold},\n  \"served_warm_ns\": {warm},\n  \
-         \"warm_overhead_vs_direct\": {overhead:.4},\n  \
-         \"latency_ns\": {{\"eval\": {eval}, \"rank\": {rank}, \"apply\": {apply}, \"watch\": {watch}}},\n  \
-         \"result_cache\": {{\"hits\": {rc_hits}, \"misses\": {rc_misses}, \"hit_rate\": {rc_rate:.4}}},\n  \
-         \"plan_cache\": {{\"hits\": {p_hits}, \"misses\": {p_misses}}},\n  \
-         \"publish\": {{\"count\": {pub_n}, \"p50_ns\": {pub_p50}, \"p99_ns\": {pub_p99}}},\n  \
-         \"churn\": {{\"quiet_eval_p95_ns\": {quiet}, \"churn_eval_p95_ns\": {churn}, \"ratio\": {churn_ratio:.3}}},\n  \
-         \"observability\": {{\"obs_warm_p95_ns\": {obs_warm}, \"baseline_warm_p95_ns\": {base_warm}, \
-         \"overhead_p95\": {obs_overhead:.4}, \"metrics_families\": {mfam}, \
-         \"metrics_valid_exposition\": true, \"access_log_lines\": {alog}, \
-         \"slow_log_lines\": {slog}, \"recorder_requests\": {drec}}},\n  \
-         \"cache_hits_bit_identical\": true,\n  \"reader_blocked_on_apply\": false\n}}\n",
-        roots = m.roots,
-        fanout = m.fanout,
-        tuples = m.tuples,
-        hw = m.hardware_threads,
-        clients = m.clients,
-        requests = m.requests_per_client,
-        single = m.single_qps,
-        multi = m.multi_qps,
-        ratio = m.qps_ratio,
-        direct = m.direct_ns,
-        cold = m.served_cold_ns,
-        warm = m.served_warm_ns,
-        overhead = m.warm_overhead,
-        eval = lat_json(&m.eval),
-        rank = lat_json(&m.rank),
-        apply = lat_json(&m.apply),
-        watch = lat_json(&m.watch),
-        rc_hits = m.result_cache_hits,
-        rc_misses = m.result_cache_misses,
-        rc_rate = m.result_cache_hits as f64
-            / (m.result_cache_hits + m.result_cache_misses).max(1) as f64,
-        p_hits = m.plan_hits,
-        p_misses = m.plan_misses,
-        pub_n = m.publish_count,
-        pub_p50 = m.publish_p50_ns,
-        pub_p99 = m.publish_p99_ns,
-        quiet = m.quiet_eval_p95_ns,
-        churn = m.churn_eval_p95_ns,
-        churn_ratio = m.churn_ratio,
-        obs_warm = m.obs_warm_p95_ns,
-        base_warm = m.baseline_warm_p95_ns,
-        obs_overhead = m.obs_overhead_p95,
-        mfam = m.metrics_families,
-        alog = m.access_log.len(),
-        slog = m.slow_log_lines,
-        drec = m.debug_recorded,
-    );
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("-> wrote BENCH_serve.json");
-    std::fs::write("METRICS_serve.txt", &m.metrics_text).expect("write METRICS_serve.txt");
-    println!(
-        "-> wrote METRICS_serve.txt ({} families)",
-        m.metrics_families
-    );
-    let mut access = m.access_log.join("\n");
-    access.push('\n');
-    std::fs::write("ACCESS_serve.log", &access).expect("write ACCESS_serve.log");
-    println!("-> wrote ACCESS_serve.log ({} lines)", m.access_log.len());
-    std::fs::write("DEBUG_requests.json", &m.debug_dump).expect("write DEBUG_requests.json");
-    println!(
-        "-> wrote DEBUG_requests.json ({} recorded)",
-        m.debug_recorded
     );
 }
 

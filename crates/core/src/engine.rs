@@ -46,7 +46,7 @@ pub use crate::plan::Method;
 /// Execution tuning the engine hands its executor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Worker threads for the morsel-driven parallel executor; 1 = serial.
+    /// Worker threads for the parallel (DAG) executor; 1 = serial.
     /// Parallel extensional execution is bit-for-bit identical to serial;
     /// sampling plans stay deterministic per `(seed, threads)`.
     pub threads: usize,

@@ -12,9 +12,9 @@
 //! Contention is *measured*, not assumed: every probe first tries the
 //! shard lock without blocking and bumps a caller-named counter in the
 //! telemetry registry when it would have had to wait (then waits — the
-//! counter observes, it does not change behavior). `report -- serve`
-//! surfaces those counters as `planner.cache.contended` next to the QPS
-//! they explain.
+//! counter observes, it does not change behavior). The query service's
+//! `/stats` surfaces those counters as `plan_cache.contended` and
+//! `result_cache.contended`; `/metrics` exports the registry counters.
 //!
 //! Sharding is engaged only at [`SHARDING_THRESHOLD`] capacity and above:
 //! small caches keep one shard so eviction order stays the exact global

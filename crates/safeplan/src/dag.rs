@@ -1,14 +1,27 @@
-//! Plan-level pipelining over a sharded data plane.
+//! The parallel executor: plan-level pipelining over a sharded data plane.
 //!
-//! The [`par`](crate::par) module parallelizes *inside* one operator and
-//! still walks the plan tree serially: a join's build input fully
-//! materializes before its probe input starts. This module removes that
-//! barrier. [`dag_execute`] decomposes a [`PlanNode`] tree into a
+//! [`dag_execute`] runs the same [`PlanNode`] language as
+//! [`crate::execute`], on the same columnar flat-buffer kernels, with
+//! parallelism at two levels. It decomposes the plan tree into a
 //! dependency DAG of **operator tasks** and hands it to
 //! [`exec_parallel::run_dag`]: independent subtrees (the inputs of an
-//! independent join) evaluate concurrently, each task nests morsel
-//! dispatches on the shared [`Pool`], and every task's output lands in a
-//! pre-assigned slot so downstream stitching is deterministic.
+//! independent join) evaluate concurrently, and every task's output
+//! lands in a pre-assigned slot so downstream stitching is deterministic.
+//! Inside a task, operators fan morsels out on the shared [`Pool`]:
+//!
+//! * **scans** and **complement scans** partition their input (pushed-down
+//!   tuple ids, linearized bindings) into morsels; each morsel emits a
+//!   columnar chunk of whole rows, stitched in morsel order;
+//! * **joins** index the build side once, then probe the other side in
+//!   parallel morsels. When the build side is the left input, probing
+//!   yields `(left, right)` id pairs that a stable counting sort restores
+//!   to the serial output order before a morsel-parallel emission pass
+//!   materializes them;
+//! * **independent projects** — the `1 − Π(1−p)` aggregation at the core
+//!   of the extensional operators — hash-partition *groups* across
+//!   workers (packed-key `Grouper` folds) and merge the per-partition
+//!   results by first-seen row index, so every group is folded by exactly
+//!   one worker in row order.
 //!
 //! ## Task decomposition
 //!
@@ -60,18 +73,25 @@
 //! never perturbs a bit.
 //!
 //! The invariant pinned by `tests/sharded_agreement.rs` and the in-crate
-//! tests below: for every plan, database, thread count, shard count, and
-//! scheduler picker, the DAG executor returns **bit-for-bit** the serial
-//! executor's relation.
+//! tests below: for every plan, database, thread count, shard count,
+//! morsel grain, and scheduler picker, the DAG executor returns
+//! **bit-for-bit** the serial executor's relation — same rows, same
+//! order, same `f64` values. Morsel outputs stitch in morsel order (the
+//! stride invariant makes that plain buffer concatenation), group folds
+//! keep the serial multiplication order, and worker scheduling never
+//! leaks into results. Parallelism changes wall time, not answers.
 
 use crate::exec::{
-    complement_rows, scan_column_keyed, scan_columns_merged, scan_rows, scan_rows_at,
+    complement_rows, eval_pred, scan_column_keyed, scan_columns_merged, scan_rows, scan_rows_at,
     scan_rows_keyed, ComplementSpec, OpCounters, ScanSpec, ShardScanSpec,
 };
 use crate::node::PlanNode;
 use crate::optimize::{columns, estimate_rows};
-use crate::par::{par_join_sided, par_project_parts, par_select};
-use crate::relation::{choose_build_side, stitch_columnar, BuildSide, ProbRelation};
+use crate::relation::{
+    choose_build_side, emit_pairs, filter_rows, group_fold_rows, hash_row_key, join_spec,
+    pairs_by_left, probe_emit, probe_pairs, stitch_columnar, BuildSide, GroupFold, JoinIndex,
+    ProbRelation,
+};
 use cq::{Pred, Value, Var};
 use exec_parallel::{run_dag_with_picker, DagSlots, DagStats, ExecStats, Pool, DEFAULT_GRAIN};
 use lineage::ProbValue;
@@ -583,6 +603,153 @@ pub fn dag_ranked_probabilities_counted<P: ProbValue + Send + Sync>(
     (crate::exec::project_head(&rel, head), run)
 }
 
+/// Partitioned filter: morsels over the input rows, each emitting a
+/// columnar chunk of whole rows.
+fn par_select<P: ProbValue + Send + Sync>(
+    rel: &ProbRelation<P>,
+    pred: &Pred,
+    pool: &Pool,
+) -> ProbRelation<P> {
+    let cols = rel.cols().to_vec();
+    let chunks = pool.map_morsels(rel.len(), |rows| {
+        filter_rows(rel, rows, |row| eval_pred(pred, &cols, row))
+    });
+    let (data, probs) = stitch_columnar(chunks);
+    ProbRelation::from_parts(cols, data, probs)
+}
+
+/// Parallel independent join with the build side supplied by the caller.
+/// The build side is indexed once on the calling worker; the probe side
+/// streams through in morsels. The output is bit-identical regardless of
+/// `side` — a right build emits probe-major directly; a left build
+/// counting-sorts the probe pairs back into the same left-major order and
+/// materializes in parallel over stride-aligned pair ranges — so the
+/// cost model may pick the side from *estimates* without risking the
+/// agreement invariant.
+fn par_join_sided<P: ProbValue + Send + Sync>(
+    left: &ProbRelation<P>,
+    right: &ProbRelation<P>,
+    side: BuildSide,
+    pool: &Pool,
+    counters: &mut OpCounters,
+) -> ProbRelation<P> {
+    counters.joins += 1;
+    let spec = join_spec(left.cols(), right.cols());
+    let (data, probs) = match side {
+        BuildSide::Right => {
+            let index = JoinIndex::build(right, &spec.other_key);
+            let chunks =
+                pool.map_morsels(left.len(), |r| probe_emit(&spec, left, right, &index, r));
+            stitch_columnar(chunks)
+        }
+        BuildSide::Left => {
+            counters.joins_build_left += 1;
+            let index = JoinIndex::build(left, &spec.left_key);
+            let pair_chunks = pool.map_morsels(right.len(), |r| {
+                probe_pairs(&index, right, &spec.other_key, r)
+            });
+            // Chunks concatenate right-ascending (morsel order), exactly
+            // the serial probe sequence; the counting sort then restores
+            // left-major output order.
+            let mut pairs = Vec::with_capacity(pair_chunks.iter().map(Vec::len).sum());
+            for c in pair_chunks {
+                pairs.extend(c);
+            }
+            let pairs = pairs_by_left(&pairs, left.len());
+            let chunks =
+                pool.map_morsels(pairs.len(), |r| emit_pairs(&spec, left, right, &pairs[r]));
+            stitch_columnar(chunks)
+        }
+    };
+    counters.join_rows += probs.len() as u64;
+    ProbRelation::from_parts(spec.out_cols, data, probs)
+}
+
+/// Parallel independent project over `parts` hash partitions of the
+/// groups: each worker folds its groups' rows **in row order** (the
+/// serial multiplication order) through the packed-key grouper, and the
+/// per-partition results merge by first-seen row index — disjoint groups,
+/// so merging is concatenation, not re-multiplication, and `f64` bits are
+/// preserved. The merge makes the output a pure function of the input,
+/// identical for **any** `parts`, so groups can fan out over
+/// `shards × threads` partitions without perturbing a single bit.
+fn par_project_parts<P: ProbValue + Send + Sync>(
+    rel: &ProbRelation<P>,
+    keep: &[Var],
+    pool: &Pool,
+    parts: usize,
+) -> ProbRelation<P> {
+    // Sub-morsel inputs are not worth a fan-out; the serial fold is the
+    // same computation (bit for bit), minus the partition scaffolding.
+    if (pool.threads() == 1 && parts <= 1) || rel.len() <= pool.grain() {
+        return rel.independent_project(keep);
+    }
+    let parts = parts.max(1);
+    let key_idx: Vec<usize> = keep
+        .iter()
+        .map(|&v| rel.col_index(v).expect("projection column missing"))
+        .collect();
+    // Phase 1: group hashes, one pass in parallel stride-aligned morsels
+    // (order-stable). Each morsel walks its slice of the flat value buffer
+    // directly — the element range is row-aligned by construction.
+    let arity = rel.arity();
+    let hash_chunks = pool.map_morsels_strided(rel.len(), arity, |rows, elems| {
+        if arity == 0 {
+            // Zero-column relation: every row has the empty key.
+            vec![hash_row_key(&[], &key_idx); rows.len()]
+        } else {
+            rel.values()[elems]
+                .chunks_exact(arity)
+                .map(|row| hash_row_key(row, &key_idx))
+                .collect::<Vec<u64>>()
+        }
+    });
+    let owners = partition_rows(&stitch(hash_chunks), parts);
+    // Phase 2: each worker owns the groups hashing to its partitions and
+    // folds `Π(1−p)` over their rows in row order, touching only its own
+    // rows (`owners[part]` ascends, preserving the serial fold order).
+    let partials: Vec<GroupFold<P>> = pool.map_partitions(parts, |part| {
+        group_fold_rows(rel, &key_idx, owners[part].iter().copied())
+    });
+    // Phase 3: merge partitions by first-seen row index — the serial
+    // executor's group emission order.
+    let mut entries: Vec<(u32, usize, usize)> = Vec::new();
+    for (pi, fold) in partials.iter().enumerate() {
+        for s in 0..fold.grouper.len() {
+            entries.push((fold.first_row[s], pi, s));
+        }
+    }
+    entries.sort_unstable_by_key(|&(first, _, _)| first);
+    let mut out = ProbRelation::with_capacity(keep.to_vec(), entries.len());
+    for (_, pi, s) in entries {
+        out.push(
+            partials[pi].grouper.key(s),
+            partials[pi].none[s].complement(),
+        );
+    }
+    out
+}
+
+/// Concatenate morsel outputs in morsel order.
+fn stitch<T>(chunks: Vec<Vec<T>>) -> Vec<T> {
+    let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
+    for c in chunks {
+        out.extend(c);
+    }
+    out
+}
+
+/// Bucket row indices by hash partition; each bucket ascends, so workers
+/// iterating a bucket visit rows in the serial pass's order.
+fn partition_rows(hashes: &[u64], parts: usize) -> Vec<Vec<u32>> {
+    let mut owners: Vec<Vec<u32>> = vec![Vec::new(); parts];
+    for (i, &h) in hashes.iter().enumerate() {
+        let i = u32::try_from(i).expect("partitioned input exceeds u32 rows");
+        owners[h as usize % parts].push(i);
+    }
+    owners
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -696,26 +863,49 @@ mod tests {
         let probs = db.prob_vector();
         let mut serial = OpCounters::default();
         let _ = execute_counted(&db, &probs, &plan, &mut serial);
-        let mut dag = OpCounters::default();
-        let _ = dag_execute_counted(
-            &db,
-            &probs,
-            &plan,
-            &DagOptions::with_grain(4, 2, 2),
-            &mut dag,
-        );
-        // Operator-granularity counters are identical; the DAG path adds
-        // its cost-model record on top.
-        assert_eq!(serial.scans, dag.scans);
-        assert_eq!(serial.index_scans, dag.index_scans);
-        assert_eq!(serial.rows_scanned, dag.rows_scanned);
-        assert_eq!(serial.rows_pruned, dag.rows_pruned);
-        assert_eq!(serial.joins, dag.joins);
-        assert_eq!(serial.join_rows, dag.join_rows);
-        assert_eq!(serial.groups, dag.groups);
-        assert_eq!(dag.est_builds, dag.joins, "every stage is estimate-chosen");
-        assert_eq!(dag.shard_fanout, 2);
+        assert!(serial.index_scans > 0, "{serial:?}");
         assert_eq!(serial.shard_fanout, 0, "serial path never shards");
+        for threads in [1, 2, 4] {
+            let mut dag = OpCounters::default();
+            let _ = dag_execute_counted(
+                &db,
+                &probs,
+                &plan,
+                &DagOptions::with_grain(threads, 2, 2),
+                &mut dag,
+            );
+            // Operator-granularity counters are identical at every thread
+            // count; the DAG path adds its cost-model record on top.
+            assert_eq!(serial.scans, dag.scans, "{threads} threads");
+            assert_eq!(serial.index_scans, dag.index_scans, "{threads} threads");
+            assert_eq!(serial.rows_scanned, dag.rows_scanned, "{threads} threads");
+            assert_eq!(serial.rows_pruned, dag.rows_pruned, "{threads} threads");
+            assert_eq!(serial.joins, dag.joins, "{threads} threads");
+            assert_eq!(serial.join_rows, dag.join_rows, "{threads} threads");
+            assert_eq!(serial.groups, dag.groups, "{threads} threads");
+            assert_eq!(dag.est_builds, dag.joins, "every stage is estimate-chosen");
+            assert_eq!(dag.shard_fanout, 2);
+        }
+    }
+
+    #[test]
+    fn stats_report_the_fan_out() {
+        let mut voc = Vocabulary::new();
+        let q = parse_query(&mut voc, "R(x), S(x,y)").unwrap();
+        let plan = build_plan(&q).unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        let opts = RandomDbOptions {
+            domain: 5,
+            tuples_per_relation: 40,
+            prob_range: (0.1, 0.9),
+        };
+        let db = random_db_for_query(&q, &voc, opts, &mut rng);
+        let (p, run) = dag_query_probability(&db, &plan, &DagOptions::with_grain(4, 1, 4));
+        assert_eq!(p, crate::exec::query_probability(&db, &plan));
+        let stats = run.threads;
+        assert_eq!(stats.threads(), 4);
+        assert!(stats.total_morsels() > 0, "{stats:?}");
+        assert!(stats.total_rows() > 0, "{stats:?}");
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! invariants), scans push constants down to the `(column, value)`
 //! posting lists [`pdb::ProbDb`] maintains, and joins hash whichever
 //! input is smaller. Every kernel takes an explicit row range so the
-//! serial executor (whole range) and the morsel-parallel executor
-//! ([`crate::par`], one morsel at a time) run literally the same code —
+//! serial executor (whole range) and the parallel DAG executor
+//! ([`crate::dag`], one morsel at a time) run literally the same code —
 //! the foundation of the bit-for-bit serial/parallel agreement invariant.
 //!
 //! The pre-columnar row-at-a-time executor survives in [`crate::rowref`]
-//! as the correctness oracle and bench baseline.
+//! as the correctness oracle.
 
 use crate::node::PlanNode;
 use crate::relation::{

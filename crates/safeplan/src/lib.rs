@@ -21,19 +21,18 @@
 //! see [`relation`] for the invariants), operator kernels touch no per-row
 //! heap allocations, grouping runs on packed `u64`/`u128` keys, joins hash
 //! the smaller input, and scans push constants down to per-relation
-//! `(column, value)` posting lists in [`pdb::ProbDb`]. The [`par`] module
-//! executes the same plans on a morsel-driven scoped-thread worker pool
-//! ([`par_execute`]), bit-for-bit identical to the serial executor at
-//! every thread count. The [`dag`] module goes one level up: plans
-//! decompose into an operator-task DAG whose independent subtrees overlap
-//! on the same pool, over a hash-**sharded** data plane
-//! ([`dag_execute`]) — still bit-for-bit identical for every thread
+//! `(column, value)` posting lists in [`pdb::ProbDb`]. Two executors run
+//! those kernels: the serial [`exec`] module ([`execute`]) and the
+//! parallel [`dag`] module ([`dag_execute`]), where plans decompose into
+//! an operator-task DAG whose independent subtrees overlap on a
+//! morsel-driven scoped-thread worker pool, over a hash-**sharded** data
+//! plane — bit-for-bit identical to the serial executor for every thread
 //! count, shard count, and schedule. When the database carries a matching
 //! **shard-resident layout** ([`pdb::ProbDb::set_shard_layout`]),
 //! sharded scans read per-shard columnar buffers and posting lists and
 //! resolve with zero global-index probes (counter-verified via
 //! [`OpCounters`]). The pre-columnar row executor survives in [`rowref`]
-//! as the correctness oracle and bench baseline.
+//! as the correctness oracle the agreement tests compare against.
 //!
 //! ```
 //! use cq::{parse_query, Vocabulary, Value};
@@ -56,7 +55,6 @@ pub mod dag;
 pub mod exec;
 pub mod node;
 pub mod optimize;
-pub mod par;
 pub mod relation;
 pub mod rowref;
 
@@ -76,11 +74,7 @@ pub use optimize::{
     columns, estimate_rows, optimize, optimize_with_stats, plan_shard_fanout, scan_estimate,
     SHARD_MIN_ROWS,
 };
-pub use par::{
-    par_execute, par_execute_counted, par_query_probability, par_query_probability_counted,
-    par_ranked_probabilities, ParOptions,
-};
-// Re-exported so downstream crates and tests can drive the parallel and
-// DAG executors without a direct `exec-parallel` dependency.
+// Re-exported so downstream crates and tests can read the DAG executor's
+// reports without a direct `exec-parallel` dependency.
 pub use exec_parallel::{DagStats, ExecStats, Pool, ThreadStats};
 pub use relation::{FnvHasher, ProbRelation};

@@ -36,7 +36,7 @@
 //! and grouping keys are packed into `u64`/`u128` machine words for arity
 //! ≤ 2 (`Grouper`) with a hashed fallback (with explicit collision
 //! chains) above that. The pre-columnar row executor is preserved in
-//! [`crate::rowref`] as the correctness oracle and bench baseline.
+//! [`crate::rowref`] as the correctness oracle.
 
 use cq::{Value, Var};
 use lineage::ProbValue;

@@ -4,23 +4,19 @@
 //! Rows travel as `Vec<(Vec<Value>, P)>` — one heap allocation per row —
 //! joins always hash the right-hand input, and grouping goes through a
 //! `BTreeMap<Vec<Value>, P>` with per-row key clones. It is kept, verbatim
-//! in behavior, for two jobs:
-//!
-//! * **correctness oracle** — the columnar executor (serial and parallel,
-//!   at every thread count) must return *bit-for-bit* what this executor
-//!   returns: same rows, same order, same `f64` values. The
-//!   `columnar_agreement` integration tests pin that property on random
-//!   hierarchical self-join-free queries and ranked answer sets.
-//! * **bench baseline** — the `columnar_exec` bench measures the columnar
-//!   data plane against this one on the 100k-tuple star workload, serial
-//!   and multi-threaded.
+//! in behavior, as the **correctness oracle**: the columnar executors
+//! (serial [`crate::exec`] and the parallel [`crate::dag`], at every
+//! thread and shard count) must return *bit-for-bit* what this executor
+//! returns — same rows, same order, same `f64` values. The
+//! `columnar_agreement` and `sharded_agreement` integration tests pin
+//! that property on random hierarchical self-join-free queries and ranked
+//! answer sets.
 //!
 //! Nothing in the production path calls into this module.
 
 use crate::exec::{complement_domain, complement_row_count, eval_pred};
 use crate::node::PlanNode;
 use cq::{Atom, Term, Value, Var};
-use exec_parallel::Pool;
 use lineage::ProbValue;
 use pdb::{ProbDb, TupleId};
 use std::collections::BTreeMap;
@@ -315,119 +311,4 @@ fn complement_rows<P: ProbValue>(
         out.push((binding, p));
     }
     out
-}
-
-/// Morsel-parallel execution of the row-at-a-time plan — the PR-2 parallel
-/// data plane, preserved as the multi-threaded bench baseline. Bit-for-bit
-/// identical to [`row_execute`] at every thread count.
-pub fn row_par_execute<P: ProbValue + Send + Sync>(
-    db: &ProbDb,
-    probs: &[P],
-    plan: &PlanNode,
-    pool: &Pool,
-) -> RowRelation<P> {
-    assert_eq!(probs.len(), db.num_tuples(), "probability vector length");
-    match plan {
-        PlanNode::Certain => RowRelation::certain(),
-        PlanNode::Never => RowRelation::never(),
-        PlanNode::Scan { atom } => {
-            let cols = atom.vars();
-            let ids = db.tuples_of(atom.rel);
-            let chunks =
-                pool.map_morsels(ids.len(), |r| scan_rows(db, probs, atom, &cols, &ids[r]));
-            RowRelation {
-                cols,
-                rows: stitch(chunks),
-            }
-        }
-        PlanNode::ComplementScan { atom } => {
-            let cols = atom.vars();
-            let domain = complement_domain(db, atom);
-            let total = complement_row_count(cols.len(), domain.len());
-            let chunks = pool.map_morsels(total, |r| {
-                complement_rows(db, probs, atom, &cols, &domain, r)
-            });
-            RowRelation {
-                cols,
-                rows: stitch(chunks),
-            }
-        }
-        PlanNode::Select { pred, input } => {
-            let rel = row_par_execute(db, probs, input, pool);
-            let chunks = pool.map_morsels(rel.rows.len(), |r| {
-                rel.rows[r]
-                    .iter()
-                    .filter(|(row, _)| eval_pred(pred, &rel.cols, row))
-                    .cloned()
-                    .collect::<Vec<_>>()
-            });
-            RowRelation {
-                cols: rel.cols.clone(),
-                rows: stitch(chunks),
-            }
-        }
-        PlanNode::IndependentJoin { inputs } => {
-            let mut acc = RowRelation::certain();
-            for i in inputs {
-                let right = row_par_execute(db, probs, i, pool);
-                let spec = row_join_spec(&acc.cols, &right.cols);
-                let index = build_join_index(&right.rows, &spec.other_key);
-                let chunks = pool.map_morsels(acc.rows.len(), |r| {
-                    probe_join_rows(&spec, &acc.rows[r], &index, &right.rows)
-                });
-                acc = RowRelation {
-                    cols: spec.out_cols,
-                    rows: stitch(chunks),
-                };
-            }
-            acc
-        }
-        PlanNode::IndependentProject { keep, input } => {
-            // Grouping stays serial in the reference path: the PR-2
-            // implementation's partitioned fold is superseded by the
-            // columnar executor; the serial fold is bit-identical.
-            row_par_execute(db, probs, input, pool).independent_project(keep)
-        }
-    }
-}
-
-fn stitch<T>(chunks: Vec<Vec<T>>) -> Vec<T> {
-    let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-    for c in chunks {
-        out.extend(c);
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::build::build_plan;
-    use cq::{parse_query, Vocabulary};
-    use pdb::generators::{random_db_for_query, RandomDbOptions};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn row_reference_matches_its_parallel_form() {
-        let mut rng = StdRng::seed_from_u64(42);
-        for text in ["R(x), S(x,y)", "R(x), not T(x)", "S(x,y), x < y"] {
-            let mut voc = Vocabulary::new();
-            let q = parse_query(&mut voc, text).unwrap();
-            let plan = build_plan(&q).unwrap();
-            let opts = RandomDbOptions {
-                domain: 3,
-                tuples_per_relation: 10,
-                prob_range: (0.1, 0.9),
-            };
-            let db = random_db_for_query(&q, &voc, opts, &mut rng);
-            let probs = db.prob_vector();
-            let serial = row_execute(&db, &probs, &plan);
-            for threads in [1, 2, 4] {
-                let pool = Pool::with_grain(threads, 2);
-                let par = row_par_execute(&db, &probs, &plan, &pool);
-                assert_eq!(serial, par, "{text} at {threads} threads");
-            }
-        }
-    }
 }

@@ -26,7 +26,7 @@
 //! `~ R(1,2) @ 0.9` (probability update), `- R(1,2)` (delete) — with blank
 //! lines separating atomically-applied batches.
 //!
-//! `--threads N` runs the morsel-driven parallel executor on N workers
+//! `--threads N` runs the parallel operator-DAG executor on N workers
 //! (results are bit-for-bit the serial answers; sampling stays
 //! deterministic per seed and thread count). `--shards N` lays the loaded
 //! database out shard-resident (per-shard columnar buffers and posting

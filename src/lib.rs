@@ -96,8 +96,7 @@ pub mod prelude {
     };
     pub use reductions::{count_via_hk, count_via_pattern, Bipartite2Dnf};
     pub use safeplan::{
-        build_plan, par_execute, par_query_probability, query_probability, query_probability_exact,
-        OpCounters, ParOptions, PlanNode, Pool,
+        build_plan, query_probability, query_probability_exact, OpCounters, PlanNode,
     };
     pub use serve::{HttpClient, HttpResponse, ServeOptions, Server};
 }

@@ -1,0 +1,77 @@
+//! Fixtures shared by the executor agreement suites
+//! (`columnar_agreement`, `sharded_agreement`, `parallel_agreement`):
+//! the thread counts they sweep, the random hierarchical query and
+//! database generators, and the row-oracle comparison.
+
+// Each suite links this module separately and uses a subset of it.
+#![allow(dead_code)]
+
+use probdb::prelude::{ProbDb, Query, Var, Vocabulary};
+use rand::rngs::StdRng;
+use rand::Rng;
+use safeplan::rowref::RowRelation;
+use safeplan::ProbRelation;
+
+pub const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// Assert the columnar relation is bit-for-bit the row relation.
+pub fn assert_same(col: &ProbRelation<f64>, row: &RowRelation<f64>, ctx: &str) {
+    assert_eq!(col.cols(), row.cols.as_slice(), "{ctx}: schema");
+    assert_eq!(col.len(), row.rows.len(), "{ctx}: row count");
+    for (i, (vals, p)) in row.rows.iter().enumerate() {
+        assert_eq!(col.row(i), vals.as_slice(), "{ctx}: row {i} values");
+        assert_eq!(
+            col.prob(i).to_bits(),
+            p.to_bits(),
+            "{ctx}: row {i} probability bits ({} vs {p})",
+            col.prob(i)
+        );
+    }
+}
+
+/// Random hierarchical self-join-free query: a forest of hierarchy trees
+/// where every atom's variables are a root-to-node path, each atom over a
+/// fresh relation — exactly the fragment the extensional compiler accepts.
+pub fn random_hierarchical_query(rng: &mut StdRng, voc: &mut Vocabulary) -> Query {
+    fn grow(
+        rng: &mut StdRng,
+        voc: &mut Vocabulary,
+        atoms: &mut Vec<cq::Atom>,
+        path: &mut Vec<Var>,
+        next_var: &mut u32,
+        depth: u32,
+    ) {
+        for _ in 0..rng.gen_range(1..=2u32) {
+            let name = format!("P{}", atoms.len());
+            let rel = voc.relation(&name, path.len()).unwrap();
+            let args = path.iter().map(|&v| cq::Term::Var(v)).collect();
+            atoms.push(cq::Atom::new(rel, args));
+        }
+        if depth < 3 {
+            for _ in 0..rng.gen_range(0..=2u32) {
+                path.push(Var(*next_var));
+                *next_var += 1;
+                grow(rng, voc, atoms, path, next_var, depth + 1);
+                path.pop();
+            }
+        }
+    }
+    let mut atoms = Vec::new();
+    let mut next_var = 0u32;
+    for _ in 0..rng.gen_range(1..=2u32) {
+        let mut path = vec![Var(next_var)];
+        next_var += 1;
+        grow(rng, voc, &mut atoms, &mut path, &mut next_var, 1);
+    }
+    Query::new(atoms, vec![])
+}
+
+pub fn random_db(q: &Query, voc: &Vocabulary, rng: &mut StdRng) -> ProbDb {
+    use pdb::generators::{random_db_for_query, RandomDbOptions};
+    let opts = RandomDbOptions {
+        domain: 4,
+        tuples_per_relation: 20,
+        prob_range: (0.05, 0.95),
+    };
+    random_db_for_query(q, voc, opts, rng)
+}

@@ -1,94 +1,18 @@
-//! Parallel/serial agreement: the morsel-driven parallel executor must
-//! return **bit-for-bit** what the serial executor returns — same rows,
-//! same order, same `f64` values — for every thread count, on random
-//! hierarchical self-join-free queries over random databases, through
-//! every layer (raw `par_execute`, the engine, and ranked retrieval).
+//! Parallel/serial agreement at the engine layer: an engine built with
+//! `ExecOptions::with_threads(n)` (the DAG executor at shard fan-out 1)
+//! must return **bit-for-bit** what the serial engine returns, for every
+//! thread count, through evaluation and ranked (top-k) retrieval. The
+//! executor-level checks live in `columnar_agreement.rs` and
+//! `sharded_agreement.rs`.
 
-use dichotomy::engine::Strategy;
+mod common;
+
+use common::{random_db, random_hierarchical_query, THREADS};
 use probdb::prelude::{
-    build_plan, par_execute, parse_query, ranked_answers, top_k, Engine, ExecOptions, ParOptions,
-    Pool, ProbDb, Query, Value, Var, Vocabulary,
+    parse_query, ranked_answers, top_k, Engine, ExecOptions, Strategy, Vocabulary,
 };
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use safeplan::{execute, ranked_probabilities};
-
-const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Random hierarchical self-join-free query: a forest of hierarchy trees
-/// where every atom's variables are a root-to-node path, each atom over a
-/// fresh relation — exactly the fragment the extensional compiler accepts.
-fn random_hierarchical_query(rng: &mut StdRng, voc: &mut Vocabulary) -> Query {
-    fn grow(
-        rng: &mut StdRng,
-        voc: &mut Vocabulary,
-        atoms: &mut Vec<cq::Atom>,
-        path: &mut Vec<Var>,
-        next_var: &mut u32,
-        depth: u32,
-    ) {
-        for _ in 0..rng.gen_range(1..=2u32) {
-            let name = format!("P{}", atoms.len());
-            let rel = voc.relation(&name, path.len()).unwrap();
-            let args = path.iter().map(|&v| cq::Term::Var(v)).collect();
-            atoms.push(cq::Atom::new(rel, args));
-        }
-        if depth < 3 {
-            for _ in 0..rng.gen_range(0..=2u32) {
-                path.push(Var(*next_var));
-                *next_var += 1;
-                grow(rng, voc, atoms, path, next_var, depth + 1);
-                path.pop();
-            }
-        }
-    }
-    let mut atoms = Vec::new();
-    let mut next_var = 0u32;
-    for _ in 0..rng.gen_range(1..=2u32) {
-        let mut path = vec![Var(next_var)];
-        next_var += 1;
-        grow(rng, voc, &mut atoms, &mut path, &mut next_var, 1);
-    }
-    Query::new(atoms, vec![])
-}
-
-fn random_db(q: &Query, voc: &Vocabulary, rng: &mut StdRng) -> ProbDb {
-    use pdb::generators::{random_db_for_query, RandomDbOptions};
-    let opts = RandomDbOptions {
-        domain: 4,
-        tuples_per_relation: 20,
-        prob_range: (0.05, 0.95),
-    };
-    random_db_for_query(q, voc, opts, rng)
-}
-
-/// Raw executor agreement on random safe queries and databases, with a
-/// tiny morsel grain so even small inputs split into many morsels.
-#[test]
-fn par_execute_matches_serial_on_random_hierarchical_queries() {
-    let mut rng = StdRng::seed_from_u64(0x9_A7A11E1);
-    for case in 0..25 {
-        let mut voc = Vocabulary::new();
-        let q = random_hierarchical_query(&mut rng, &mut voc);
-        let plan = build_plan(&q).unwrap();
-        for round in 0..2 {
-            let db = random_db(&q, &voc, &mut rng);
-            let probs = db.prob_vector();
-            let serial = execute(&db, &probs, &plan);
-            for threads in THREADS {
-                let pool = Pool::with_grain(threads, 3);
-                let par = par_execute(&db, &probs, &plan, &pool);
-                assert_eq!(
-                    serial,
-                    par,
-                    "case {case} round {round} threads {threads}: {}",
-                    q.display(&voc)
-                );
-            }
-        }
-    }
-}
 
 /// Engine-level agreement: `ExecOptions::with_threads(n)` must not change
 /// any probability the serial engine reports, across plan kinds (safe
@@ -123,8 +47,8 @@ fn engine_probabilities_are_thread_count_invariant() {
     }
 }
 
-/// Ranked retrieval agreement: the batched ranked plan partitioned across
-/// workers returns the identical answer list (tuples, probabilities, and
+/// Ranked retrieval through the engine: the batched ranked plan on the
+/// DAG path returns the identical answer list (tuples, probabilities, and
 /// order) as the serial batched execution — and the same top-k.
 #[test]
 fn ranked_top_k_is_thread_count_invariant() {
@@ -144,61 +68,6 @@ fn ranked_top_k_is_thread_count_invariant() {
             assert_eq!(want, got, "case {case} threads {threads}");
             let got_top = top_k(&engine, &db, &q, &head, 3, Strategy::Auto).unwrap();
             assert_eq!(want_top, got_top, "case {case} top-k threads {threads}");
-        }
-    }
-}
-
-/// The raw ranked-plan path agrees too (no engine, explicit pool).
-#[test]
-fn par_ranked_probabilities_match_serial() {
-    let mut rng = StdRng::seed_from_u64(0xAB3);
-    let mut voc = Vocabulary::new();
-    let q = parse_query(&mut voc, "Director(d), Credit(d,m)").unwrap();
-    let d = q.vars()[0];
-    let plan = safeplan::build_ranked_plan(&q, &[d]).unwrap();
-    let db = random_db(&q, &voc, &mut rng);
-    let probs = db.prob_vector();
-    let serial = ranked_probabilities(&db, &probs, &plan, &[d]);
-    for threads in THREADS {
-        let par = safeplan::par_ranked_probabilities(
-            &db,
-            &probs,
-            &plan,
-            &[d],
-            ParOptions::with_grain(threads, 2),
-        );
-        assert_eq!(serial, par, "threads {threads}");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Property: for random R/1, S/2 databases, the parallel executor is
-    /// bit-identical to the serial one on q_hier, at every thread count.
-    #[test]
-    fn par_execute_is_bit_identical_on_random_dbs(
-        r_rows in proptest::collection::vec((0u64..4, 0.05f64..0.95), 1..12),
-        s_rows in proptest::collection::vec((0u64..4, 0u64..4, 0.05f64..0.95), 1..16),
-    ) {
-        let mut voc = Vocabulary::new();
-        let q = parse_query(&mut voc, "R(x), S(x,y)").unwrap();
-        let r = voc.find_relation("R").unwrap();
-        let s = voc.find_relation("S").unwrap();
-        let mut db = ProbDb::new(voc);
-        for &(a, p) in &r_rows {
-            db.insert(r, vec![Value(a)], p);
-        }
-        for &(a, b, p) in &s_rows {
-            db.insert(s, vec![Value(a), Value(b)], p);
-        }
-        let plan = build_plan(&q).unwrap();
-        let probs = db.prob_vector();
-        let serial = execute(&db, &probs, &plan);
-        for threads in THREADS {
-            let pool = Pool::with_grain(threads, 2);
-            let par = par_execute(&db, &probs, &plan, &pool);
-            prop_assert_eq!(&serial, &par, "threads {}", threads);
         }
     }
 }

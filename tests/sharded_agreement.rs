@@ -1,131 +1,148 @@
-//! Sharded/DAG agreement: the operator-DAG scheduler over hash-partitioned
-//! scans (PR 6) and the shard-resident storage layout (PR 8) must return
-//! **bit-for-bit** what the serial set-at-a-time executor returns — same
-//! rows, same order, same `f64` values — at every (threads × shards)
-//! tuning including non-power-of-two fan-outs, on random hierarchical
-//! self-join-free queries over random databases, through ranked (top-k)
-//! retrieval, and through engine-level evaluation and incremental view
-//! refresh. With the resident layout on, sharded scans must also resolve
-//! without a single global-index probe.
+//! Sharded/DAG agreement: the parallel DAG executor must return
+//! **bit-for-bit** what the serial executor returns — same rows, same
+//! order, same `f64` values — at every (threads × shards) tuning,
+//! including non-power-of-two fan-outs, on both the split-derived and the
+//! shard-resident scan plane, on random hierarchical self-join-free
+//! queries over random databases, through ranked (top-k) retrieval, and
+//! through engine-level evaluation and incremental view refresh.
+//!
+//! The DAG cases use a morsel grain of 2, so even 20-tuple inputs split
+//! into many morsels and the multi-chunk filter, the left-build pair
+//! re-sort and the hash-partitioned project fold all run. With the
+//! resident layout on, sharded scans must also resolve without a single
+//! global-index probe. The serial executor is itself held to the row
+//! oracle in `columnar_agreement.rs`; the fixed-shape test here runs the
+//! whole chain.
 
+mod common;
+
+use common::{assert_same, random_db, random_hierarchical_query, THREADS};
 use probdb::prelude::{
-    build_plan, parse_query, query_probability, Engine, ExecOptions, ProbDb, Query, Strategy,
-    Value, Var, Vocabulary,
+    build_plan, parse_query, Engine, ExecOptions, PlanNode, ProbDb, Strategy, Value, Vocabulary,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use safeplan::rowref::row_execute;
 use safeplan::{
-    dag_query_probability, dag_query_probability_counted, dag_ranked_probabilities, DagOptions,
-    OpCounters,
+    dag_execute, dag_execute_counted, dag_ranked_probabilities, execute, execute_counted,
+    ranked_probabilities, DagOptions, OpCounters, ProbRelation,
 };
 
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 const SHARDS: [usize; 5] = [1, 2, 3, 4, 7];
+/// Morsel grain for the DAG cases: small enough that every operator on a
+/// 20-tuple database splits into several morsels.
+const GRAIN: usize = 2;
 
-/// Random hierarchical self-join-free query: a forest of hierarchy trees
-/// where every atom's variables are a root-to-node path, each atom over a
-/// fresh relation — exactly the fragment the extensional compiler accepts.
-fn random_hierarchical_query(rng: &mut StdRng, voc: &mut Vocabulary) -> Query {
-    fn grow(
-        rng: &mut StdRng,
-        voc: &mut Vocabulary,
-        atoms: &mut Vec<cq::Atom>,
-        path: &mut Vec<Var>,
-        next_var: &mut u32,
-        depth: u32,
-    ) {
-        for _ in 0..rng.gen_range(1..=2u32) {
-            let name = format!("P{}", atoms.len());
-            let rel = voc.relation(&name, path.len()).unwrap();
-            let args = path.iter().map(|&v| cq::Term::Var(v)).collect();
-            atoms.push(cq::Atom::new(rel, args));
-        }
-        if depth < 3 {
-            for _ in 0..rng.gen_range(0..=2u32) {
-                path.push(Var(*next_var));
-                *next_var += 1;
-                grow(rng, voc, atoms, path, next_var, depth + 1);
-                path.pop();
+/// Run `plan` through the DAG executor at every (threads × shards) tuning
+/// with the split-derived plane, then again with the matching resident
+/// layout, asserting each result equals `serial`. Resident runs must probe
+/// only the per-shard posting lists. Leaves `db` monolithic.
+fn assert_dag_matches_serial(
+    db: &mut ProbDb,
+    plan: &PlanNode,
+    serial: &ProbRelation<f64>,
+    serial_counters: &OpCounters,
+    ctx: &str,
+) {
+    for shards in SHARDS {
+        for resident in [false, true] {
+            if resident && shards == 1 {
+                continue;
+            }
+            db.set_shard_layout(if resident { shards } else { 1 });
+            for threads in THREADS {
+                let ctx = format!("{ctx} t={threads} s={shards} resident={resident}");
+                let mut counters = OpCounters::default();
+                let (got, run) = dag_execute_counted(
+                    db,
+                    db.probs(),
+                    plan,
+                    &DagOptions::with_grain(threads, shards, GRAIN),
+                    &mut counters,
+                );
+                assert_eq!(serial, &got, "{ctx}");
+                assert!(run.sched.tasks >= 1, "{ctx}: no tasks scheduled");
+                assert_eq!(run.shards.shards, shards, "{ctx}: shard stats fan-out");
+                assert_eq!(counters.joins, serial_counters.joins, "{ctx}: joins");
+                assert_eq!(counters.groups, serial_counters.groups, "{ctx}: groups");
+                if resident {
+                    assert_eq!(
+                        counters.global_index_probes, 0,
+                        "{ctx}: resident scans probed the global index"
+                    );
+                    assert!(
+                        counters.shard_index_probes > 0,
+                        "{ctx}: no shard-local probes recorded"
+                    );
+                }
             }
         }
     }
-    let mut atoms = Vec::new();
-    let mut next_var = 0u32;
-    for _ in 0..rng.gen_range(1..=2u32) {
-        let mut path = vec![Var(next_var)];
-        next_var += 1;
-        grow(rng, voc, &mut atoms, &mut path, &mut next_var, 1);
-    }
-    Query::new(atoms, vec![])
+    db.set_shard_layout(1);
 }
 
-fn random_db(q: &Query, voc: &Vocabulary, rng: &mut StdRng) -> ProbDb {
-    use pdb::generators::{random_db_for_query, RandomDbOptions};
-    let opts = RandomDbOptions {
-        domain: 4,
-        tuples_per_relation: 20,
-        prob_range: (0.05, 0.95),
-    };
-    random_db_for_query(q, voc, opts, rng)
-}
-
-/// DAG executor — every (threads × shards) tuning, including literal shard
-/// fan-outs the engine's cost model would collapse on databases this small
-/// — against the serial oracle, on random hierarchical SJF queries, with
-/// **shard-resident storage on**: the database carries the matching
-/// per-shard layout, so sharded scans resolve via per-shard posting lists
-/// with zero global-index probes (counter-verified).
+/// DAG executor against the serial one on random hierarchical SJF queries
+/// and databases, for the compiler's plan and the optimizer's rewrite of
+/// it (join order and build sides differ), at every tuning and scan plane.
 #[test]
 fn dag_matches_serial_on_random_hierarchical_queries() {
     let mut rng = StdRng::seed_from_u64(0x5AA2D);
     for case in 0..25 {
         let mut voc = Vocabulary::new();
         let q = random_hierarchical_query(&mut rng, &mut voc);
-        let plan = safeplan::optimize(&build_plan(&q).unwrap());
+        let built = build_plan(&q).unwrap();
+        let plans = [safeplan::optimize(&built), built];
         for round in 0..2 {
             let mut db = random_db(&q, &voc, &mut rng);
-            let oracle = query_probability(&db, &plan);
-            for threads in THREADS {
-                for shards in SHARDS {
-                    db.set_shard_layout(shards);
-                    let mut counters = OpCounters::default();
-                    let (p, run) = dag_query_probability_counted(
-                        &db,
-                        &plan,
-                        &DagOptions::new(threads, shards),
-                        &mut counters,
-                    );
-                    assert_eq!(
-                        p.to_bits(),
-                        oracle.to_bits(),
-                        "case {case} round {round} t={threads} s={shards}: {} ({p} vs {oracle})",
-                        q.display(&voc)
-                    );
-                    assert!(run.sched.tasks >= 1, "case {case}: no tasks scheduled");
-                    assert_eq!(
-                        run.shards.shards, shards,
-                        "case {case}: shard stats fan-out"
-                    );
-                    if shards > 1 {
-                        assert_eq!(
-                            counters.global_index_probes, 0,
-                            "case {case} t={threads} s={shards}: resident scans probed the global index"
-                        );
-                        assert!(
-                            counters.shard_index_probes > 0,
-                            "case {case} t={threads} s={shards}: no shard-local probes recorded"
-                        );
-                    }
-                }
+            for (k, plan) in plans.iter().enumerate() {
+                let ctx = format!("case {case} round {round} plan {k}: {}", q.display(&voc));
+                let mut serial_counters = OpCounters::default();
+                let serial = execute_counted(&db, db.probs(), plan, &mut serial_counters);
+                assert_dag_matches_serial(&mut db, plan, &serial, &serial_counters, &ctx);
             }
         }
     }
 }
 
-/// Ranked retrieval: the DAG sharded ranked path returns the serial
-/// oracle's exact answer list — tuples, probabilities, and order — so any
-/// top-k cut is identical.
+/// The whole chain — row oracle ⇒ serial ⇒ DAG — on fixed shapes covering
+/// the operators random hierarchical queries never produce: arithmetic
+/// selections, constant pushdown, repeated variables, disconnected
+/// components, and negation (complement scans). Each shape runs as a
+/// Boolean plan and as a ranked plan on its first variable, whose
+/// multi-row output exposes any change in row order a scalar could hide.
+#[test]
+fn executors_match_row_oracle_on_every_operator_kind() {
+    let shapes = [
+        "S(x,y), x < y",
+        "R(x), S(x,y), U(x,y,z), y != z",
+        "R(1), S(1,y)",
+        "S(x,x)",
+        "R(x), T(z,w)",
+        "R(x), not T(x)",
+        "R(x), S(x,y), not U(x,y,z)",
+    ];
+    let mut rng = StdRng::seed_from_u64(0x0_9E7A);
+    for shape in shapes {
+        let mut voc = Vocabulary::new();
+        let q = parse_query(&mut voc, shape).unwrap();
+        let ranked = safeplan::build_ranked_plan(&q, &q.vars()[..1]).unwrap();
+        let plans = [build_plan(&q).unwrap(), ranked];
+        let mut db = random_db(&q, &voc, &mut rng);
+        for (k, plan) in plans.iter().enumerate() {
+            let ctx = format!("{shape} plan {k}");
+            let oracle = row_execute(&db, db.probs(), plan);
+            let mut serial_counters = OpCounters::default();
+            let serial = execute_counted(&db, db.probs(), plan, &mut serial_counters);
+            assert_same(&serial, &oracle, &format!("{ctx} serial"));
+            assert_dag_matches_serial(&mut db, plan, &serial, &serial_counters, &ctx);
+        }
+    }
+}
+
+/// Ranked retrieval: the DAG ranked path returns the serial executor's
+/// exact answer list — tuples, probabilities, and order — at every
+/// tuning, so any top-k cut is identical.
 #[test]
 fn dag_ranked_top_k_matches_serial() {
     let mut rng = StdRng::seed_from_u64(0x5AA2E);
@@ -138,27 +155,26 @@ fn dag_ranked_top_k_matches_serial() {
             continue;
         };
         let db = random_db(&q, &voc, &mut rng);
-        let probs = db.prob_vector();
-        let oracle = safeplan::ranked_probabilities(&db, &probs, &plan, &head);
+        let serial = ranked_probabilities(&db, db.probs(), &plan, &head);
         for threads in THREADS {
             for shards in SHARDS {
                 let (ranked, _run) = dag_ranked_probabilities(
                     &db,
-                    &probs,
+                    db.probs(),
                     &plan,
                     &head,
-                    &DagOptions::new(threads, shards),
+                    &DagOptions::with_grain(threads, shards, GRAIN),
                 );
                 assert_eq!(
                     ranked.len(),
-                    oracle.len(),
+                    serial.len(),
                     "case {case} t={threads} s={shards}"
                 );
-                for (i, ((tv, tp), (ov, op))) in ranked.iter().zip(oracle.iter()).enumerate() {
-                    assert_eq!(tv, ov, "case {case} t={threads} s={shards} row {i} tuple");
+                for (i, ((tv, tp), (sv, sp))) in ranked.iter().zip(serial.iter()).enumerate() {
+                    assert_eq!(tv, sv, "case {case} t={threads} s={shards} row {i} tuple");
                     assert_eq!(
                         tp.to_bits(),
-                        op.to_bits(),
+                        sp.to_bits(),
                         "case {case} t={threads} s={shards} row {i} probability"
                     );
                 }
@@ -175,13 +191,12 @@ fn engine_and_views_agree_under_sharded_tuning() {
     let mut rng = StdRng::seed_from_u64(0x5AA2F);
     let text = "R(x), S(x,y)";
 
-    let build = |voc: Vocabulary| ProbDb::new(voc);
     for (threads, shards) in [(1, 2), (2, 4), (4, 4), (8, 2), (4, 3)] {
         let mut voc = Vocabulary::new();
         let q = parse_query(&mut voc, text).unwrap();
         let r = voc.find_relation("R").unwrap();
         let s = voc.find_relation("S").unwrap();
-        let mut db = build(voc);
+        let mut db = ProbDb::new(voc);
         for i in 0..40u64 {
             db.insert(r, vec![Value(i)], rng.gen_range(0.05..0.95));
             for j in 0..3u64 {
@@ -234,8 +249,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Property: for random R/1, S/2 databases (duplicate inserts allowed),
-    /// the DAG sharded executor is bit-identical to the serial executor on
-    /// q_hier at every (threads × shards) tuning.
+    /// the DAG executor is bit-identical to the serial executor on q_hier
+    /// at every (threads × shards) tuning.
     #[test]
     fn dag_is_bit_identical_on_random_dbs(
         r_rows in proptest::collection::vec((0u64..4, 0.05f64..0.95), 1..12),
@@ -253,13 +268,12 @@ proptest! {
             db.insert(s, vec![Value(a), Value(b)], p);
         }
         let plan = safeplan::optimize(&build_plan(&q).unwrap());
-        let oracle = query_probability(&db, &plan);
+        let serial = execute(&db, db.probs(), &plan).scalar();
         for threads in THREADS {
             for shards in SHARDS {
-                let (p, _run) =
-                    dag_query_probability(&db, &plan, &DagOptions::new(threads, shards));
-                prop_assert_eq!(p.to_bits(), oracle.to_bits(),
-                    "t={} s={}", threads, shards);
+                let opts = DagOptions::with_grain(threads, shards, GRAIN);
+                let p = dag_execute(&db, db.probs(), &plan, &opts).scalar();
+                prop_assert_eq!(p.to_bits(), serial.to_bits(), "t={} s={}", threads, shards);
             }
         }
     }
