@@ -78,21 +78,10 @@ impl ExecOptions {
 }
 
 impl Default for ExecOptions {
-    /// Honors `ENGINE_THREADS` and `ENGINE_SHARDS` (CI forces the
-    /// pipelined/sharded executor on the whole suite that way); otherwise
-    /// serial monolithic.
+    /// Serial and monolithic. Nothing is read from the environment: a
+    /// parallel or sharded engine is always asked for explicitly.
     fn default() -> Self {
-        let env_tuning = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
-                .filter(|&t| t >= 1)
-                .unwrap_or(1)
-        };
-        ExecOptions {
-            threads: env_tuning("ENGINE_THREADS"),
-            shards: env_tuning("ENGINE_SHARDS"),
-        }
+        Self::serial()
     }
 }
 
@@ -130,7 +119,7 @@ pub struct Evaluation {
     /// Whether the *answer* came from the engine's result cache (no
     /// execution ran; every field below is the memoized run's). Always
     /// `false` when the result cache is disabled — the default outside
-    /// the serving layer and `ENGINE_RESULT_CACHE=1`.
+    /// the serving layer ([`Engine::with_result_cache`]).
     pub result_cache_hit: bool,
     /// Per-thread timing counters when the plan ran on the parallel
     /// executor (`ExecOptions::threads > 1`); `None` for serial runs.
@@ -284,8 +273,8 @@ pub struct Engine {
     /// Execution tuning (worker threads), honored at evaluation time.
     pub exec: ExecOptions,
     planner: Arc<Planner>,
-    /// The result cache, when enabled ([`Engine::with_result_cache`] or
-    /// `ENGINE_RESULT_CACHE=1`). Clones share it, like the planner.
+    /// The result cache, when enabled ([`Engine::with_result_cache`]).
+    /// Clones share it, like the planner.
     results: Option<Arc<ResultCache>>,
 }
 
@@ -312,35 +301,21 @@ impl Engine {
     }
 
     /// An engine with explicit tuning (the struct-literal construction
-    /// sites of earlier revisions map onto this).
-    ///
-    /// Thread count comes from [`ExecOptions::default`], which honors
-    /// `ENGINE_THREADS` — so with that variable exported, sampling plans
-    /// draw from seed-split per-worker streams instead of the serial
-    /// stream (still deterministic, but per `(seed, threads)`). For
-    /// estimates reproducible regardless of environment, construct with
-    /// [`Engine::with_options`] and [`ExecOptions::serial`].
+    /// sites of earlier revisions map onto this): the serial executor, no
+    /// result cache.
     pub fn with_samples_and_seed(mc_samples: u64, seed: u64) -> Self {
-        Self::with_options(mc_samples, seed, ExecOptions::default())
+        Self::with_options(mc_samples, seed, ExecOptions::serial())
     }
 
-    /// An engine with explicit execution options (worker threads).
-    ///
-    /// Honors `ENGINE_RESULT_CACHE` (any value ≥ 1): CI forces the result
-    /// cache onto the whole suite that way to pin that cache-served
-    /// answers stay bit-for-bit cold executions.
+    /// An engine with explicit execution options (worker threads, shard
+    /// fan-out) and no result cache.
     pub fn with_options(mc_samples: u64, seed: u64, exec: ExecOptions) -> Self {
-        let results = std::env::var("ENGINE_RESULT_CACHE")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&v| v >= 1)
-            .map(|_| Arc::new(ResultCache::new()));
         Engine {
             mc_samples,
             seed,
             exec,
             planner: Arc::new(Planner::new(mc_samples)),
-            results,
+            results: None,
         }
     }
 
@@ -506,8 +481,8 @@ impl Engine {
     /// returned alongside the evaluation — the per-request trace behind
     /// the serving layer's flight recorder and opt-in `"trace": true`
     /// responses. Capture works whether or not global tracing
-    /// (`ENGINE_TRACE`) is on, records into a private bounded buffer
-    /// (never the global sink), and is purely observational: the
+    /// ([`telemetry::set_enabled`]) is on, records into a private bounded
+    /// buffer (never the global sink), and is purely observational: the
     /// evaluation is byte-identical to an uncaptured call. Spans emitted
     /// on pool worker threads during a parallel execution stay out of the
     /// window — the capture is the serving thread's view (evaluate /

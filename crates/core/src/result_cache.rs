@@ -33,8 +33,8 @@
 //!
 //! Since every input of the execution is in the key and the executors are
 //! deterministic, a hit is *bit-for-bit* the answer a cold execution
-//! would produce — the forced-on CI run (`ENGINE_RESULT_CACHE=1`) pins
-//! exactly that across the whole suite.
+//! would produce — `tests/config_matrix.rs` pins exactly that for every
+//! plan kind, ranked, view and served read, cache on against cache off.
 
 use crate::plan::ExecOutcome;
 use crate::shared_cache::ShardedCache;

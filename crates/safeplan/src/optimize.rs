@@ -239,8 +239,8 @@ pub fn estimate_rows(plan: &PlanNode, db: &ProbDb) -> f64 {
 
 /// Minimum posting-list size at which hash-sharding a plan's scans pays
 /// for its per-shard scaffolding. Deliberately low so mid-size test
-/// workloads still exercise the sharded path under `ENGINE_SHARDS`; tiny
-/// inputs collapse to the monolithic plane.
+/// workloads still exercise the sharded path when a test asks for shards;
+/// tiny inputs collapse to the monolithic plane.
 pub const SHARD_MIN_ROWS: usize = 256;
 
 /// The shard fan-out the cost model grants `plan`: the `requested` count

@@ -32,7 +32,7 @@
 //!
 //! `"trace": true` on `/eval`/`/rank` returns the serving thread's span
 //! capture for that request inline (`trace: [{id, parent, label,
-//! start_ns, end_ns}]`) — no `ENGINE_TRACE` restart needed.
+//! start_ns, end_ns}]`) — process-wide tracing can stay off.
 //!
 //! Queries naming relations or constants not present in the served
 //! database are rejected with 400: fresh interning is deterministic, so
@@ -43,8 +43,8 @@
 //!
 //! On by default (see [`service`] module docs): per-endpoint
 //! counters/histograms + in-flight gauge in the global registry, a
-//! bounded JSONL access log whose slow entries (≥ `slow_ms`, env
-//! `ENGINE_SLOW_MS`) carry the plan summary and operator counters, and a
+//! bounded JSONL access log whose slow entries (≥ `slow_ms`) carry the
+//! plan summary and operator counters, and a
 //! fixed-capacity flight recorder of recent requests. All purely
 //! observational: answers are bit-identical with observability off.
 //!

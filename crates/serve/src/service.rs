@@ -29,8 +29,8 @@
 //!   outcomes), kept as a bounded in-memory tail
 //!   ([`Server::access_log_tail`]) and optionally appended to a file.
 //!   Requests at or above the slow threshold (`ServeOptions::slow_ms`,
-//!   env `ENGINE_SLOW_MS`, default 500 ms) additionally carry a `plan`
-//!   object: method, dichotomy classification, and per-operator counters.
+//!   default 500 ms) additionally carry a `plan` object: method,
+//!   dichotomy classification, and per-operator counters.
 //! * **Flight recorder** — a fixed-capacity lock-light ring
 //!   ([`telemetry::recorder::Ring`]) of per-request records, with the
 //!   serving thread's span capture retained for slow requests. Served by
@@ -56,8 +56,7 @@ use telemetry::{Counter, Gauge, Histogram, SpanRec};
 
 use crate::http::{self, ChunkedResponse, Request};
 
-/// Slow-query threshold when neither [`ServeOptions::slow_ms`] nor the
-/// `ENGINE_SLOW_MS` environment variable says otherwise.
+/// Slow-query threshold when [`ServeOptions::slow_ms`] is `None`.
 pub const DEFAULT_SLOW_MS: u64 = 500;
 
 /// Flight-recorder capacity (requests retained) by default.
@@ -88,10 +87,10 @@ pub struct ServeOptions {
     /// Interpose the result cache (on by default — it is the point of
     /// serving many identical reads per epoch).
     pub result_cache: bool,
-    /// Slow-query threshold in milliseconds. `None` consults
-    /// `ENGINE_SLOW_MS`, then falls back to [`DEFAULT_SLOW_MS`]. `0`
-    /// means every request takes the slow-capture path (CI pins that this
-    /// never perturbs results).
+    /// Slow-query threshold in milliseconds; `None` is
+    /// [`DEFAULT_SLOW_MS`]. `0` means every request takes the slow-capture
+    /// path (`tests/config_matrix.rs` pins that this never perturbs
+    /// results).
     pub slow_ms: Option<u64>,
     /// Append the JSONL access log to this file (the bounded in-memory
     /// tail is kept either way).
@@ -390,14 +389,7 @@ impl Server {
         if opts.result_cache {
             engine = engine.with_result_cache();
         }
-        let slow_ms = opts
-            .slow_ms
-            .or_else(|| {
-                std::env::var("ENGINE_SLOW_MS")
-                    .ok()
-                    .and_then(|s| s.trim().parse::<u64>().ok())
-            })
-            .unwrap_or(DEFAULT_SLOW_MS);
+        let slow_ms = opts.slow_ms.unwrap_or(DEFAULT_SLOW_MS);
         let obs = if opts.observability {
             Some(Obs {
                 recorder: Ring::new(opts.recorder_capacity),

@@ -29,8 +29,8 @@
 //!   recent records; memory is bounded at `capacity × record size` and
 //!   pushes never contend except on full wrap-around.
 //!
-//! Tracing is gated by one process-wide flag seeded lazily from the
-//! `ENGINE_TRACE` environment variable (or [`set_enabled`]). The disabled
+//! Tracing is gated by one process-wide flag, off until [`set_enabled`]
+//! turns it on (nothing is read from the environment). The disabled
 //! path is a single relaxed atomic load and performs no allocation, so
 //! instrumentation can stay compiled into release kernels. Span recording
 //! only *observes* — timing reads never feed back into computation — so
@@ -51,64 +51,17 @@ pub use span::{
     take_spans, Capture, Clock, Span, SpanRec,
 };
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-const STATE_UNINIT: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
+static TRACING: AtomicBool = AtomicBool::new(false);
 
-/// Tri-state so the flag self-initialises from the environment on first
-/// touch; after that, [`enabled`] is a single relaxed load.
-static TRACE_STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
-
-/// Is span tracing on? Steady state is one relaxed atomic load; the first
-/// call per process consults `ENGINE_TRACE`.
+/// Is span tracing on? One relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    match TRACE_STATE.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => init_from_env(),
-    }
+    TRACING.load(Ordering::Relaxed)
 }
 
-/// Force tracing on or off, overriding `ENGINE_TRACE`.
+/// Turn span tracing on or off, process-wide.
 pub fn set_enabled(on: bool) {
-    TRACE_STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-}
-
-#[cold]
-fn init_from_env() -> bool {
-    let on = env_trace_value().is_some();
-    // A racing set_enabled wins: only replace UNINIT.
-    let want = if on { STATE_ON } else { STATE_OFF };
-    let _ = TRACE_STATE.compare_exchange(STATE_UNINIT, want, Ordering::Relaxed, Ordering::Relaxed);
-    TRACE_STATE.load(Ordering::Relaxed) == STATE_ON
-}
-
-/// The raw `ENGINE_TRACE` setting when it asks for tracing: `None` when
-/// unset or explicitly off (`0`, `off`, `false`, empty), otherwise the
-/// verbatim value. A value that is not just `1`/`on`/`true` is treated by
-/// the CLI as an output path for the Chrome trace.
-pub fn env_trace_value() -> Option<String> {
-    let v = std::env::var("ENGINE_TRACE").ok()?;
-    let t = v.trim();
-    if t.is_empty()
-        || t.eq_ignore_ascii_case("0")
-        || t.eq_ignore_ascii_case("off")
-        || t.eq_ignore_ascii_case("false")
-    {
-        return None;
-    }
-    Some(t.to_string())
-}
-
-/// `ENGINE_TRACE` values that name a file (anything beyond a bare on
-/// switch): where the CLI should write the Chrome trace.
-pub fn env_trace_path() -> Option<String> {
-    let v = env_trace_value()?;
-    if v == "1" || v.eq_ignore_ascii_case("on") || v.eq_ignore_ascii_case("true") {
-        return None;
-    }
-    Some(v)
+    TRACING.store(on, Ordering::Relaxed);
 }

@@ -9,17 +9,16 @@
 //! destructor) or when the buffer reaches `FLUSH_AT`; [`take_spans`]
 //! flushes the calling thread and takes the sink.
 //!
-//! The sink is capped at [`SPAN_CAP`] records so a long test suite run
-//! with `ENGINE_TRACE=1` stays bounded; overflow is counted, never
-//! reallocated past the cap — and surfaced: every drop also bumps the
-//! `telemetry.spans.dropped` registry counter so a truncated trace is
-//! never mistaken for a complete one.
+//! The sink is capped at [`SPAN_CAP`] records so a long traced run stays
+//! bounded; overflow is counted, never reallocated past the cap — and
+//! surfaced: every drop also bumps the `telemetry.spans.dropped` registry
+//! counter so a truncated trace is never mistaken for a complete one.
 //!
 //! Independent of the global flag, a thread can open a **capture window**
 //! ([`Capture`]): spans recorded on that thread while the window is open
 //! are copied into a per-thread buffer (capped at [`CAPTURE_CAP`]) and
 //! returned by [`Capture::take`]. Capture forces recording for the
-//! capturing thread even when `ENGINE_TRACE` is off, but captured-only
+//! capturing thread even when global tracing is off, but captured-only
 //! spans never reach the global sink — the serving layer's per-request
 //! flight recorder uses this without polluting process-wide traces.
 

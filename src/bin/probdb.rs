@@ -32,29 +32,29 @@
 //! database out shard-resident (per-shard columnar buffers and posting
 //! lists) and runs extensional scans shard-affine on the pipelined
 //! operator-DAG executor — still bit-for-bit serial answers; a per-plan
-//! cost model keeps small scans monolithic. The `ENGINE_THREADS` / `ENGINE_SHARDS`
-//! environment variables set the defaults. The `--exact` rational path is
-//! serial-only and ignores both flags.
+//! cost model keeps small scans monolithic. Both default to 1 (serial,
+//! monolithic). The `--exact` rational path is serial-only and ignores
+//! both flags.
 //!
 //! `--trace out.json` (any command) records a span trace of the run —
 //! planner phases, DAG tasks, operator kernels, morsel batches,
 //! incremental refresh phases, sampling rounds — and writes it as Chrome
 //! trace-event JSON, loadable in Perfetto / `chrome://tracing` with one
-//! lane per worker thread. `ENGINE_TRACE=1` switches tracing on without a
-//! file; any other non-off value (`ENGINE_TRACE=run.json`) doubles as the
-//! output path. `--json` on `eval` and `rank` replaces the human-readable
-//! report with one JSON object: the result plus the evaluation's uniform
-//! metric snapshot (`Evaluation::metric_set` dotted keys).
+//! lane per worker thread. `--json` on `eval` and `rank` replaces the
+//! human-readable report with one JSON object: the result plus the
+//! evaluation's uniform metric snapshot (`Evaluation::metric_set` dotted
+//! keys).
 //!
 //! `serve` ships with observability on: `GET /metrics` exposes the
 //! telemetry registry as Prometheus text, `GET /debug/requests` dumps the
 //! in-memory flight recorder, and every request writes one JSONL access
 //! log line (in-memory tail; `--access-log file` appends to disk).
-//! Requests at or above the slow threshold — `--slow-ms N`, env
-//! `ENGINE_SLOW_MS`, default 500 — log their plan summary (method,
-//! dichotomy classification, operator counters) and retain a span capture
-//! served by `/debug/requests`; `"trace": true` on `/eval`/`/rank`
-//! returns the request's spans inline.
+//! Requests at or above the slow threshold — `--slow-ms N`, default 500 —
+//! log their plan summary (method, dichotomy classification, operator
+//! counters) and retain a span capture served by `/debug/requests`;
+//! `"trace": true` on `/eval`/`/rank` returns the request's spans inline.
+//!
+//! Every setting is a flag: the tool reads no environment variable.
 
 use dichotomy::engine::{Engine, ExecOptions, Strategy};
 use dichotomy::{classify, count_substructures_recurrence, explain, ranked_answers_counted};
@@ -77,10 +77,9 @@ fn main() -> ExitCode {
 }
 
 /// Parse optional `--threads N` / `--shards N` flags into execution
-/// options; absent flags fall back to [`ExecOptions::default`], which
-/// honors `ENGINE_THREADS` / `ENGINE_SHARDS`.
+/// options; an absent flag is 1.
 fn exec_options(args: &[String]) -> Result<ExecOptions, String> {
-    let tuning = |flag: &str, default: usize| -> Result<usize, String> {
+    let tuning = |flag: &str| -> Result<usize, String> {
         match args.iter().position(|a| a == flag) {
             Some(i) => {
                 let n = args
@@ -93,23 +92,22 @@ fn exec_options(args: &[String]) -> Result<ExecOptions, String> {
                 }
                 Ok(n)
             }
-            None => Ok(default),
+            None => Ok(1),
         }
     };
-    let defaults = ExecOptions::default();
     Ok(ExecOptions::with_tuning(
-        tuning("--threads", defaults.threads)?,
-        tuning("--shards", defaults.shards)?,
+        tuning("--threads")?,
+        tuning("--shards")?,
     ))
 }
 
-/// `--trace out.json`, falling back to a path-valued `ENGINE_TRACE`.
-/// Either source forces span tracing on for the whole run.
+/// `--trace out.json`, which forces span tracing on for the whole run.
 fn trace_path(args: &[String]) -> Result<Option<String>, String> {
-    let path = match args.iter().position(|a| a == "--trace") {
-        Some(i) => Some(args.get(i + 1).ok_or("--trace needs a path")?.clone()),
-        None => telemetry::env_trace_path(),
-    };
+    let path = args
+        .iter()
+        .position(|a| a == "--trace")
+        .map(|i| args.get(i + 1).cloned().ok_or("--trace needs a path"))
+        .transpose()?;
     if path.is_some() {
         telemetry::set_enabled(true);
     }
@@ -474,7 +472,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                  POST /eval /rank /apply /watch (Ctrl-C to stop)"
             );
             eprintln!(
-                "observability: slow threshold {} ms (--slow-ms / ENGINE_SLOW_MS)",
+                "observability: slow threshold {} ms (--slow-ms)",
                 server.slow_ms()
             );
             // Serve until killed.

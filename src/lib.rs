@@ -26,7 +26,7 @@
 //! * [`numeric`] — arbitrary-precision integers and rationals, for exact
 //!   probability computation and substructure counting,
 //! * [`telemetry`] — hand-rolled observability: span tracing with
-//!   Chrome-trace export (`ENGINE_TRACE`, `--trace`) and the typed metrics
+//!   Chrome-trace export (`--trace`) and the typed metrics
 //!   registry behind `Evaluation::metric_set` and the CLI's `--json` mode,
 //! * [`serve`] — the concurrent query service: a hand-rolled HTTP/1.1 +
 //!   JSON server whose workers read wait-free epoch snapshots of the

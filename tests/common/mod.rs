@@ -1,12 +1,13 @@
-//! Fixtures shared by the executor agreement suites
-//! (`columnar_agreement`, `sharded_agreement`, `parallel_agreement`):
-//! the thread counts they sweep, the random hierarchical query and
-//! database generators, and the row-oracle comparison.
+//! Fixtures shared by the agreement suites (`columnar_agreement`,
+//! `sharded_agreement`, `parallel_agreement`, `incremental_agreement`,
+//! `safeplan_cross_engine`, `config_matrix`): the thread counts they
+//! sweep, the random hierarchical query, database and delta generators,
+//! and the row-oracle comparison.
 
 // Each suite links this module separately and uses a subset of it.
 #![allow(dead_code)]
 
-use probdb::prelude::{ProbDb, Query, Var, Vocabulary};
+use probdb::prelude::{DeltaBatch, ProbDb, Query, Value, Var, Vocabulary};
 use rand::rngs::StdRng;
 use rand::Rng;
 use safeplan::rowref::RowRelation;
@@ -74,4 +75,55 @@ pub fn random_db(q: &Query, voc: &Vocabulary, rng: &mut StdRng) -> ProbDb {
         prob_range: (0.05, 0.95),
     };
     random_db_for_query(q, voc, opts, rng)
+}
+
+/// Seed a database for `q` through the delta log (so views can be built at
+/// any point of the mutation history).
+pub fn seed_db(q: &Query, voc: &Vocabulary, rng: &mut StdRng) -> ProbDb {
+    let mut db = ProbDb::new(voc.clone());
+    let mut batch = DeltaBatch::new();
+    for atom in &q.atoms {
+        let arity = voc.arity(atom.rel);
+        for _ in 0..rng.gen_range(8..=16usize) {
+            let args: Vec<Value> = (0..arity).map(|_| Value(rng.gen_range(0..4u64))).collect();
+            batch.insert(atom.rel, args, rng.gen_range(0.05..0.95));
+        }
+    }
+    db.apply(&batch);
+    db
+}
+
+/// One random delta batch over the query's relations: a mix of
+/// probability updates and deletes of existing tuples plus fresh inserts
+/// (some colliding with existing content — the upsert path).
+pub fn random_batch(q: &Query, db: &ProbDb, rng: &mut StdRng) -> DeltaBatch {
+    let mut batch = DeltaBatch::new();
+    for _ in 0..rng.gen_range(1..=6usize) {
+        let atom = &q.atoms[rng.gen_range(0..q.atoms.len())];
+        let rel = atom.rel;
+        let arity = db.voc.arity(rel);
+        match rng.gen_range(0..3u32) {
+            0 => {
+                let args: Vec<Value> = (0..arity).map(|_| Value(rng.gen_range(0..5u64))).collect();
+                batch.insert(rel, args, rng.gen_range(0.05..0.95));
+            }
+            1 => {
+                let ids = db.tuples_of(rel);
+                if ids.is_empty() {
+                    continue;
+                }
+                let id = ids[rng.gen_range(0..ids.len())];
+                batch.delete(rel, db.tuple(id).args.clone());
+            }
+            _ => {
+                let ids = db.tuples_of(rel);
+                if ids.is_empty() {
+                    continue;
+                }
+                let id = ids[rng.gen_range(0..ids.len())];
+                batch.update(rel, db.tuple(id).args.clone(), rng.gen_range(0.05..0.95));
+            }
+        }
+    }
+    batch
 }

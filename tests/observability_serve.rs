@@ -171,8 +171,7 @@ fn slow_requests_capture_plan_counters_and_spans() {
 
 #[test]
 fn trace_flag_returns_inline_spans() {
-    // Pin a threshold nothing here can cross (the suite also runs under
-    // ENGINE_SLOW_MS=0, which would otherwise make every request slow).
+    // Pin a threshold nothing here can cross, so no request is slow.
     let server = start_server(ServeOptions {
         slow_ms: Some(3_600_000),
         ..default_opts()

@@ -127,10 +127,6 @@ fn different_seeds_and_budgets_never_share_entries() {
 fn disabled_cache_never_reports_hits() {
     let (db, q) = hard_db();
     let engine = Engine::with_options(2_000, 7, ExecOptions::default());
-    if std::env::var("ENGINE_RESULT_CACHE").is_ok() {
-        // Suite-wide forcing (the CI job) legitimately enables it.
-        return;
-    }
     assert!(engine.result_cache().is_none());
     let a = engine.evaluate(&db, &q, Strategy::Auto).unwrap();
     let b = engine.evaluate(&db, &q, Strategy::Auto).unwrap();

@@ -4,6 +4,9 @@
 //! `f64` and exact rational arithmetic — on randomly generated databases
 //! and randomly generated queries.
 
+mod common;
+
+use common::random_hierarchical_query;
 use dichotomy::engine::{Engine, Strategy};
 use pdb::generators::{random_db_for_query, RandomDbOptions};
 use probdb::prelude::*;
@@ -199,46 +202,6 @@ fn multisim_matches_exact_ranking() {
             ex.probability
         );
     }
-}
-
-/// Generate a random hierarchical self-join-free query: a forest of
-/// hierarchy trees where every atom's variables are a root-to-node path,
-/// each atom over a fresh relation. Hierarchical and self-join-free by
-/// construction — exactly the Theorem 1.3 fragment the extensional
-/// compiler accepts.
-fn random_hierarchical_query(rng: &mut StdRng, voc: &mut Vocabulary) -> Query {
-    fn grow(
-        rng: &mut StdRng,
-        voc: &mut Vocabulary,
-        atoms: &mut Vec<cq::Atom>,
-        path: &mut Vec<Var>,
-        next_var: &mut u32,
-        depth: u32,
-    ) {
-        // Atoms whose variables are exactly the current path.
-        for _ in 0..rng.gen_range(1..=2u32) {
-            let name = format!("P{}", atoms.len());
-            let rel = voc.relation(&name, path.len()).unwrap();
-            let args = path.iter().map(|&v| cq::Term::Var(v)).collect();
-            atoms.push(cq::Atom::new(rel, args));
-        }
-        if depth < 3 {
-            for _ in 0..rng.gen_range(0..=2u32) {
-                path.push(Var(*next_var));
-                *next_var += 1;
-                grow(rng, voc, atoms, path, next_var, depth + 1);
-                path.pop();
-            }
-        }
-    }
-    let mut atoms = Vec::new();
-    let mut next_var = 0u32;
-    for _ in 0..rng.gen_range(1..=2u32) {
-        let mut path = vec![Var(next_var)];
-        next_var += 1;
-        grow(rng, voc, &mut atoms, &mut path, &mut next_var, 1);
-    }
-    Query::new(atoms, vec![])
 }
 
 /// For randomized hierarchical self-join-free queries, the planner's

@@ -183,8 +183,8 @@ fn dag_ranked_top_k_matches_serial() {
     }
 }
 
-/// Engine-level agreement: `ExecOptions::with_tuning` (the `--shards` /
-/// `ENGINE_SHARDS` path, cost-model gated) and incremental view refresh
+/// Engine-level agreement: `ExecOptions::with_tuning` (the `--shards`
+/// path, cost-model gated) and incremental view refresh
 /// with sharded Added-matching both reproduce the serial engine's bits.
 #[test]
 fn engine_and_views_agree_under_sharded_tuning() {
