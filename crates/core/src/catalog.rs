@@ -7,8 +7,11 @@
 pub enum Expected {
     PTime,
     SharpPHard,
-    /// The paper's claim and this implementation's analysis disagree —
-    /// documented in EXPERIMENTS.md §divergences.
+    /// The paper's claim and this implementation's analysis disagree. The
+    /// one such entry is footnote 1's query, claimed #P-hard without
+    /// proof: its only non-identity unification forces `x = y` inside one
+    /// factor, so the analysis finds it inversion-free, and the resulting
+    /// polynomial evaluation matches brute-force world enumeration.
     DivergesFromPaper,
 }
 

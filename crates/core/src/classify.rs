@@ -317,7 +317,9 @@ mod tests {
         // The paper's footnote 1 claims this query is #P-hard (no proof
         // given). Our analysis classifies it PTIME/inversion-free, and the
         // resulting polynomial evaluation agrees with exact brute force on
-        // hundreds of random instances — see EXPERIMENTS.md §divergences.
+        // random instances — see
+        // `inversion::tests::footnote_hard_variant_divergence_is_stable`
+        // for the argument and `safe_eval`'s brute-force check.
         assert_eq!(
             classify_text("R(y,x,y,x,y), R(y,y,y,z,x), R(x,x,y,z,u)"),
             Complexity::PTime(PTimeReason::InversionFree)

@@ -121,8 +121,9 @@ pub struct Evaluation {
     /// `false` when the result cache is disabled — the default outside
     /// the serving layer ([`Engine::with_result_cache`]).
     pub result_cache_hit: bool,
-    /// Per-thread timing counters when the plan ran on the parallel
-    /// executor (`ExecOptions::threads > 1`); `None` for serial runs.
+    /// Per-thread timing counters of the worker pool: every extensional
+    /// run (one entry at `ExecOptions::threads == 1`) and sampling runs
+    /// at `threads > 1`; `None` when no pool ran.
     pub parallel: Option<ExecStats>,
     /// Operator counters when the plan ran on the extensional columnar
     /// data plane (scans vs index scans, rows pruned by constant
@@ -133,12 +134,11 @@ pub struct Evaluation {
     /// vs rows a full re-execution would have recomputed. `None` for
     /// plain (re-)executions.
     pub incremental: Option<RefreshCounters>,
-    /// Operator-DAG scheduler counters when the plan ran pipelined
-    /// (`ExecOptions::threads > 1` or a sharded fan-out survived the cost
-    /// model); `None` for serial monolithic runs.
+    /// Operator-DAG scheduler counters when an extensional plan ran
+    /// (`max_running == 1` at one thread); `None` for other methods.
     pub scheduler: Option<safeplan::DagStats>,
-    /// Per-shard scan row counts when the extensional data plane ran
-    /// hash-partitioned; `None` when no DAG run happened.
+    /// Per-shard scan row counts when an extensional plan ran (one shard
+    /// unless a fan-out survived the cost model); `None` otherwise.
     pub sharding: Option<safeplan::ShardStats>,
 }
 
@@ -198,8 +198,6 @@ pub(crate) fn ops_metrics(m: &mut MetricSet, ops: &safeplan::OpCounters) {
     m.set_count("ops.shard_fanout", ops.shard_fanout);
     m.set_count("ops.global_index_probes", ops.global_index_probes);
     m.set_count("ops.shard_index_probes", ops.shard_index_probes);
-    m.set_count("ops.est_builds", ops.est_builds);
-    m.set_count("ops.est_build_overrides", ops.est_build_overrides);
     m.set_ns("ops.time.scan_ns", ops.times.scan_ns);
     m.set_ns("ops.time.complement_ns", ops.times.complement_ns);
     m.set_ns("ops.time.select_ns", ops.times.select_ns);
@@ -301,8 +299,8 @@ impl Engine {
     }
 
     /// An engine with explicit tuning (the struct-literal construction
-    /// sites of earlier revisions map onto this): the serial executor, no
-    /// result cache.
+    /// sites of earlier revisions map onto this): one thread, one shard,
+    /// no result cache.
     pub fn with_samples_and_seed(mc_samples: u64, seed: u64) -> Self {
         Self::with_options(mc_samples, seed, ExecOptions::serial())
     }
@@ -876,7 +874,11 @@ mod tests {
         let (db, q) = setup("R(x), S(x,y)", 21);
         let serial = Engine::with_options(100_000, 1, ExecOptions::serial());
         let want = serial.evaluate(&db, &q, Strategy::Auto).unwrap();
-        assert!(want.parallel.is_none());
+        let ran = |ev: &Evaluation| {
+            let threads = ev.parallel.as_ref().map(ExecStats::threads);
+            (threads, ev.sharding.as_ref().map(|s| s.shards))
+        };
+        assert_eq!(ran(&want), (Some(1), Some(1)), "one thread, one shard");
         for threads in [2, 4, 8] {
             let par = Engine::with_options(100_000, 1, ExecOptions::with_threads(threads));
             let ev = par.evaluate(&db, &q, Strategy::Auto).unwrap();

@@ -87,13 +87,6 @@ pub fn explain_evaluation(ev: &Evaluation) -> String {
             ops.times.project_ns,
             "group(s)",
         );
-        if ops.est_builds > 0 {
-            let _ = writeln!(
-                out,
-                "cost model: {} estimate-driven build side(s), {} overrode the size rule",
-                ops.est_builds, ops.est_build_overrides
-            );
-        }
     }
     if let Some(sched) = &ev.scheduler {
         let _ = writeln!(
@@ -353,7 +346,7 @@ mod tests {
         let text = explain_evaluation(&ev);
         assert!(text.contains("scheduler :"), "{text}");
         assert!(text.contains("task(s), peak"), "{text}");
-        assert!(text.contains("cost model:"), "{text}");
+        assert!(text.contains("built left"), "{text}");
         // Tiny scans: the requested fan-out collapses to monolithic.
         assert!(
             text.contains("shards    : 1 (cost model kept scans monolithic)"),

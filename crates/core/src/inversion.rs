@@ -294,10 +294,10 @@ mod tests {
         // x>y refinement every surviving unification is an identity
         // pattern, and the x=y cover minimizes to R(x,x,x,x,x). The safe
         // evaluator built on this coverage agrees with brute-force world
-        // enumeration to machine precision on hundreds of random instances
-        // (see safe_eval tests and EXPERIMENTS.md §divergences), so we
-        // record the inversion-free outcome as intended behaviour rather
-        // than asserting the footnote.
+        // enumeration to machine precision on random instances
+        // (`safe_eval::tests::footnote_divergent_query_matches_brute_force`),
+        // so we record the inversion-free outcome as intended behaviour
+        // rather than asserting the footnote.
         assert!(inversion("R(y,x,y,x,y), R(y,y,y,z,x), R(x,x,y,z,u)").is_none());
     }
 }

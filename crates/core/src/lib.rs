@@ -35,15 +35,15 @@
 //!   Karp–Luby sampling — with exact runtime fallbacks between them.
 //! * [`engine`] — the facade: plan (with caching), execute, report planning
 //!   and execution time separately. Extensional plans and batched ranked
-//!   plans run on one of two executors: the serial columnar executor
-//!   (`safeplan::exec`) at one thread and one shard, and otherwise the
-//!   operator-DAG executor (`safeplan::dag`, scoped-thread worker pool
-//!   from the `exec-parallel` crate), chosen by [`engine::ExecOptions`]
-//!   and the plan's shard fan-out. The DAG executor overlaps operators,
-//!   fans scans out over shards and morsels inside each task, and
-//!   returns bit-for-bit the serial executor's result; sampling plans fan
-//!   their budget over seed-split per-worker RNG streams. [`Evaluation`]
-//!   then carries per-thread timing counters.
+//!   plans run on `safeplan`'s one executor (`safeplan::dag`, an
+//!   operator DAG on the scoped-thread worker pool of the
+//!   `exec-parallel` crate), tuned by [`engine::ExecOptions`] and the
+//!   plan's shard fan-out; one thread and one shard is its serial
+//!   configuration. It overlaps operators, fans scans out over shards
+//!   and morsels inside each task, and returns bit-for-bit the same
+//!   result at every tuning; sampling plans fan their budget over
+//!   seed-split per-worker RNG streams. [`Evaluation`] carries the
+//!   per-thread, scheduler and shard counters.
 //! * [`ranking`] — non-Boolean queries: answer tuples ranked by marginal
 //!   probability; tractable shapes run as **one** batched plan over all
 //!   candidates, others plan the residual template once and execute it per

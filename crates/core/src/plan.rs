@@ -128,20 +128,20 @@ pub struct ExecOutcome {
     pub std_error: f64,
     /// The substrate that actually ran (after runtime fallbacks).
     pub method: Method,
-    /// Per-thread timing counters when the plan ran on the parallel
-    /// executor (extensional plans and sampling plans at `threads > 1`).
+    /// Per-thread timing counters of the worker pool: every extensional
+    /// run (one entry at one thread), and sampling plans at `threads > 1`.
     pub parallel: Option<ExecStats>,
     /// Operator counters when the plan ran on the extensional columnar
     /// data plane: scans (and how many were served by constant-pushdown
     /// posting lists), rows visited vs pruned, join build-side choices,
-    /// groups aggregated. Identical for serial and parallel runs.
+    /// groups aggregated. Identical at every thread count.
     pub extensional: Option<safeplan::OpCounters>,
-    /// Operator-DAG scheduler counters when the plan ran pipelined
-    /// (`threads > 1` or a sharded scan fan-out): tasks scheduled, peak
-    /// ready/running widths, and wall time with ≥2 tasks overlapped.
+    /// Operator-DAG scheduler counters of an extensional run: tasks
+    /// scheduled, peak ready/running widths, and wall time with ≥2 tasks
+    /// overlapped (`max_running == 1` and no overlap at one thread).
     pub scheduler: Option<DagStats>,
-    /// Per-shard scan row counts when the extensional data plane ran
-    /// hash-partitioned. `shards == 1` means the cost model collapsed the
+    /// Per-shard scan row counts of an extensional run. `shards == 1`
+    /// means one shard was asked for or the cost model collapsed the
     /// requested fan-out (inputs below [`safeplan::SHARD_MIN_ROWS`]).
     pub sharding: Option<ShardStats>,
 }
@@ -149,12 +149,14 @@ pub struct ExecOutcome {
 /// The executor: runs a [`PhysicalPlan`] against a database. Holds only
 /// tuning that affects execution (the RNG seed for sampling plans, the
 /// worker-thread count, and the requested shard fan-out); all query
-/// analysis lives behind it in the planner.
+/// analysis lives behind it in the planner. Extensional plans run on
+/// `safeplan`'s one executor at every tuning; one thread and one shard
+/// is its serial configuration, not a separate path.
 #[derive(Clone, Copy, Debug)]
 pub struct Executor {
     /// RNG seed for reproducible Monte-Carlo estimates.
     pub seed: u64,
-    /// Worker threads for the parallel execution paths; 1 = serial.
+    /// Worker threads for execution; 1 = serial.
     pub threads: usize,
     /// Requested shard fan-out for the hash-partitioned extensional data
     /// plane; 1 = monolithic. The cost model collapses the request per
@@ -172,19 +174,19 @@ impl Executor {
         }
     }
 
-    /// An executor running the morsel-driven parallel paths on `threads`
-    /// workers. Results are bit-for-bit those of the serial executor; only
-    /// wall time (and the reported [`ExecOutcome::parallel`] counters)
-    /// change with the thread count. Sampling plans draw from seed-split
-    /// per-worker RNG streams — deterministic for a fixed `(seed,
-    /// threads)`, but a *different* stream than the serial sampler's.
+    /// An executor running on `threads` workers. Extensional results are
+    /// bit-for-bit those of one thread; only wall time (and the reported
+    /// [`ExecOutcome::parallel`] counters) change with the thread count.
+    /// Sampling plans draw from seed-split per-worker RNG streams —
+    /// deterministic for a fixed `(seed, threads)`, but a *different*
+    /// stream than the serial sampler's.
     pub fn with_threads(seed: u64, threads: usize) -> Self {
         Self::with_tuning(seed, threads, 1)
     }
 
     /// An executor with both worker threads and a shard fan-out for the
-    /// extensional data plane. Results stay bit-for-bit those of the
-    /// serial monolithic executor for every `(threads, shards)` pair.
+    /// extensional data plane. Results stay bit-for-bit those of one
+    /// thread and one shard for every `(threads, shards)` pair.
     pub fn with_tuning(seed: u64, threads: usize, shards: usize) -> Self {
         Executor {
             seed,
@@ -209,34 +211,18 @@ impl Executor {
                 // plan: tiny scans stay monolithic, so `shards` is a
                 // ceiling, not a mandate.
                 let fanout = safeplan::plan_shard_fanout(plan, db, self.shards);
-                if self.threads > 1 || fanout > 1 {
-                    let (p, run) = safeplan::dag_query_probability_counted(
-                        db,
-                        plan,
-                        &DagOptions::new(self.threads, fanout),
-                        &mut counters,
-                    );
-                    Ok(ExecOutcome {
-                        probability: p,
-                        std_error: 0.0,
-                        method: Method::Extensional,
-                        parallel: Some(run.threads),
-                        extensional: Some(counters),
-                        scheduler: Some(run.sched),
-                        sharding: Some(run.shards),
-                    })
-                } else {
-                    let p = safeplan::query_probability_counted(db, plan, &mut counters);
-                    Ok(ExecOutcome {
-                        probability: p,
-                        std_error: 0.0,
-                        method: Method::Extensional,
-                        parallel: None,
-                        extensional: Some(counters),
-                        scheduler: None,
-                        sharding: None,
-                    })
-                }
+                let opts = DagOptions::new(self.threads, fanout);
+                let (rel, run) =
+                    safeplan::dag_execute_counted(db, db.probs(), plan, &opts, &mut counters);
+                Ok(ExecOutcome {
+                    probability: rel.scalar(),
+                    std_error: 0.0,
+                    method: Method::Extensional,
+                    parallel: Some(run.threads),
+                    extensional: Some(counters),
+                    scheduler: Some(run.sched),
+                    sharding: Some(run.shards),
+                })
             }
             PhysicalPlan::Recurrence { query } => match eval_recurrence(db, query) {
                 Ok(p) => Ok(exact(p, Method::Recurrence)),
@@ -437,16 +423,20 @@ mod tests {
         let plan = PhysicalPlan::Extensional {
             plan: safeplan::build_plan(&q).unwrap(),
         };
+        let one_thread_one_shard = |out: &ExecOutcome| {
+            out.parallel.as_ref().map(ExecStats::threads) == Some(1)
+                && out.sharding.as_ref().map(|s| s.shards) == Some(1)
+        };
         let serial = Executor::new(7).execute(&db, &plan).unwrap();
-        assert!(serial.scheduler.is_none() && serial.sharding.is_none());
+        assert!(one_thread_one_shard(&serial), "{serial:?}");
         // Tiny scans + one thread: the cost model collapses the requested
-        // fan-out to 1 and the plan runs serial monolithic.
+        // fan-out to 1 and the plan runs on one thread and one shard.
         let collapsed = Executor::with_tuning(7, 1, 4).execute(&db, &plan).unwrap();
         assert_eq!(
             collapsed.probability.to_bits(),
             serial.probability.to_bits()
         );
-        assert!(collapsed.scheduler.is_none() && collapsed.sharding.is_none());
+        assert!(one_thread_one_shard(&collapsed), "{collapsed:?}");
         for (threads, shards) in [(2, 1), (4, 4)] {
             let out = Executor::with_tuning(7, threads, shards)
                 .execute(&db, &plan)

@@ -241,8 +241,8 @@ impl Planner {
                 PhysicalPlan::RootRecursion { query: eval_q }
             }
             Complexity::PTime(PTimeReason::ErasableInversions) => {
-                // Documented substitution (DESIGN.md §3.4): the paper's
-                // general algorithm is replaced by exact lineage
+                // A substitution: the paper's PTIME algorithm for erasable
+                // inversions (§3.4) is replaced by exact lineage
                 // compilation — exact, not worst-case polynomial.
                 PhysicalPlan::ExactLineage { query: eval_q }
             }

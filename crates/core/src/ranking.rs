@@ -39,14 +39,15 @@ pub struct RankedAnswer {
 /// report their thread/scheduler/shard behavior instead of dropping it.
 #[derive(Clone, Debug, Default)]
 pub struct RankedRun {
-    /// Per-thread timing counters when the answer set ran on the parallel
-    /// or DAG executor.
+    /// Per-thread timing counters when the batched extensional plan ran
+    /// (one entry at one thread).
     pub parallel: Option<ExecStats>,
     /// Operator counters when the batched extensional plan ran.
     pub extensional: Option<safeplan::OpCounters>,
-    /// DAG scheduler counters when the batched plan ran pipelined.
+    /// DAG scheduler counters when the batched extensional plan ran.
     pub scheduler: Option<safeplan::DagStats>,
-    /// Per-shard scan rows when the data plane ran hash-partitioned.
+    /// Per-shard scan rows when the batched extensional plan ran (one
+    /// shard unless a fan-out survived the cost model).
     pub sharding: Option<safeplan::ShardStats>,
 }
 
@@ -162,28 +163,22 @@ fn ranked_auto(
     match &*template {
         RankedPlan::Batched { plan, head } => {
             // One set-at-a-time execution computes every candidate's
-            // marginal probability; at `threads > 1` (or a surviving shard
-            // fan-out) the plan runs on the operator-DAG executor —
-            // bit-for-bit the serial output, including order — and the
-            // scheduler/shard/thread counters come back with the answers.
+            // marginal probability, bit-for-bit the same answers in the
+            // same order at every thread count and shard fan-out; the
+            // scheduler/shard/thread counters come back with them.
             let mut counters = safeplan::OpCounters::default();
             let fanout = safeplan::plan_shard_fanout(plan, db, engine.exec.shards);
-            let pairs = if engine.exec.threads > 1 || fanout > 1 {
-                let (pairs, dag) = safeplan::dag_ranked_probabilities_counted(
-                    db,
-                    db.probs(),
-                    plan,
-                    head,
-                    &safeplan::DagOptions::new(engine.exec.threads, fanout),
-                    &mut counters,
-                );
-                run.parallel = Some(dag.threads);
-                run.scheduler = Some(dag.sched);
-                run.sharding = Some(dag.shards);
-                pairs
-            } else {
-                safeplan::ranked_probabilities_counted(db, db.probs(), plan, head, &mut counters)
-            };
+            let (pairs, dag) = safeplan::dag_ranked_probabilities_counted(
+                db,
+                db.probs(),
+                plan,
+                head,
+                &safeplan::DagOptions::new(engine.exec.threads, fanout),
+                &mut counters,
+            );
+            run.parallel = Some(dag.threads);
+            run.scheduler = Some(dag.sched);
+            run.sharding = Some(dag.shards);
             run.extensional = Some(counters);
             Ok((
                 pairs

@@ -478,8 +478,10 @@ mod tests {
 
     #[test]
     fn footnote_divergent_query_matches_brute_force() {
-        // The footnote-1 query the paper claims #P-hard but our analysis
-        // finds inversion-free (documented divergence, EXPERIMENTS.md):
+        // The footnote-1 query the paper claims #P-hard (without proof)
+        // but our analysis finds inversion-free — the only non-identity
+        // unification forces x = y inside one factor, see
+        // `inversion::tests::footnote_hard_variant_divergence_is_stable`:
         // polynomial evaluation agrees with exact enumeration.
         check("R(y,x,y,x,y), R(y,y,y,z,x), R(x,x,y,z,u)", 21, 8);
     }

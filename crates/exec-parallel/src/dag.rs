@@ -95,6 +95,57 @@ impl Sched {
     fn note_ready_depth(&mut self) {
         self.stats.max_ready = self.stats.max_ready.max(self.ready.len() as u64);
     }
+
+    /// Record `t` as completed and queue every dependent it unblocked.
+    fn complete(&mut self, t: usize, dependents: &Dependents) {
+        self.completed += 1;
+        for &d in dependents.of(t) {
+            self.remaining[d] -= 1;
+            if self.remaining[d] == 0 {
+                self.ready.push(d);
+            }
+        }
+        self.note_ready_depth();
+    }
+}
+
+/// The reverse of `deps`, in two flat vectors: the tasks consuming `d`
+/// are `ids[first[d]..first[d + 1]]`, ascending.
+struct Dependents {
+    first: Vec<usize>,
+    ids: Vec<usize>,
+}
+
+impl Dependents {
+    /// # Panics
+    /// If some dependency index is `>=` its task's index.
+    fn new(deps: &[Vec<usize>]) -> Self {
+        let n = deps.len();
+        let mut first = vec![0usize; n + 1];
+        for (t, ds) in deps.iter().enumerate() {
+            for &d in ds {
+                assert!(d < t, "dependency {d} of task {t} must precede it");
+                first[d] += 1;
+            }
+        }
+        // Running totals put each block's end in `first[d]`; filling every
+        // block back to front from there leaves `first[d]` at its start.
+        for d in 1..=n {
+            first[d] += first[d - 1];
+        }
+        let mut ids = vec![0usize; first[n]];
+        for (t, ds) in deps.iter().enumerate().rev() {
+            for &d in ds {
+                first[d] -= 1;
+                ids[first[d]] = t;
+            }
+        }
+        Dependents { first, ids }
+    }
+
+    fn of(&self, d: usize) -> &[usize] {
+        &self.ids[self.first[d]..self.first[d + 1]]
+    }
 }
 
 /// Run the task DAG described by `deps` on up to `threads` workers and
@@ -136,36 +187,30 @@ where
     if n == 0 {
         return (Vec::new(), DagStats::default());
     }
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut remaining = vec![0usize; n];
-    for (t, ds) in deps.iter().enumerate() {
-        for &d in ds {
-            assert!(d < t, "dependency {d} of task {t} must precede it");
-            dependents[d].push(t);
-            remaining[t] += 1;
-        }
-    }
+    let dependents = Dependents::new(deps);
+    let remaining: Vec<usize> = deps.iter().map(Vec::len).collect();
     let ready: Vec<usize> = (0..n).filter(|&t| remaining[t] == 0).collect();
     let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
     let pick = |ready: &[usize]| picker(ready).min(ready.len() - 1);
+
+    let mut s = Sched {
+        ready,
+        remaining,
+        running: 0,
+        completed: 0,
+        stats: DagStats {
+            tasks: n as u64,
+            ..DagStats::default()
+        },
+        overlap_since: None,
+    };
+    s.note_ready_depth();
 
     let workers = threads.min(n).max(1);
     let stats = if workers == 1 {
         // Inline serial schedule: same ready queue and picker, no locks.
         // max_running is 1 and no overlap accrues, by construction.
-        let mut s = Sched {
-            ready,
-            remaining,
-            running: 0,
-            completed: 0,
-            stats: DagStats {
-                tasks: n as u64,
-                max_running: 1,
-                ..DagStats::default()
-            },
-            overlap_since: None,
-        };
-        s.note_ready_depth();
+        s.stats.max_running = 1;
         while s.completed < n {
             let chosen = pick(&s.ready);
             let t = s.ready.remove(chosen);
@@ -174,29 +219,11 @@ where
                 work(t, DagSlots { slots: &slots })
             };
             assert!(slots[t].set(out).is_ok(), "task {t} ran twice");
-            s.completed += 1;
-            for &d in &dependents[t] {
-                s.remaining[d] -= 1;
-                if s.remaining[d] == 0 {
-                    s.ready.push(d);
-                }
-            }
-            s.note_ready_depth();
+            s.complete(t, &dependents);
         }
         s.stats
     } else {
-        let sched = Mutex::new(Sched {
-            ready,
-            remaining,
-            running: 0,
-            completed: 0,
-            stats: DagStats {
-                tasks: n as u64,
-                ..DagStats::default()
-            },
-            overlap_since: None,
-        });
-        sched.lock().expect("dag sched").note_ready_depth();
+        let sched = Mutex::new(s);
         let idle = Condvar::new();
         let worker = || {
             loop {
@@ -232,14 +259,7 @@ where
                         s.stats.overlap += since.elapsed();
                     }
                 }
-                s.completed += 1;
-                for &d in &dependents[t] {
-                    s.remaining[d] -= 1;
-                    if s.remaining[d] == 0 {
-                        s.ready.push(d);
-                    }
-                }
-                s.note_ready_depth();
+                s.complete(t, &dependents);
                 // Wake everyone: new ready tasks, or the all-done signal.
                 idle.notify_all();
             }

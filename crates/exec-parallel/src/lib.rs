@@ -20,7 +20,7 @@
 //!   shard across dispatches) and steals the rest. Used for group-by
 //!   aggregation and per-shard scans, where every row of a partition must
 //!   be folded by the same worker (in row order) to keep floating-point
-//!   results bit-identical to the serial executor.
+//!   results bit-identical to a one-worker pass.
 //!
 //! The pool also keeps per-worker [`ThreadStats`] (busy time, morsels,
 //! rows) across every dispatch it serves, so an execution can report how
@@ -35,8 +35,7 @@
 //! independence. See the module docs for the scheduling model.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 pub mod dag;
@@ -58,11 +57,29 @@ pub struct ThreadStats {
     pub rows: u64,
 }
 
-impl ThreadStats {
-    fn absorb(&mut self, other: &ThreadStats) {
-        self.busy += other.busy;
-        self.morsels += other.morsels;
-        self.rows += other.rows;
+/// One worker's [`ThreadStats`] as relaxed atomics: a worker adds its
+/// totals once per dispatch, and nothing orders against the counters.
+#[derive(Debug, Default)]
+struct WorkerCounters {
+    busy_ns: AtomicU64,
+    morsels: AtomicU64,
+    rows: AtomicU64,
+}
+
+impl WorkerCounters {
+    fn absorb(&self, s: &ThreadStats) {
+        self.busy_ns
+            .fetch_add(s.busy.as_nanos() as u64, Ordering::Relaxed);
+        self.morsels.fetch_add(s.morsels, Ordering::Relaxed);
+        self.rows.fetch_add(s.rows, Ordering::Relaxed);
+    }
+
+    fn load(&self) -> ThreadStats {
+        ThreadStats {
+            busy: Duration::from_nanos(self.busy_ns.load(Ordering::Relaxed)),
+            morsels: self.morsels.load(Ordering::Relaxed),
+            rows: self.rows.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -98,13 +115,13 @@ impl ExecStats {
 pub struct Pool {
     threads: usize,
     grain: usize,
-    stats: Mutex<Vec<ThreadStats>>,
+    stats: Box<[WorkerCounters]>,
 }
 
 impl Pool {
     /// A pool of `threads` workers with the default morsel grain.
     /// `threads` is clamped to at least 1; one thread degenerates to an
-    /// inline serial loop (no spawning).
+    /// inline serial loop (no spawning) whose morsel is the whole range.
     pub fn new(threads: usize) -> Self {
         Self::with_grain(threads, DEFAULT_GRAIN)
     }
@@ -116,7 +133,7 @@ impl Pool {
         Pool {
             threads,
             grain: grain.max(1),
-            stats: Mutex::new(vec![ThreadStats::default(); threads]),
+            stats: (0..threads).map(|_| WorkerCounters::default()).collect(),
         }
     }
 
@@ -131,12 +148,15 @@ impl Pool {
     /// The counters accumulated so far, leaving the pool's view intact.
     pub fn stats(&self) -> ExecStats {
         ExecStats {
-            per_thread: self.stats.lock().expect("pool stats poisoned").clone(),
+            per_thread: self.stats.iter().map(WorkerCounters::load).collect(),
         }
     }
 
     /// Apply `work` to every morsel of `0..len` and return the results in
     /// morsel order (morsel `i` covers `i*grain .. min((i+1)*grain, len)`).
+    /// A one-worker pool has nobody to balance against, so its single
+    /// morsel is the whole range: the caller gets one chunk back, and
+    /// stitching one chunk is a move, not a copy.
     ///
     /// Workers pull morsel indices from a shared atomic cursor, so skew in
     /// one morsel does not idle the other workers. Result order is
@@ -147,7 +167,11 @@ impl Pool {
         T: Send,
         F: Fn(Range<usize>) -> T + Sync,
     {
-        let grain = self.grain;
+        let grain = if self.threads == 1 {
+            len.max(1)
+        } else {
+            self.grain
+        };
         let morsels = len.div_ceil(grain);
         let ranges = move |i: usize| i * grain..((i + 1) * grain).min(len);
         self.dispatch(morsels, |i| {
@@ -203,71 +227,54 @@ impl Pool {
         T: Send,
         F: Fn(usize) -> (T, usize) + Sync,
     {
-        if tasks == 0 {
-            return Vec::new();
+        let workers = self.threads.min(tasks);
+        if workers <= 1 {
+            // Inline serial fast path: same work function, no spawning,
+            // and the results are already in item order.
+            let mut local = ThreadStats::default();
+            let out = (0..tasks)
+                .map(|i| timed(&mut local, tasks > 1, || work(i)))
+                .collect();
+            self.stats[0].absorb(&local);
+            return out;
         }
-        let run_worker = |out: &mut Vec<(usize, T)>, cursor: &AtomicUsize| -> ThreadStats {
+        let cursor = AtomicUsize::new(0);
+        let run_worker = |out: &mut Vec<(usize, T)>| -> ThreadStats {
             let mut local = ThreadStats::default();
             loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= tasks {
                     return local;
                 }
-                let start = Instant::now();
-                let (result, rows) = {
-                    // One span per morsel; a single relaxed load when
-                    // tracing is off. Timing flows out, never back in.
-                    let _morsel = telemetry::span("morsel");
-                    work(i)
-                };
-                local.busy += start.elapsed();
-                local.morsels += 1;
-                local.rows += rows as u64;
-                out.push((i, result));
+                out.push((i, timed(&mut local, true, || work(i))));
             }
         };
-
-        let workers = self.threads.min(tasks);
-        let cursor = AtomicUsize::new(0);
         let mut tagged: Vec<(usize, T)> = Vec::with_capacity(tasks);
-        if workers <= 1 {
-            // Inline serial fast path: same work function, no spawning.
-            let local = run_worker(&mut tagged, &cursor);
-            self.stats.lock().expect("pool stats poisoned")[0].absorb(&local);
-        } else {
-            let mut chunks: Vec<Vec<(usize, T)>> = Vec::new();
-            std::thread::scope(|scope| {
-                // Workers 1.. run on spawned scoped threads; worker 0 is
-                // the calling thread itself, so a 2-thread pool spawns 1.
-                let handles: Vec<_> = (1..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut out = Vec::new();
-                            let s = run_worker(&mut out, &cursor);
-                            // Drain this worker's span lane before the
-                            // scope joins: TLS destructors may run after
-                            // the join, so an exit-time flush could land
-                            // after the caller exports the trace.
-                            telemetry::flush_thread();
-                            (out, s)
-                        })
+        std::thread::scope(|scope| {
+            // Workers 1.. run on spawned scoped threads; worker 0 is the
+            // calling thread itself, so a 2-thread pool spawns 1.
+            let handles: Vec<_> = (1..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut out = Vec::new();
+                        let s = run_worker(&mut out);
+                        // Drain this worker's span lane before the scope
+                        // joins: TLS destructors may run after the join,
+                        // so an exit-time flush could land after the
+                        // caller exports the trace.
+                        telemetry::flush_thread();
+                        (out, s)
                     })
-                    .collect();
-                let mut own = Vec::new();
-                let own_stats = run_worker(&mut own, &cursor);
-                chunks.push(own);
-                let mut stats = self.stats.lock().expect("pool stats poisoned");
-                stats[0].absorb(&own_stats);
-                for (w, h) in handles.into_iter().enumerate() {
-                    let (out, s) = h.join().expect("pool worker panicked");
-                    chunks.push(out);
-                    stats[w + 1].absorb(&s);
-                }
-            });
-            for chunk in chunks {
-                tagged.extend(chunk);
+                })
+                .collect();
+            let own_stats = run_worker(&mut tagged);
+            self.stats[0].absorb(&own_stats);
+            for (w, h) in handles.into_iter().enumerate() {
+                let (out, s) = h.join().expect("pool worker panicked");
+                tagged.extend(out);
+                self.stats[w + 1].absorb(&s);
             }
-        }
+        });
         // Restore morsel order: the schedule is nondeterministic, the
         // output must not be.
         tagged.sort_by_key(|(i, _)| *i);
@@ -299,20 +306,11 @@ impl Pool {
                 if claimed[p].swap(true, Ordering::Relaxed) {
                     continue;
                 }
-                let start = Instant::now();
-                let (result, rows) = {
-                    let _morsel = telemetry::span("morsel");
-                    work(p)
-                };
-                local.busy += start.elapsed();
-                local.morsels += 1;
-                local.rows += rows as u64;
-                out.push((p, result));
+                out.push((p, timed(&mut local, true, || work(p))));
             }
             local
         };
         let mut tagged: Vec<(usize, T)> = Vec::with_capacity(tasks);
-        let mut chunks: Vec<Vec<(usize, T)>> = Vec::new();
         std::thread::scope(|scope| {
             // Same discipline as `dispatch`: workers 1.. on spawned scoped
             // threads, worker 0 is the calling thread.
@@ -326,23 +324,34 @@ impl Pool {
                     })
                 })
                 .collect();
-            let mut own = Vec::new();
-            let own_stats = run_worker(0, &mut own);
-            chunks.push(own);
-            let mut stats = self.stats.lock().expect("pool stats poisoned");
-            stats[0].absorb(&own_stats);
+            let own_stats = run_worker(0, &mut tagged);
+            self.stats[0].absorb(&own_stats);
             for (w, h) in handles.into_iter().enumerate() {
                 let (out, s) = h.join().expect("pool worker panicked");
-                chunks.push(out);
-                stats[w + 1].absorb(&s);
+                tagged.extend(out);
+                self.stats[w + 1].absorb(&s);
             }
         });
-        for chunk in chunks {
-            tagged.extend(chunk);
-        }
         tagged.sort_by_key(|(i, _)| *i);
         tagged.into_iter().map(|(_, t)| t).collect()
     }
+}
+
+/// Run one work item on the current worker, timed into `local`, under a
+/// `morsel` span when `traced`. A dispatch of a single item passes
+/// false: its caller's span already covers exactly that work.
+fn timed<T>(local: &mut ThreadStats, traced: bool, work: impl FnOnce() -> (T, usize)) -> T {
+    let start = Instant::now();
+    let (result, rows) = {
+        // A single relaxed load when tracing is off. Timing flows out,
+        // never back in.
+        let _morsel = traced.then(|| telemetry::span("morsel"));
+        work()
+    };
+    local.busy += start.elapsed();
+    local.morsels += 1;
+    local.rows += rows as u64;
+    result
 }
 
 #[cfg(test)]

@@ -17,9 +17,9 @@
 //!   from `H_k`-probabilities at several `(p1, p2)` edge-probability
 //!   settings by solving a (generalized Vandermonde) linear system,
 //! * [`linalg`] — a small dense Gaussian-elimination solver used by the
-//!   `H_k` pipeline (justified in DESIGN.md: no external linear-algebra
-//!   dependency is available offline, and partial-pivoting elimination on
-//!   ≤ 20×20 systems is a page of code).
+//!   `H_k` pipeline (no external linear-algebra dependency is available
+//!   offline, and partial-pivoting elimination on ≤ 20×20 systems is a
+//!   page of code).
 
 pub mod hk;
 pub mod linalg;

@@ -4,7 +4,8 @@
 //! The `H_k` pipeline recovers the assignment counts `T_{i,j}` from query
 //! probabilities at several `(p1, p2)` settings — a generalized Vandermonde
 //! system. The systems are tiny (≤ ~20 unknowns), so a textbook solver is
-//! appropriate; no offline linear-algebra crate is available (DESIGN.md §4).
+//! appropriate, and the workspace builds offline with no linear-algebra
+//! crate to depend on.
 
 /// Solve `A x = b` in the least-squares sense via the normal equations
 /// `AᵀA x = Aᵀb`. `a` is row-major with `rows × cols` entries. Returns

@@ -1,9 +1,10 @@
-//! The parallel executor: plan-level pipelining over a sharded data plane.
+//! The safe-plan executor: plan-level pipelining over a sharded data
+//! plane.
 //!
-//! [`dag_execute`] runs the same [`PlanNode`] language as
-//! [`crate::execute`], on the same columnar flat-buffer kernels, with
-//! parallelism at two levels. It decomposes the plan tree into a
-//! dependency DAG of **operator tasks** and hands it to
+//! [`dag_execute_counted`] is the one executor of a [`PlanNode`]. It runs
+//! the columnar flat-buffer kernels of [`crate::exec`] with parallelism
+//! at two levels. It decomposes the plan tree into a dependency DAG of
+//! **operator tasks** and hands it to
 //! [`exec_parallel::run_dag`]: independent subtrees (the inputs of an
 //! independent join) evaluate concurrently, and every task's output
 //! lands in a pre-assigned slot so downstream stitching is deterministic.
@@ -15,13 +16,20 @@
 //! * **joins** index the build side once, then probe the other side in
 //!   parallel morsels. When the build side is the left input, probing
 //!   yields `(left, right)` id pairs that a stable counting sort restores
-//!   to the serial output order before a morsel-parallel emission pass
+//!   to probe-major output order before a morsel-parallel emission pass
 //!   materializes them;
 //! * **independent projects** — the `1 − Π(1−p)` aggregation at the core
 //!   of the extensional operators — hash-partition *groups* across
 //!   workers (packed-key `Grouper` folds) and merge the per-partition
 //!   results by first-seen row index, so every group is folded by exactly
 //!   one worker in row order.
+//!
+//! The serial configuration is [`DagOptions::default`] — one thread, one
+//! shard — and it is not a separate code path: the task schedule runs
+//! inline on the calling thread, a one-worker pool's morsel is the whole
+//! input, and stitching one chunk moves its buffers. [`execute`],
+//! [`query_probability`] and [`ranked_probabilities`] are that
+//! configuration.
 //!
 //! ## Task decomposition
 //!
@@ -34,17 +42,15 @@
 //!   fusion is invisible in the output; [`DagStats::inlined`] counts the
 //!   operators absorbed this way.
 //! * An `IndependentJoin` over inputs `i0, i1, …` becomes a chain of
-//!   `JoinStage` tasks replicating the serial fold
-//!   `certain ⋈ i0 ⋈ i1 ⋈ …` — stage `k` depends on stage `k−1` *and*
-//!   input `k`, so input `k+1` evaluates while stage `k` joins.
+//!   `JoinStage` tasks folding `certain ⋈ i0 ⋈ i1 ⋈ …` — stage `k`
+//!   depends on stage `k−1` *and* input `k`, so input `k+1` evaluates
+//!   while stage `k` joins.
 //!
-//! Each join stage's **build side is chosen from the cost model's
-//! posting-list estimates** ([`estimate_rows`]) at decomposition time —
-//! before either input materializes — mirroring the incremental estimate
-//! the join-ordering rule uses. The output is bit-identical either way
-//! (see `par_join_sided`); [`OpCounters::est_builds`] counts the
-//! estimate-driven choices and [`OpCounters::est_build_overrides`] how
-//! many disagreed with the materialized-row-count rule.
+//! A join stage runs only once both its inputs have materialized, so it
+//! hashes the input with fewer rows (`choose_build_side`): an exact count,
+//! where a posting-list estimate taken before the inputs exist would
+//! often pick the larger side. The output is bit-identical either way
+//! (see `par_join`).
 //!
 //! ## Sharded scans
 //!
@@ -59,34 +65,30 @@
 //!   global-index probes, no split step — and the merge keys are tuple
 //!   ids (global scan order *is* ascending-id order).
 //! * **Split-derived** (no matching layout): the global id list is
-//!   hash-partitioned through [`pdb::ShardMap`] on the fly and
-//!   [`scan_rows_at`](crate::exec) reports which original positions
-//!   survived; the merge keys are those positions.
+//!   hash-partitioned through [`pdb::ShardMap`] on the fly and the keyed
+//!   scan kernel reports which original positions survived; the merge
+//!   keys are those positions.
 //!
-//! When the pool is inline (one worker), the resident plane fuses the
-//! k-way id merge into the scan itself (`scan_columns_merged`) — one
-//! pass over the resident buffers, no per-shard materialization, same
-//! rows in the same ascending-id order. Complement scans stay monolithic
-//! (their rows are generated bindings with no tuple ids). Independent
-//! projects fan groups out over `shards × threads` partitions; the
-//! first-seen-row merge is partition-count invariant, so the fan-out
-//! never perturbs a bit.
+//! Complement scans stay monolithic (their rows are generated bindings
+//! with no tuple ids). Independent projects fan groups out over
+//! `shards × threads` partitions; the first-seen-row merge is
+//! partition-count invariant, so the fan-out never perturbs a bit.
 //!
-//! The invariant pinned by `tests/sharded_agreement.rs` and the in-crate
+//! The invariant pinned by `tests/sharded_agreement.rs` (against the
+//! row-at-a-time oracle in `tests/common/rowref.rs`) and the in-crate
 //! tests below: for every plan, database, thread count, shard count,
-//! morsel grain, and scheduler picker, the DAG executor returns
-//! **bit-for-bit** the serial executor's relation — same rows, same
-//! order, same `f64` values. Morsel outputs stitch in morsel order (the
-//! stride invariant makes that plain buffer concatenation), group folds
-//! keep the serial multiplication order, and worker scheduling never
-//! leaks into results. Parallelism changes wall time, not answers.
+//! morsel grain, and scheduler picker, the executor returns
+//! **bit-for-bit** the same relation — same rows, same order, same `f64`
+//! values. Morsel outputs stitch in morsel order (the stride invariant
+//! makes that plain buffer concatenation), group folds keep the row-order
+//! multiplication, and worker scheduling never leaks into results.
+//! Parallelism changes wall time, not answers.
 
 use crate::exec::{
-    complement_rows, eval_pred, scan_column_keyed, scan_columns_merged, scan_rows, scan_rows_at,
-    scan_rows_keyed, ComplementSpec, OpCounters, ScanSpec, ShardScanSpec,
+    complement_rows, eval_pred, scan_column_keyed, scan_rows, scan_rows_keyed, ComplementSpec,
+    OpCounters, ScanSpec, ShardScanSpec,
 };
 use crate::node::PlanNode;
-use crate::optimize::{columns, estimate_rows};
 use crate::relation::{
     choose_build_side, emit_pairs, filter_rows, group_fold_rows, hash_row_key, join_spec,
     pairs_by_left, probe_emit, probe_pairs, stitch_columnar, BuildSide, GroupFold, JoinIndex,
@@ -95,17 +97,21 @@ use crate::relation::{
 use cq::{Pred, Value, Var};
 use exec_parallel::{run_dag_with_picker, DagSlots, DagStats, ExecStats, Pool, DEFAULT_GRAIN};
 use lineage::ProbValue;
-use pdb::{ProbDb, ShardMap};
-use std::collections::BTreeSet;
+use numeric::QRat;
+use pdb::{ProbDb, RatProbs, ShardMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
-/// Tuning for one DAG execution.
+/// Tuning for one execution. The default is the serial configuration:
+/// one thread, one shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DagOptions {
     /// Worker threads shared by the task scheduler and the nested morsel
-    /// dispatches (1 = serial task schedule, serial morsels).
+    /// dispatches (1 = inline task schedule, one morsel per operator).
     pub threads: usize,
-    /// Morsel size in rows for the nested intra-operator dispatches.
+    /// Morsel size in rows for the nested intra-operator dispatches of a
+    /// multi-thread pool.
     pub grain: usize,
     /// Shard fan-out of the data plane (1 = monolithic). Callers wanting
     /// the cost model's opinion gate their request through
@@ -153,7 +159,7 @@ pub struct ShardStats {
     pub rows: Vec<u64>,
 }
 
-/// Everything a DAG execution reports besides the relation itself.
+/// Everything an execution reports besides the relation itself.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DagRun {
     /// Per-worker morsel timings from the shared pool.
@@ -172,11 +178,7 @@ enum Task<'p> {
     Leaf(&'p PlanNode),
     /// One fold step of `certain ⋈ i0 ⋈ i1 ⋈ …`; `left` is the previous
     /// stage (`None` = the certain accumulator), `right` the input task.
-    JoinStage {
-        left: Option<usize>,
-        right: usize,
-        est_side: BuildSide,
-    },
+    JoinStage { left: Option<usize>, right: usize },
 }
 
 /// A single-child operator fused into its child task: after the task's
@@ -187,95 +189,98 @@ enum Post<'p> {
     Project(&'p [Var]),
 }
 
-/// What one task hands downstream: its relation plus the counters and
-/// per-shard row counts it accrued (merged by the coordinator after the
-/// schedule drains — tasks never share mutable state).
+/// What one task hands downstream: its relation plus the counters it
+/// accrued (merged by the coordinator after the schedule drains — tasks
+/// never share mutable state). In a plan tree every task's relation has
+/// exactly one consumer, which takes it: an input is freed as soon as the
+/// stage that joins it is done, not when the whole schedule is.
 struct TaskOut<P> {
-    rel: ProbRelation<P>,
+    rel: Mutex<Option<ProbRelation<P>>>,
     counters: OpCounters,
-    shard_rows: Vec<u64>,
 }
 
-/// Flatten `plan` into `tasks`/`deps`, children before parents (so every
-/// dependency index precedes its task, the shape [`run_dag`] requires),
-/// and return the root task's index — always the last. Single-child
-/// `Select`/`IndependentProject` chains are fused into their child's
-/// `posts` instead of becoming tasks; `inlined` counts the fusions.
-fn decompose<'p>(
-    plan: &'p PlanNode,
-    db: &ProbDb,
-    tasks: &mut Vec<Task<'p>>,
-    deps: &mut Vec<Vec<usize>>,
-    posts: &mut Vec<Vec<Post<'p>>>,
-    inlined: &mut u64,
-) -> usize {
-    match plan {
-        PlanNode::Certain
-        | PlanNode::Never
-        | PlanNode::Scan { .. }
-        | PlanNode::ComplementScan { .. } => {
-            tasks.push(Task::Leaf(plan));
-            deps.push(Vec::new());
-            posts.push(Vec::new());
-        }
-        PlanNode::Select { pred, input } => {
-            let i = decompose(input, db, tasks, deps, posts, inlined);
-            posts[i].push(Post::Select(*pred));
-            *inlined += 1;
-            return i;
-        }
-        PlanNode::IndependentProject { keep, input } => {
-            let i = decompose(input, db, tasks, deps, posts, inlined);
-            posts[i].push(Post::Project(keep));
-            *inlined += 1;
-            return i;
-        }
-        PlanNode::IndependentJoin { inputs } => {
-            if inputs.is_empty() {
-                tasks.push(Task::Unit);
-                deps.push(Vec::new());
-                posts.push(Vec::new());
-                return tasks.len() - 1;
+impl<P> TaskOut<P> {
+    fn take(&self) -> ProbRelation<P> {
+        self.rel
+            .lock()
+            .expect("task output poisoned")
+            .take()
+            .expect("a task output has one consumer")
+    }
+}
+
+/// A plan flattened into tasks, children before parents — every
+/// dependency index precedes its task, the shape [`run_dag`] requires.
+/// Single-child `Select`/`IndependentProject` chains are fused into their
+/// child's `posts` instead of becoming tasks; `inlined` counts them.
+///
+/// [`run_dag`]: exec_parallel::run_dag
+struct Tasks<'p> {
+    tasks: Vec<Task<'p>>,
+    deps: Vec<Vec<usize>>,
+    posts: Vec<Vec<Post<'p>>>,
+    inlined: u64,
+}
+
+impl<'p> Tasks<'p> {
+    fn new(plan: &'p PlanNode) -> Self {
+        // A plan of n operators never needs more than n tasks.
+        let n = plan.size();
+        let mut out = Tasks {
+            tasks: Vec::with_capacity(n),
+            deps: Vec::with_capacity(n),
+            posts: Vec::with_capacity(n),
+            inlined: 0,
+        };
+        out.decompose(plan);
+        out
+    }
+
+    fn push(&mut self, task: Task<'p>, deps: Vec<usize>) -> usize {
+        self.tasks.push(task);
+        self.deps.push(deps);
+        self.posts.push(Vec::new());
+        self.tasks.len() - 1
+    }
+
+    /// Flatten `plan` and return its task index — always the last task
+    /// pushed.
+    fn decompose(&mut self, plan: &'p PlanNode) -> usize {
+        match plan {
+            PlanNode::Certain
+            | PlanNode::Never
+            | PlanNode::Scan { .. }
+            | PlanNode::ComplementScan { .. } => self.push(Task::Leaf(plan), Vec::new()),
+            PlanNode::Select { pred, input } => {
+                let i = self.decompose(input);
+                self.posts[i].push(Post::Select(*pred));
+                self.inlined += 1;
+                i
             }
-            // All input subtrees first — they are mutually independent,
-            // so they all become runnable as their own leaves complete.
-            let ins: Vec<usize> = inputs
-                .iter()
-                .map(|i| decompose(i, db, tasks, deps, posts, inlined))
-                .collect();
-            // Then the fold chain, each stage's build side chosen from
-            // the same incremental estimate the join-ordering rule
-            // computes (the accumulator starts as certain: one row).
-            let mut acc_est = 1.0f64;
-            let mut seen: BTreeSet<Var> = BTreeSet::new();
-            let mut prev: Option<usize> = None;
-            for (k, &right) in ins.iter().enumerate() {
-                let right_est = estimate_rows(&inputs[k], db);
-                let est_side = if acc_est < right_est {
-                    BuildSide::Left
-                } else {
-                    BuildSide::Right
-                };
-                let mut d = vec![right];
-                if let Some(p) = prev {
-                    d.push(p);
+            PlanNode::IndependentProject { keep, input } => {
+                let i = self.decompose(input);
+                self.posts[i].push(Post::Project(keep));
+                self.inlined += 1;
+                i
+            }
+            PlanNode::IndependentJoin { inputs } => {
+                // The fold chain `certain ⋈ i0 ⋈ i1 ⋈ …`: stage k joins
+                // stage k−1 with input k. The input subtrees depend on
+                // nothing outside themselves, so their leaves are all
+                // runnable from the start.
+                let mut prev: Option<usize> = None;
+                for input in inputs {
+                    let right = self.decompose(input);
+                    let deps = match prev {
+                        Some(p) => vec![right, p],
+                        None => vec![right],
+                    };
+                    prev = Some(self.push(Task::JoinStage { left: prev, right }, deps));
                 }
-                tasks.push(Task::JoinStage {
-                    left: prev,
-                    right,
-                    est_side,
-                });
-                deps.push(d);
-                posts.push(Vec::new());
-                prev = Some(tasks.len() - 1);
-                let cols = columns(&inputs[k]);
-                let shared = cols.intersection(&seen).count();
-                acc_est *= right_est / 2f64.powi(shared as i32);
-                seen.extend(cols);
+                prev.unwrap_or_else(|| self.push(Task::Unit, Vec::new()))
             }
         }
     }
-    tasks.len() - 1
 }
 
 /// Evaluate a leaf node, sharding scan tasks over `map` when the plane is
@@ -287,8 +292,11 @@ fn leaf_rel<P: ProbValue + Send + Sync>(
     pool: &Pool,
     map: ShardMap,
     counters: &mut OpCounters,
-    shard_rows: &mut [u64],
+    shard_rows: &[AtomicU64],
 ) -> ProbRelation<P> {
+    let tally = |s: usize, rows: usize| {
+        shard_rows[s].fetch_add(rows as u64, Ordering::Relaxed);
+    };
     match node {
         PlanNode::Certain => ProbRelation::certain(),
         PlanNode::Never => ProbRelation::never(),
@@ -301,21 +309,10 @@ fn leaf_rel<P: ProbValue + Send + Sync>(
                 // *is* ascending-id order, so the id merge reproduces the
                 // monolithic output exactly.
                 let scan = ShardScanSpec::new(db, atom, map.shards(), counters);
-                if !scan.pushdown && pool.threads() == 1 {
-                    // Inline pool: nothing scans concurrently, so fuse the
-                    // k-way id merge into the scan itself — one pass over
-                    // the resident buffers writing survivors straight into
-                    // the output, no per-shard materialization.
-                    let resident: Vec<_> = (0..map.shards())
-                        .map(|s| db.shard_resident(s, atom.rel))
-                        .collect();
-                    return scan_columns_merged(
-                        &resident, probs, &scan.plan, scan.cols, shard_rows,
-                    );
-                }
                 let outs = pool.map_partitions(map.shards(), |s| {
                     if scan.pushdown {
-                        scan_rows_keyed(db, probs, &scan.plan, scan.shard_ids[s])
+                        let ids = scan.shard_ids[s].iter().map(|&t| (t, t.0));
+                        scan_rows_keyed(db, probs, &scan.plan, ids)
                     } else {
                         match db.shard_resident(s, atom.rel) {
                             Some(col) => scan_column_keyed(col, probs, &scan.plan),
@@ -324,7 +321,7 @@ fn leaf_rel<P: ProbValue + Send + Sync>(
                     }
                 });
                 for (s, o) in outs.iter().enumerate() {
-                    shard_rows[s] += o.1.len() as u64;
+                    tally(s, o.1.len());
                 }
                 merge_shard_scans(scan.cols, outs)
             } else {
@@ -334,7 +331,7 @@ fn leaf_rel<P: ProbValue + Send + Sync>(
                         scan_rows(db, probs, &scan.plan, &scan.ids[r])
                     });
                     let (data, out) = stitch_columnar(chunks);
-                    shard_rows[0] += out.len() as u64;
+                    tally(0, out.len());
                     ProbRelation::from_parts(scan.cols, data, out)
                 } else {
                     // No resident layout: hash-partition the global id
@@ -344,10 +341,11 @@ fn leaf_rel<P: ProbValue + Send + Sync>(
                     // monolithic row order exactly.
                     let parts = map.split_positions(scan.ids);
                     let outs = pool.map_partitions(map.shards(), |s| {
-                        scan_rows_at(db, probs, &scan.plan, scan.ids, &parts[s])
+                        let at = parts[s].iter().map(|&pos| (scan.ids[pos as usize], pos));
+                        scan_rows_keyed(db, probs, &scan.plan, at)
                     });
                     for (s, o) in outs.iter().enumerate() {
-                        shard_rows[s] += o.1.len() as u64;
+                        tally(s, o.1.len());
                     }
                     merge_shard_scans(scan.cols, outs)
                 }
@@ -404,23 +402,12 @@ fn merge_shard_scans<P: ProbValue>(
     }
 }
 
-/// Execute `plan` as an operator DAG over the (possibly sharded) data
-/// plane. Returns exactly what [`crate::execute`] returns — same rows,
-/// same order, same bits — for every thread count, shard count, and
-/// schedule.
-pub fn dag_execute<P: ProbValue + Send + Sync>(
-    db: &ProbDb,
-    probs: &[P],
-    plan: &PlanNode,
-    opts: &DagOptions,
-) -> ProbRelation<P> {
-    dag_execute_counted(db, probs, plan, opts, &mut OpCounters::default()).0
-}
-
-/// [`dag_execute`] accumulating [`OpCounters`] and reporting the schedule
-/// and shard shape. Per-task counters are absorbed in task order after the
-/// schedule drains, so the totals are deterministic (and, for the fields
-/// the serial executor maintains, equal to its totals).
+/// Execute `plan` over the (possibly sharded) data plane, accumulating
+/// [`OpCounters`] and reporting the schedule and shard shape. Returns the
+/// same rows in the same order with the same bits for every thread
+/// count, shard count, and schedule. Per-task counters are absorbed in
+/// task order after the schedule drains, so the totals are
+/// deterministic.
 pub fn dag_execute_counted<P: ProbValue + Send + Sync>(
     db: &ProbDb,
     probs: &[P],
@@ -451,12 +438,14 @@ where
     let fanout = opts.shards.max(1);
     let map = ShardMap::new(fanout);
     let pool = opts.pool();
-    let mut tasks: Vec<Task<'_>> = Vec::new();
-    let mut deps: Vec<Vec<usize>> = Vec::new();
-    let mut posts: Vec<Vec<Post<'_>>> = Vec::new();
-    let mut inlined = 0u64;
-    let root = decompose(plan, db, &mut tasks, &mut deps, &mut posts, &mut inlined);
-    debug_assert_eq!(root, tasks.len() - 1, "root must be the last task");
+    let Tasks {
+        tasks,
+        deps,
+        posts,
+        inlined,
+    } = Tasks::new(plan);
+    let root = tasks.len() - 1;
+    let shard_rows: Vec<AtomicU64> = (0..fanout).map(|_| AtomicU64::new(0)).collect();
 
     let (mut outs, mut sched) = run_dag_with_picker(
         opts.threads,
@@ -464,7 +453,6 @@ where
         picker,
         |t, slots: DagSlots<'_, TaskOut<P>>| {
             let mut c = OpCounters::default();
-            let mut shard_rows = vec![0u64; fanout];
             let mut rel = match &tasks[t] {
                 Task::Unit => ProbRelation::certain(),
                 Task::Leaf(node) => {
@@ -474,7 +462,7 @@ where
                         _ => "leaf",
                     });
                     let t0 = Instant::now();
-                    let out = leaf_rel(db, probs, node, &pool, map, &mut c, &mut shard_rows);
+                    let out = leaf_rel(db, probs, node, &pool, map, &mut c, &shard_rows);
                     match node {
                         PlanNode::ComplementScan { .. } => {
                             c.times.complement_ns += t0.elapsed().as_nanos() as u64;
@@ -483,27 +471,14 @@ where
                     }
                     out
                 }
-                Task::JoinStage {
-                    left,
-                    right,
-                    est_side,
-                } => {
+                Task::JoinStage { left, right } => {
                     let _span = telemetry::span("join");
                     let t0 = Instant::now();
-                    let unit;
                     let l = match left {
-                        Some(i) => &slots.get(*i).rel,
-                        None => {
-                            unit = ProbRelation::certain();
-                            &unit
-                        }
+                        Some(i) => slots.get(*i).take(),
+                        None => ProbRelation::certain(),
                     };
-                    let r = &slots.get(*right).rel;
-                    c.est_builds += 1;
-                    if *est_side != choose_build_side(l.len(), r.len()) {
-                        c.est_build_overrides += 1;
-                    }
-                    let out = par_join_sided(l, r, *est_side, &pool, &mut c);
+                    let out = par_join(&l, &slots.get(*right).take(), &pool, &mut c);
                     c.times.join_ns += t0.elapsed().as_nanos() as u64;
                     out
                 }
@@ -528,69 +503,46 @@ where
                 }
             }
             TaskOut {
-                rel,
+                rel: Mutex::new(Some(rel)),
                 counters: c,
-                shard_rows,
             }
         },
     );
     sched.inlined = inlined;
-
-    let mut shards = ShardStats {
-        shards: fanout,
-        rows: vec![0; fanout],
-    };
     for o in &outs {
         counters.absorb(&o.counters);
-        for (s, r) in o.shard_rows.iter().enumerate() {
-            shards.rows[s] += r;
-        }
     }
     counters.shard_fanout = counters.shard_fanout.max(fanout as u64);
-    let rel = outs.swap_remove(root).rel;
+    let rel = outs.swap_remove(root).take();
     let run = DagRun {
         threads: pool.stats(),
         sched,
-        shards,
+        shards: ShardStats {
+            shards: fanout,
+            rows: shard_rows
+                .iter()
+                .map(|r| r.load(Ordering::Relaxed))
+                .collect(),
+        },
     };
     (rel, run)
 }
 
-/// `p(q)` of a Boolean plan in `f64` arithmetic via the DAG executor.
+/// `p(q)` of a Boolean plan in `f64` arithmetic.
 pub fn dag_query_probability(db: &ProbDb, plan: &PlanNode, opts: &DagOptions) -> (f64, DagRun) {
-    dag_query_probability_counted(db, plan, opts, &mut OpCounters::default())
-}
-
-/// [`dag_query_probability`] with operator counters.
-pub fn dag_query_probability_counted(
-    db: &ProbDb,
-    plan: &PlanNode,
-    opts: &DagOptions,
-    counters: &mut OpCounters,
-) -> (f64, DagRun) {
-    let (rel, run) = dag_execute_counted(db, db.probs(), plan, opts, counters);
+    let (rel, run) = dag_execute_counted(db, db.probs(), plan, opts, &mut OpCounters::default());
     (rel.scalar(), run)
 }
 
-/// DAG counterpart of [`crate::ranked_probabilities`]: one
-/// `(head binding, marginal probability)` pair per candidate, in the
-/// serial path's exact order.
+/// Execute a ranked plan (see [`crate::build_ranked_plan`]) and return one
+/// `(head binding, marginal probability)` pair per candidate answer, with
+/// the binding ordered as `head` — the whole answer set of a non-Boolean
+/// query in a single set-at-a-time pass — alongside the schedule and
+/// shard report, accumulating operator counters into `counters`.
 ///
 /// # Panics
-/// If `plan` does not carry every variable of `head` as an output column.
-pub fn dag_ranked_probabilities<P: ProbValue + Send + Sync>(
-    db: &ProbDb,
-    probs: &[P],
-    plan: &PlanNode,
-    head: &[Var],
-    opts: &DagOptions,
-) -> (Vec<(Vec<Value>, P)>, DagRun) {
-    let mut counters = OpCounters::default();
-    dag_ranked_probabilities_counted(db, probs, plan, head, opts, &mut counters)
-}
-
-/// [`dag_ranked_probabilities`] accumulating operator counters into
-/// `counters` alongside the scheduler/shard report.
+/// If `plan` does not carry every variable of `head` as an output column
+/// (i.e. it was built for a different head).
 pub fn dag_ranked_probabilities_counted<P: ProbValue + Send + Sync>(
     db: &ProbDb,
     probs: &[P],
@@ -600,7 +552,61 @@ pub fn dag_ranked_probabilities_counted<P: ProbValue + Send + Sync>(
     counters: &mut OpCounters,
 ) -> (Vec<(Vec<Value>, P)>, DagRun) {
     let (rel, run) = dag_execute_counted(db, probs, plan, opts, counters);
-    (crate::exec::project_head(&rel, head), run)
+    let order: Vec<usize> = head
+        .iter()
+        .map(|&h| rel.col_index(h).expect("ranked plan carries head column"))
+        .collect();
+    let pairs = rel
+        .iter()
+        .map(|(row, p)| (order.iter().map(|&i| row[i]).collect(), p.clone()))
+        .collect();
+    (pairs, run)
+}
+
+/// Execute `plan` over `db` serially, with tuple probabilities supplied
+/// in [`pdb::TupleId`] order (so the same plan runs on `f64` and on exact
+/// rationals).
+pub fn execute<P: ProbValue + Send + Sync>(
+    db: &ProbDb,
+    probs: &[P],
+    plan: &PlanNode,
+) -> ProbRelation<P> {
+    dag_execute_counted(
+        db,
+        probs,
+        plan,
+        &DagOptions::default(),
+        &mut OpCounters::default(),
+    )
+    .0
+}
+
+/// `p(q)` of a Boolean plan in `f64` arithmetic, serially.
+pub fn query_probability(db: &ProbDb, plan: &PlanNode) -> f64 {
+    dag_query_probability(db, plan, &DagOptions::default()).0
+}
+
+/// [`query_probability`] with operator counters.
+pub fn query_probability_counted(db: &ProbDb, plan: &PlanNode, counters: &mut OpCounters) -> f64 {
+    dag_execute_counted(db, db.probs(), plan, &DagOptions::default(), counters)
+        .0
+        .scalar()
+}
+
+/// `p(q)` of a Boolean plan in exact rational arithmetic, serially.
+pub fn query_probability_exact(db: &ProbDb, probs: &RatProbs, plan: &PlanNode) -> QRat {
+    execute(db, probs.as_slice(), plan).scalar()
+}
+
+/// [`dag_ranked_probabilities_counted`], serially and without counters.
+pub fn ranked_probabilities<P: ProbValue + Send + Sync>(
+    db: &ProbDb,
+    probs: &[P],
+    plan: &PlanNode,
+    head: &[Var],
+) -> Vec<(Vec<Value>, P)> {
+    let opts = DagOptions::default();
+    dag_ranked_probabilities_counted(db, probs, plan, head, &opts, &mut OpCounters::default()).0
 }
 
 /// Partitioned filter: morsels over the input rows, each emitting a
@@ -618,24 +624,21 @@ fn par_select<P: ProbValue + Send + Sync>(
     ProbRelation::from_parts(cols, data, probs)
 }
 
-/// Parallel independent join with the build side supplied by the caller.
-/// The build side is indexed once on the calling worker; the probe side
-/// streams through in morsels. The output is bit-identical regardless of
-/// `side` — a right build emits probe-major directly; a left build
-/// counting-sorts the probe pairs back into the same left-major order and
-/// materializes in parallel over stride-aligned pair ranges — so the
-/// cost model may pick the side from *estimates* without risking the
-/// agreement invariant.
-fn par_join_sided<P: ProbValue + Send + Sync>(
+/// Independent join, hashing the input with fewer rows. The build side
+/// is indexed once on the calling worker; the probe side streams through
+/// in morsels. The output is bit-identical whichever side is built — a
+/// right build emits probe-major directly; a left build counting-sorts
+/// the probe pairs back into the same left-major order and materializes
+/// in parallel over stride-aligned pair ranges.
+pub(crate) fn par_join<P: ProbValue + Send + Sync>(
     left: &ProbRelation<P>,
     right: &ProbRelation<P>,
-    side: BuildSide,
     pool: &Pool,
     counters: &mut OpCounters,
 ) -> ProbRelation<P> {
     counters.joins += 1;
     let spec = join_spec(left.cols(), right.cols());
-    let (data, probs) = match side {
+    let (data, probs) = match choose_build_side(left.len(), right.len()) {
         BuildSide::Right => {
             let index = JoinIndex::build(right, &spec.other_key);
             let chunks =
@@ -651,11 +654,7 @@ fn par_join_sided<P: ProbValue + Send + Sync>(
             // Chunks concatenate right-ascending (morsel order), exactly
             // the serial probe sequence; the counting sort then restores
             // left-major output order.
-            let mut pairs = Vec::with_capacity(pair_chunks.iter().map(Vec::len).sum());
-            for c in pair_chunks {
-                pairs.extend(c);
-            }
-            let pairs = pairs_by_left(&pairs, left.len());
+            let pairs = pairs_by_left(&stitch(pair_chunks), left.len());
             let chunks =
                 pool.map_morsels(pairs.len(), |r| emit_pairs(&spec, left, right, &pairs[r]));
             stitch_columnar(chunks)
@@ -730,8 +729,12 @@ fn par_project_parts<P: ProbValue + Send + Sync>(
     out
 }
 
-/// Concatenate morsel outputs in morsel order.
-fn stitch<T>(chunks: Vec<Vec<T>>) -> Vec<T> {
+/// Concatenate morsel outputs in morsel order; a lone chunk (every
+/// one-worker dispatch) is the output as it stands.
+fn stitch<T>(mut chunks: Vec<Vec<T>>) -> Vec<T> {
+    if chunks.len() == 1 {
+        return chunks.pop().expect("one chunk");
+    }
     let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
     for c in chunks {
         out.extend(c);
@@ -754,7 +757,6 @@ fn partition_rows(hashes: &[u64], parts: usize) -> Vec<Vec<u32>> {
 mod tests {
     use super::*;
     use crate::build::build_plan;
-    use crate::exec::{execute, execute_counted};
     use cq::{parse_query, Vocabulary};
     use pdb::generators::{random_db_for_query, RandomDbOptions};
     use pdb::RatProbs;
@@ -862,9 +864,9 @@ mod tests {
         let db = random_db_for_query(&q, &voc, opts, &mut rng);
         let probs = db.prob_vector();
         let mut serial = OpCounters::default();
-        let _ = execute_counted(&db, &probs, &plan, &mut serial);
+        let _ = dag_execute_counted(&db, &probs, &plan, &DagOptions::default(), &mut serial);
         assert!(serial.index_scans > 0, "{serial:?}");
-        assert_eq!(serial.shard_fanout, 0, "serial path never shards");
+        assert_eq!(serial.shard_fanout, 1, "one thread runs one shard");
         for threads in [1, 2, 4] {
             let mut dag = OpCounters::default();
             let _ = dag_execute_counted(
@@ -883,7 +885,10 @@ mod tests {
             assert_eq!(serial.joins, dag.joins, "{threads} threads");
             assert_eq!(serial.join_rows, dag.join_rows, "{threads} threads");
             assert_eq!(serial.groups, dag.groups, "{threads} threads");
-            assert_eq!(dag.est_builds, dag.joins, "every stage is estimate-chosen");
+            assert_eq!(
+                serial.joins_build_left, dag.joins_build_left,
+                "{threads} threads: build sides follow the materialized sizes"
+            );
             assert_eq!(dag.shard_fanout, 2);
         }
     }
@@ -901,7 +906,7 @@ mod tests {
         };
         let db = random_db_for_query(&q, &voc, opts, &mut rng);
         let (p, run) = dag_query_probability(&db, &plan, &DagOptions::with_grain(4, 1, 4));
-        assert_eq!(p, crate::exec::query_probability(&db, &plan));
+        assert_eq!(p, query_probability(&db, &plan));
         let stats = run.threads;
         assert_eq!(stats.threads(), 4);
         assert!(stats.total_morsels() > 0, "{stats:?}");
@@ -928,7 +933,8 @@ mod tests {
             let mut db = random_db_for_query(&q, &voc, opts, &mut rng);
             let probs = db.prob_vector();
             let mut serial_c = OpCounters::default();
-            let serial = execute_counted(&db, &probs, &plan, &mut serial_c);
+            let (serial, _) =
+                dag_execute_counted(&db, &probs, &plan, &DagOptions::default(), &mut serial_c);
             assert!(serial_c.global_index_probes > 0, "{text}: serial probes");
             for shards in [2usize, 3, 7] {
                 db.set_shard_layout(shards);
@@ -1009,11 +1015,12 @@ mod tests {
         let db = random_db_for_query(&q, &voc, opts, &mut rng);
         let probs = RatProbs::from_db(&db);
         let serial = execute(&db, probs.as_slice(), &plan);
-        let got = dag_execute(
+        let (got, _) = dag_execute_counted(
             &db,
             probs.as_slice(),
             &plan,
             &DagOptions::with_grain(4, 2, 2),
+            &mut OpCounters::default(),
         );
         assert_eq!(serial, got);
     }
@@ -1033,15 +1040,16 @@ mod tests {
             db.insert(credit, vec![Value(i), Value(200 + i)], 0.4);
         }
         let probs = db.prob_vector();
-        let serial = crate::exec::ranked_probabilities(&db, &probs, &plan, &[d]);
+        let serial = ranked_probabilities(&db, &probs, &plan, &[d]);
         for threads in [1, 2, 4] {
             for shards in [1, 3] {
-                let (got, _) = dag_ranked_probabilities(
+                let (got, _) = dag_ranked_probabilities_counted(
                     &db,
                     &probs,
                     &plan,
                     &[d],
                     &DagOptions::with_grain(threads, shards, 2),
+                    &mut OpCounters::default(),
                 );
                 assert_eq!(serial, got, "{threads} threads {shards} shards");
             }

@@ -1,29 +1,19 @@
-//! Executing safe plans over a probabilistic database.
+//! The operator kernels of the safe-plan executor, and its counters.
 //!
-//! The operator kernels in this module are **columnar and
-//! allocation-free per row**: they read and write the flat-buffer layout
-//! of [`ProbRelation`] (see `relation.rs` for the stride/alignment
-//! invariants), scans push constants down to the `(column, value)`
-//! posting lists [`pdb::ProbDb`] maintains, and joins hash whichever
-//! input is smaller. Every kernel takes an explicit row range so the
-//! serial executor (whole range) and the parallel DAG executor
-//! ([`crate::dag`], one morsel at a time) run literally the same code —
-//! the foundation of the bit-for-bit serial/parallel agreement invariant.
-//!
-//! The pre-columnar row-at-a-time executor survives in [`crate::rowref`]
-//! as the correctness oracle.
+//! The kernels are **columnar and allocation-free per row**: they read
+//! and write the flat-buffer layout of [`ProbRelation`](crate::ProbRelation)
+//! (see `relation.rs` for the stride/alignment invariants), scans push
+//! constants down to the `(column, value)` posting lists
+//! [`pdb::ProbDb`] maintains, and joins hash the smaller input. Every
+//! kernel takes an explicit row range or id slice, so the executor in
+//! [`crate::dag`] runs the same code over a whole input (one worker) or
+//! one morsel at a time (several) — the foundation of the bit-for-bit
+//! thread-count invariance.
 
-use crate::node::PlanNode;
-use crate::relation::{
-    choose_build_side, emit_pairs, filter_rows, join_spec, pairs_by_left, probe_emit, probe_pairs,
-    BuildSide, JoinIndex, ProbRelation,
-};
 use cq::{Atom, CompOp, Pred, Term, Value, Var};
 use lineage::ProbValue;
-use numeric::QRat;
-use pdb::{ProbDb, RatProbs, TupleId};
+use pdb::{ProbDb, TupleId};
 use std::ops::Range;
-use std::time::Instant;
 
 /// Wall-clock nanoseconds spent inside each operator kind, exclusive of
 /// child operators. On the DAG path concurrent tasks accrue in parallel,
@@ -58,8 +48,8 @@ impl OpTimes {
 /// worker pool reports). Deterministic for a fixed plan and database:
 /// counts are taken at operator granularity, never inside morsels.
 /// Equality compares the deterministic count fields only — [`OpTimes`]
-/// varies run to run and is excluded, so the serial/parallel counter
-/// agreement tests stay meaningful.
+/// varies run to run and is excluded, so the counter agreement tests
+/// across thread counts stay meaningful.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OpCounters {
     /// Relation scans executed.
@@ -84,8 +74,8 @@ pub struct OpCounters {
     pub join_rows: u64,
     /// Distinct groups across all independent-project aggregations.
     pub groups: u64,
-    /// Shard fan-out the cost model chose for this execution (0 on the
-    /// monolithic serial/morsel paths, ≥ 1 on the DAG/sharded path).
+    /// Shard fan-out the execution ran with (1 = monolithic; 0 only on a
+    /// default value no execution has touched).
     pub shard_fanout: u64,
     /// Global-index lookups made while resolving scans (the relation list
     /// plus one per probed `(column, value)` posting list). Stays 0 on the
@@ -94,14 +84,6 @@ pub struct OpCounters {
     /// Shard-local index lookups on the resident path (one per shard per
     /// probed list). 0 everywhere else.
     pub shard_index_probes: u64,
-    /// Join stages whose build side was chosen by the posting-list cost
-    /// model (the DAG executor decides sides from estimates *before* the
-    /// inputs materialize, so the build can be scheduled early)…
-    pub est_builds: u64,
-    /// …of which this many disagreed with the materialized-row-count rule
-    /// the serial executor applies (the output is bit-identical either
-    /// way; only the hashed side differs).
-    pub est_build_overrides: u64,
     /// Per-operator wall time (excluded from equality).
     pub times: OpTimes,
 }
@@ -121,17 +103,15 @@ impl PartialEq for OpCounters {
             && self.shard_fanout == other.shard_fanout
             && self.global_index_probes == other.global_index_probes
             && self.shard_index_probes == other.shard_index_probes
-            && self.est_builds == other.est_builds
-            && self.est_build_overrides == other.est_build_overrides
     }
 }
 
 impl Eq for OpCounters {}
 
 impl OpCounters {
-    /// Add `other`'s counts into `self` — all fields are plain sums, so
-    /// absorbing per-task counters in any order reproduces the operator
-    /// totals a single-threaded pass would have accumulated.
+    /// Add `other`'s counts into `self` — all fields but `shard_fanout`
+    /// (a max) are plain sums, so absorbing per-task counters in any
+    /// order gives the same totals.
     pub fn absorb(&mut self, other: &OpCounters) {
         self.scans += other.scans;
         self.index_scans += other.index_scans;
@@ -146,180 +126,8 @@ impl OpCounters {
         self.shard_fanout = self.shard_fanout.max(other.shard_fanout);
         self.global_index_probes += other.global_index_probes;
         self.shard_index_probes += other.shard_index_probes;
-        self.est_builds += other.est_builds;
-        self.est_build_overrides += other.est_build_overrides;
         self.times.absorb(&other.times);
     }
-}
-
-/// Execute `plan` over `db`, with tuple probabilities supplied in
-/// [`pdb::TupleId`] order (so the same plan runs on `f64` and on exact
-/// rationals).
-pub fn execute<P: ProbValue>(db: &ProbDb, probs: &[P], plan: &PlanNode) -> ProbRelation<P> {
-    execute_counted(db, probs, plan, &mut OpCounters::default())
-}
-
-/// [`execute`], accumulating [`OpCounters`] along the way.
-pub fn execute_counted<P: ProbValue>(
-    db: &ProbDb,
-    probs: &[P],
-    plan: &PlanNode,
-    counters: &mut OpCounters,
-) -> ProbRelation<P> {
-    assert_eq!(probs.len(), db.num_tuples(), "probability vector length");
-    exec_node(db, probs, plan, counters)
-}
-
-fn exec_node<P: ProbValue>(
-    db: &ProbDb,
-    probs: &[P],
-    plan: &PlanNode,
-    counters: &mut OpCounters,
-) -> ProbRelation<P> {
-    match plan {
-        PlanNode::Certain => ProbRelation::certain(),
-        PlanNode::Never => ProbRelation::never(),
-        PlanNode::Scan { atom } => {
-            let _span = telemetry::span("scan");
-            let t0 = Instant::now();
-            let scan = ScanSpec::new(db, atom, counters);
-            let (data, probs) = scan_rows(db, probs, &scan.plan, scan.ids);
-            counters.times.scan_ns += t0.elapsed().as_nanos() as u64;
-            ProbRelation::from_parts(scan.cols, data, probs)
-        }
-        PlanNode::ComplementScan { atom } => {
-            let _span = telemetry::span("complement-scan");
-            let t0 = Instant::now();
-            let spec = ComplementSpec::new(db, atom, counters);
-            let (data, probs) = complement_rows(db, probs, &spec, 0..spec.total);
-            counters.times.complement_ns += t0.elapsed().as_nanos() as u64;
-            ProbRelation::from_parts(spec.cols.clone(), data, probs)
-        }
-        PlanNode::Select { pred, input } => {
-            let rel = exec_node(db, probs, input, counters);
-            let _span = telemetry::span("select");
-            let t0 = Instant::now();
-            let cols = rel.cols().to_vec();
-            let (data, probs) = filter_rows(&rel, 0..rel.len(), |row| eval_pred(pred, &cols, row));
-            counters.times.select_ns += t0.elapsed().as_nanos() as u64;
-            ProbRelation::from_parts(cols, data, probs)
-        }
-        PlanNode::IndependentJoin { inputs } => {
-            let mut acc = ProbRelation::certain();
-            for i in inputs {
-                let right = exec_node(db, probs, i, counters);
-                let _span = telemetry::span("join");
-                let t0 = Instant::now();
-                acc = join_counted(&acc, &right, counters);
-                counters.times.join_ns += t0.elapsed().as_nanos() as u64;
-            }
-            acc
-        }
-        PlanNode::IndependentProject { keep, input } => {
-            let rel = exec_node(db, probs, input, counters);
-            let _span = telemetry::span("project");
-            let t0 = Instant::now();
-            let out = rel.independent_project(keep);
-            counters.groups += out.len() as u64;
-            counters.times.project_ns += t0.elapsed().as_nanos() as u64;
-            out
-        }
-    }
-}
-
-/// The serial join with build-side accounting; the relation-level
-/// [`ProbRelation::independent_join`] is this without the counters.
-fn join_counted<P: ProbValue>(
-    left: &ProbRelation<P>,
-    right: &ProbRelation<P>,
-    counters: &mut OpCounters,
-) -> ProbRelation<P> {
-    counters.joins += 1;
-    let spec = join_spec(left.cols(), right.cols());
-    let (data, probs) = match choose_build_side(left.len(), right.len()) {
-        BuildSide::Right => {
-            let index = JoinIndex::build(right, &spec.other_key);
-            probe_emit(&spec, left, right, &index, 0..left.len())
-        }
-        BuildSide::Left => {
-            counters.joins_build_left += 1;
-            let index = JoinIndex::build(left, &spec.left_key);
-            let pairs = probe_pairs(&index, right, &spec.other_key, 0..right.len());
-            let pairs = pairs_by_left(&pairs, left.len());
-            emit_pairs(&spec, left, right, &pairs)
-        }
-    };
-    counters.join_rows += probs.len() as u64;
-    ProbRelation::from_parts(spec.out_cols, data, probs)
-}
-
-/// `p(q)` of a Boolean plan in `f64` arithmetic.
-pub fn query_probability(db: &ProbDb, plan: &PlanNode) -> f64 {
-    execute(db, db.probs(), plan).scalar()
-}
-
-/// [`query_probability`] with operator counters.
-pub fn query_probability_counted(db: &ProbDb, plan: &PlanNode, counters: &mut OpCounters) -> f64 {
-    execute_counted(db, db.probs(), plan, counters).scalar()
-}
-
-/// `p(q)` of a Boolean plan in exact rational arithmetic.
-pub fn query_probability_exact(db: &ProbDb, probs: &RatProbs, plan: &PlanNode) -> QRat {
-    execute(db, probs.as_slice(), plan).scalar()
-}
-
-/// Execute a ranked plan (see [`crate::build_ranked_plan`]) and return one
-/// `(head binding, marginal probability)` pair per candidate answer, with
-/// the binding ordered as `head` — the whole answer set of a non-Boolean
-/// query in a single set-at-a-time pass.
-///
-/// # Panics
-/// If `plan` does not carry every variable of `head` as an output column
-/// (i.e. it was built for a different head).
-pub fn ranked_probabilities<P: ProbValue>(
-    db: &ProbDb,
-    probs: &[P],
-    plan: &PlanNode,
-    head: &[Var],
-) -> Vec<(Vec<Value>, P)> {
-    let rel = execute(db, probs, plan);
-    project_head(&rel, head)
-}
-
-/// [`ranked_probabilities`] accumulating operator counters into `counters`.
-pub fn ranked_probabilities_counted<P: ProbValue>(
-    db: &ProbDb,
-    probs: &[P],
-    plan: &PlanNode,
-    head: &[Var],
-    counters: &mut OpCounters,
-) -> Vec<(Vec<Value>, P)> {
-    let rel = execute_counted(db, probs, plan, counters);
-    project_head(&rel, head)
-}
-
-/// Read the `(head binding, probability)` pairs off a ranked plan's output
-/// relation, with the binding ordered as `head` — shared by the serial and
-/// parallel ranked paths so they cannot drift.
-///
-/// # Panics
-/// If some head variable is not an output column of `rel`.
-pub(crate) fn project_head<P: ProbValue>(
-    rel: &ProbRelation<P>,
-    head: &[Var],
-) -> Vec<(Vec<Value>, P)> {
-    let order: Vec<usize> = head
-        .iter()
-        .map(|&h| rel.col_index(h).expect("ranked plan carries head column"))
-        .collect();
-    rel.iter()
-        .map(|(row, p)| {
-            (
-                order.iter().map(|&i| row[i]).collect::<Vec<Value>>(),
-                p.clone(),
-            )
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -370,11 +178,30 @@ pub(crate) fn scan_plan(atom: &Atom, cols: &[Var]) -> ScanPlan {
     }
 }
 
+impl ScanPlan {
+    /// Match one tuple's arguments against the slots, binding output
+    /// columns into `row`; false when a constant or a repeated variable
+    /// does not match (the row is then partly written and must be
+    /// discarded).
+    #[inline]
+    fn bind(&self, args: &[Value], row: &mut [Value]) -> bool {
+        for (slot, &got) in self.slots.iter().zip(args) {
+            match *slot {
+                Slot::Const(c) if got != c => return false,
+                Slot::Check(ci) if row[ci] != got => return false,
+                Slot::Bind(ci) => row[ci] = got,
+                Slot::Const(_) | Slot::Check(_) => {}
+            }
+        }
+        true
+    }
+}
+
 /// A scan's resolved inputs: output schema, compiled per-position slots,
 /// and the tuple-id list to visit — the smallest constant-pushdown posting
 /// list when the atom has constants, the full relation otherwise. The id
-/// choice is a pure function of the atom and database, so the serial and
-/// parallel executors always visit the same ids in the same order.
+/// choice is a pure function of the atom and database, so every thread
+/// count visits the same ids in the same order.
 pub(crate) struct ScanSpec<'a> {
     pub cols: Vec<Var>,
     pub plan: ScanPlan,
@@ -415,10 +242,10 @@ impl<'a> ScanSpec<'a> {
     }
 }
 
-/// The scan kernel over an explicit tuple-id slice: the serial scan passes
-/// the whole id list, the parallel executor one morsel at a time. Rows
-/// come back in `ids` order as columnar buffers, so stitching morsel
-/// outputs in morsel order reproduces the serial scan exactly. The only
+/// The scan kernel over an explicit tuple-id slice: a one-worker pool
+/// passes the whole id list, a wider one a morsel at a time. Rows come
+/// back in `ids` order as columnar buffers, so stitching morsel outputs
+/// in morsel order reproduces the whole-list scan exactly. The only
 /// allocations are the output buffers and one scratch row.
 pub(crate) fn scan_rows<P: ProbValue>(
     db: &ProbDb,
@@ -429,72 +256,40 @@ pub(crate) fn scan_rows<P: ProbValue>(
     let mut data: Vec<Value> = Vec::new();
     let mut out_probs: Vec<P> = Vec::new();
     let mut rowbuf = vec![Value(0); plan.arity];
-    'tuples: for &tid in ids {
-        let tuple = db.tuple(tid);
-        for (pos, slot) in plan.slots.iter().enumerate() {
-            let got = tuple.args[pos];
-            match *slot {
-                Slot::Const(c) => {
-                    if got != c {
-                        continue 'tuples;
-                    }
-                }
-                Slot::Bind(ci) => rowbuf[ci] = got,
-                Slot::Check(ci) => {
-                    if rowbuf[ci] != got {
-                        continue 'tuples;
-                    }
-                }
-            }
+    for &tid in ids {
+        if plan.bind(&db.tuple(tid).args, &mut rowbuf) {
+            data.extend_from_slice(&rowbuf);
+            out_probs.push(probs[tid.0 as usize].clone());
         }
-        data.extend_from_slice(&rowbuf);
-        out_probs.push(probs[tid.0 as usize].clone());
     }
     (data, out_probs)
 }
 
-/// The scan kernel over an explicit subset of `ids`, given as ascending
-/// positions — the per-shard variant. `at` holds indices into `ids` (one
-/// shard's slice of the id space, ascending); surviving rows come back as
-/// columnar buffers **plus the position each row came from**, so a k-way
-/// merge of shard outputs by position reproduces the unsharded
-/// [`scan_rows`] output bit for bit (filtering can drop rows, so
-/// positions — not counts — are what the merge stitches by).
-pub(crate) fn scan_rows_at<P: ProbValue>(
+/// The keyed scan kernel behind the k-way shard merge: visits
+/// `(tuple id, merge key)` pairs in ascending key order and returns the
+/// surviving rows as columnar buffers **plus each row's key**, so a merge
+/// of shard outputs by key reproduces the unsharded [`scan_rows`] output
+/// bit for bit (filtering can drop rows, so keys — not counts — are what
+/// the merge stitches by). The split-derived plane keys rows by their
+/// position in the global id list, shard-local posting lists by tuple id.
+pub(crate) fn scan_rows_keyed<P: ProbValue>(
     db: &ProbDb,
     probs: &[P],
     plan: &ScanPlan,
-    ids: &[TupleId],
-    at: &[u32],
+    rows: impl Iterator<Item = (TupleId, u32)>,
 ) -> (Vec<Value>, Vec<P>, Vec<u32>) {
     let mut data: Vec<Value> = Vec::new();
     let mut out_probs: Vec<P> = Vec::new();
-    let mut survivors: Vec<u32> = Vec::new();
+    let mut keys: Vec<u32> = Vec::new();
     let mut rowbuf = vec![Value(0); plan.arity];
-    'tuples: for &pos in at {
-        let tid = ids[pos as usize];
-        let tuple = db.tuple(tid);
-        for (p, slot) in plan.slots.iter().enumerate() {
-            let got = tuple.args[p];
-            match *slot {
-                Slot::Const(c) => {
-                    if got != c {
-                        continue 'tuples;
-                    }
-                }
-                Slot::Bind(ci) => rowbuf[ci] = got,
-                Slot::Check(ci) => {
-                    if rowbuf[ci] != got {
-                        continue 'tuples;
-                    }
-                }
-            }
+    for (tid, key) in rows {
+        if plan.bind(&db.tuple(tid).args, &mut rowbuf) {
+            data.extend_from_slice(&rowbuf);
+            out_probs.push(probs[tid.0 as usize].clone());
+            keys.push(key);
         }
-        data.extend_from_slice(&rowbuf);
-        out_probs.push(probs[tid.0 as usize].clone());
-        survivors.push(pos);
     }
-    (data, out_probs, survivors)
+    (data, out_probs, keys)
 }
 
 /// A sharded scan resolved entirely from shard-resident storage: one
@@ -567,46 +362,6 @@ impl<'a> ShardScanSpec<'a> {
     }
 }
 
-/// The id-keyed scan kernel for shard-local posting lists: like
-/// [`scan_rows`], but each surviving row also reports its **tuple id** as
-/// a `u32` merge key. Per-shard lists ascend and partition the global
-/// list, so a k-way merge of shard outputs by id reproduces the
-/// monolithic scan output bit for bit.
-pub(crate) fn scan_rows_keyed<P: ProbValue>(
-    db: &ProbDb,
-    probs: &[P],
-    plan: &ScanPlan,
-    ids: &[TupleId],
-) -> (Vec<Value>, Vec<P>, Vec<u32>) {
-    let mut data: Vec<Value> = Vec::new();
-    let mut out_probs: Vec<P> = Vec::new();
-    let mut keys: Vec<u32> = Vec::new();
-    let mut rowbuf = vec![Value(0); plan.arity];
-    'tuples: for &tid in ids {
-        let tuple = db.tuple(tid);
-        for (pos, slot) in plan.slots.iter().enumerate() {
-            let got = tuple.args[pos];
-            match *slot {
-                Slot::Const(c) => {
-                    if got != c {
-                        continue 'tuples;
-                    }
-                }
-                Slot::Bind(ci) => rowbuf[ci] = got,
-                Slot::Check(ci) => {
-                    if rowbuf[ci] != got {
-                        continue 'tuples;
-                    }
-                }
-            }
-        }
-        data.extend_from_slice(&rowbuf);
-        out_probs.push(probs[tid.0 as usize].clone());
-        keys.push(tid.0);
-    }
-    (data, out_probs, keys)
-}
-
 /// The id-keyed scan kernel over one shard's **resident columnar
 /// buffer**: row values come straight off the shard's contiguous value
 /// buffer (stride = relation arity), never touching global tuple storage
@@ -622,119 +377,14 @@ pub(crate) fn scan_column_keyed<P: ProbValue>(
     let mut out_probs: Vec<P> = Vec::new();
     let mut keys: Vec<u32> = Vec::new();
     let mut rowbuf = vec![Value(0); plan.arity];
-    'rows: for (i, &tid) in col.ids.iter().enumerate() {
-        let args = &col.data[i * stride..(i + 1) * stride];
-        for (pos, slot) in plan.slots.iter().enumerate() {
-            let got = args[pos];
-            match *slot {
-                Slot::Const(c) => {
-                    if got != c {
-                        continue 'rows;
-                    }
-                }
-                Slot::Bind(ci) => rowbuf[ci] = got,
-                Slot::Check(ci) => {
-                    if rowbuf[ci] != got {
-                        continue 'rows;
-                    }
-                }
-            }
+    for (i, &tid) in col.ids.iter().enumerate() {
+        if plan.bind(&col.data[i * stride..(i + 1) * stride], &mut rowbuf) {
+            data.extend_from_slice(&rowbuf);
+            out_probs.push(probs[tid.0 as usize].clone());
+            keys.push(tid.0);
         }
-        data.extend_from_slice(&rowbuf);
-        out_probs.push(probs[tid.0 as usize].clone());
-        keys.push(tid.0);
     }
     (data, out_probs, keys)
-}
-
-/// The fused single-pass variant of resident sharded scanning for an
-/// **inline** (one-worker) pool: k-way merges the shards' ascending id
-/// lists while filtering straight off each shard's resident columnar
-/// buffer, writing survivors directly into the output relation. This
-/// skips the per-shard materialization and the separate merge walk the
-/// parallel path needs — one pass, one copy — and emits exactly the rows
-/// that path emits, in the same ascending-tuple-id order, so the output
-/// bits cannot move. `shard_rows[s]` counts survivors per shard, the same
-/// accounting the parallel path reports.
-pub(crate) fn scan_columns_merged<P: ProbValue>(
-    shards: &[Option<&pdb::ShardColumn>],
-    probs: &[P],
-    plan: &ScanPlan,
-    cols: Vec<Var>,
-    shard_rows: &mut [u64],
-) -> ProbRelation<P> {
-    let stride = plan.slots.len();
-    let total: usize = shards.iter().map(|c| c.map_or(0, |c| c.ids.len())).sum();
-    let mut out = ProbRelation::with_capacity(cols, total);
-    // Full scans are overwhelmingly identity projections (every slot binds
-    // the column it sits on); hoisting that check skips the per-row slot
-    // walk and the staging buffer on the hot path.
-    let identity = plan.arity == stride
-        && plan
-            .slots
-            .iter()
-            .enumerate()
-            .all(|(pos, s)| matches!(*s, Slot::Bind(ci) if ci == pos));
-    // One cursor per shard, with the head key cached so the per-row merge
-    // is a min over `shards` integers — exhausted cursors park at a
-    // sentinel above every real `u32` id.
-    const DONE: u64 = u64::MAX;
-    let k = shards.len();
-    let mut cur = vec![0usize; k];
-    let mut head = vec![DONE; k];
-    for (s, col) in shards.iter().enumerate() {
-        if let Some(col) = col {
-            if let Some(&tid) = col.ids.first() {
-                head[s] = tid.0 as u64;
-            }
-        }
-    }
-    let mut rowbuf = vec![Value(0); plan.arity];
-    loop {
-        let (mut best_key, mut s) = (DONE, 0usize);
-        for (cand, &h) in head.iter().enumerate() {
-            if h < best_key {
-                best_key = h;
-                s = cand;
-            }
-        }
-        if best_key == DONE {
-            return out;
-        }
-        let col = shards[s].expect("the picked cursor sits on a resident column");
-        let i = cur[s];
-        cur[s] = i + 1;
-        head[s] = col.ids.get(i + 1).map_or(DONE, |t| t.0 as u64);
-        let args = &col.data[i * stride..(i + 1) * stride];
-        if identity {
-            out.push(args, probs[best_key as usize].clone());
-            shard_rows[s] += 1;
-            continue;
-        }
-        let mut ok = true;
-        for (pos, slot) in plan.slots.iter().enumerate() {
-            let got = args[pos];
-            match *slot {
-                Slot::Const(c) => {
-                    if got != c {
-                        ok = false;
-                        break;
-                    }
-                }
-                Slot::Bind(ci) => rowbuf[ci] = got,
-                Slot::Check(ci) => {
-                    if rowbuf[ci] != got {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if ok {
-            out.push(&rowbuf, probs[best_key as usize].clone());
-            shard_rows[s] += 1;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -787,7 +437,7 @@ impl ComplementSpec {
 }
 
 /// Evaluation domain of a complement scan: active domain plus the atom's
-/// constants, in a fixed order shared by the serial and parallel paths.
+/// constants, in a fixed order every morsel shares.
 pub(crate) fn complement_domain(db: &ProbDb, atom: &Atom) -> Vec<Value> {
     let mut domain: Vec<Value> = db.active_domain().into_iter().collect();
     for c in atom.constants() {
@@ -814,7 +464,7 @@ pub(crate) fn complement_row_count(k: usize, domain_len: usize) -> usize {
 /// The complement-scan kernel over a range of linearized bindings. Binding
 /// `i` decodes base-`|domain|` with the *first* column most significant —
 /// exactly the order the old odometer emitted — so morsel outputs stitched
-/// in morsel order match the serial scan bit for bit. Scratch binding and
+/// in morsel order match the whole-range scan bit for bit. Scratch binding and
 /// argument rows are reused across the whole range.
 pub(crate) fn complement_rows<P: ProbValue>(
     db: &ProbDb,
@@ -871,10 +521,13 @@ pub(crate) fn eval_pred(pred: &Pred, cols: &[Var], row: &[Value]) -> bool {
 mod tests {
     use super::*;
     use crate::build::build_plan;
+    use crate::dag::{query_probability, query_probability_counted, query_probability_exact};
+    use crate::node::PlanNode;
     use cq::{parse_query, Query, Vocabulary};
     use dichotomy::eval_recurrence;
     use pdb::brute_force_probability;
     use pdb::generators::{random_db_for_query, RandomDbOptions};
+    use pdb::RatProbs;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -929,33 +582,6 @@ mod tests {
     fn plans_match_recurrence_and_brute_force() {
         for (i, q) in SAFE_QUERIES.iter().enumerate() {
             check(q, 100 + i as u64);
-        }
-    }
-
-    /// The columnar executor is bit-for-bit the row-at-a-time reference
-    /// executor on every safe shape in the suite.
-    #[test]
-    fn columnar_matches_row_reference_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(0xC01);
-        for text in SAFE_QUERIES {
-            let mut voc = Vocabulary::new();
-            let q = parse_query(&mut voc, text).unwrap();
-            let plan = build_plan(&q).unwrap();
-            let opts = RandomDbOptions {
-                domain: 3,
-                tuples_per_relation: 8,
-                prob_range: (0.1, 0.9),
-            };
-            let db = random_db_for_query(&q, &voc, opts, &mut rng);
-            let probs = db.prob_vector();
-            let col = execute(&db, &probs, &plan);
-            let row = crate::rowref::row_execute(&db, &probs, &plan);
-            assert_eq!(col.cols(), row.cols.as_slice(), "{text}");
-            assert_eq!(col.len(), row.rows.len(), "{text}");
-            for (i, (vals, p)) in row.rows.iter().enumerate() {
-                assert_eq!(col.row(i), vals.as_slice(), "{text} row {i}");
-                assert_eq!(col.prob(i), p, "{text} prob {i} (must be bit-identical)");
-            }
         }
     }
 
@@ -1062,9 +688,30 @@ mod tests {
         assert!((query_probability(&db, &plan) - 0.25).abs() < 1e-12);
     }
 
+    /// `Select` filters over a full scan of `atom`'s relation with every
+    /// constant position freed: the plan constant pushdown must agree with
+    /// bit for bit.
+    fn filtered_full_scan(voc: &mut Vocabulary, atom: &str, eqs: &[(usize, u64)]) -> PlanNode {
+        let q = parse_query(voc, atom).unwrap();
+        let vars = q.atoms[0].vars();
+        let mut plan = PlanNode::Scan {
+            atom: q.atoms[0].clone(),
+        };
+        for &(col, c) in eqs {
+            plan = PlanNode::Select {
+                pred: Pred::eq(vars[col], Value(c)),
+                input: Box::new(plan),
+            };
+        }
+        PlanNode::IndependentProject {
+            keep: Vec::new(),
+            input: Box::new(plan),
+        }
+    }
+
     /// A constant atom must be served from the pushdown posting list —
     /// visiting only the matching ids — and still agree with the filtered
-    /// full scan the row reference performs.
+    /// full scan.
     #[test]
     fn constant_pushdown_prunes_and_agrees() {
         let mut voc = Vocabulary::new();
@@ -1085,8 +732,9 @@ mod tests {
         assert_eq!(counters.index_scans, 1, "{counters:?}");
         assert_eq!(counters.rows_scanned, 6, "{counters:?}");
         assert_eq!(counters.rows_pruned, 44, "{counters:?}");
-        let row_p = crate::rowref::row_query_probability(&db, &plan);
-        assert_eq!(p, row_p, "pushdown must not change the result bits");
+        let full = filtered_full_scan(&mut db.voc.clone(), "S(x, y)", &[(1, 7)]);
+        let full_p = query_probability(&db, &full);
+        assert_eq!(p, full_p, "pushdown must not change the result bits");
     }
 
     /// Multiple constants: the scan picks the smallest posting list but
@@ -1109,7 +757,8 @@ mod tests {
         let p = query_probability_counted(&db, &plan, &mut counters);
         assert_eq!(counters.rows_scanned, 2, "smallest list: {counters:?}");
         assert!((p - 0.25).abs() < 1e-12);
-        assert_eq!(p, crate::rowref::row_query_probability(&db, &plan));
+        let full = filtered_full_scan(&mut db.voc.clone(), "U(x, y, z)", &[(0, 1), (2, 5)]);
+        assert_eq!(p, query_probability(&db, &full));
     }
 
     #[test]
@@ -1134,7 +783,11 @@ mod tests {
         assert!(counters.joins >= 1, "{counters:?}");
         assert!(counters.joins_build_left >= 1, "{counters:?}");
         assert!(counters.groups >= 1, "{counters:?}");
-        assert_eq!(p, crate::rowref::row_query_probability(&db, &plan));
+        // Every x has ten S rows at 0.2 and one R row at 0.5, so the
+        // closed form, folded in the plan's row order, is exact.
+        let s_x = 1.0 - (0..10).fold(1.0, |none: f64, _| none * (1.0 - 0.2));
+        let want = 1.0 - (0..3).fold(1.0, |none: f64, _| none * (1.0 - 0.5 * s_x));
+        assert_eq!(p, want);
     }
 
     #[test]

@@ -21,18 +21,21 @@
 //! see [`relation`] for the invariants), operator kernels touch no per-row
 //! heap allocations, grouping runs on packed `u64`/`u128` keys, joins hash
 //! the smaller input, and scans push constants down to per-relation
-//! `(column, value)` posting lists in [`pdb::ProbDb`]. Two executors run
-//! those kernels: the serial [`exec`] module ([`execute`]) and the
-//! parallel [`dag`] module ([`dag_execute`]), where plans decompose into
-//! an operator-task DAG whose independent subtrees overlap on a
-//! morsel-driven scoped-thread worker pool, over a hash-**sharded** data
-//! plane — bit-for-bit identical to the serial executor for every thread
-//! count, shard count, and schedule. When the database carries a matching
-//! **shard-resident layout** ([`pdb::ProbDb::set_shard_layout`]),
-//! sharded scans read per-shard columnar buffers and posting lists and
-//! resolve with zero global-index probes (counter-verified via
-//! [`OpCounters`]). The pre-columnar row executor survives in [`rowref`]
-//! as the correctness oracle the agreement tests compare against.
+//! `(column, value)` posting lists in [`pdb::ProbDb`]. One executor runs
+//! those kernels ([`exec`] holds them, [`dag`] runs them): plans
+//! decompose into an operator-task DAG whose independent subtrees overlap
+//! on a morsel-driven scoped-thread worker pool, over a hash-**sharded**
+//! data plane — bit-for-bit identical results for every thread count,
+//! shard count, and schedule. One thread and one shard
+//! ([`DagOptions::default`]) is the serial configuration, and the
+//! serial entry points ([`execute`], [`query_probability`],
+//! [`ranked_probabilities`]) are that configuration. When the database
+//! carries a matching **shard-resident layout**
+//! ([`pdb::ProbDb::set_shard_layout`]), sharded scans read per-shard
+//! columnar buffers and posting lists and resolve with zero global-index
+//! probes (counter-verified via [`OpCounters`]). The pre-columnar row
+//! executor is kept out of the library, as the test oracle in
+//! `tests/common/rowref.rs`.
 //!
 //! ```
 //! use cq::{parse_query, Vocabulary, Value};
@@ -56,25 +59,20 @@ pub mod exec;
 pub mod node;
 pub mod optimize;
 pub mod relation;
-pub mod rowref;
 
 pub use build::{build_plan, build_ranked_plan, PlanError};
 pub use dag::{
-    dag_execute, dag_execute_counted, dag_execute_counted_with_picker, dag_query_probability,
-    dag_query_probability_counted, dag_ranked_probabilities, dag_ranked_probabilities_counted,
-    DagOptions, DagRun, ShardStats,
+    dag_execute_counted, dag_execute_counted_with_picker, dag_query_probability,
+    dag_ranked_probabilities_counted, execute, query_probability, query_probability_counted,
+    query_probability_exact, ranked_probabilities, DagOptions, DagRun, ShardStats,
 };
-pub use exec::{
-    execute, execute_counted, query_probability, query_probability_counted,
-    query_probability_exact, ranked_probabilities, ranked_probabilities_counted, OpCounters,
-    OpTimes,
-};
+pub use exec::{OpCounters, OpTimes};
 pub use node::PlanNode;
 pub use optimize::{
     columns, estimate_rows, optimize, optimize_with_stats, plan_shard_fanout, scan_estimate,
     SHARD_MIN_ROWS,
 };
-// Re-exported so downstream crates and tests can read the DAG executor's
+// Re-exported so downstream crates and tests can read the executor's
 // reports without a direct `exec-parallel` dependency.
 pub use exec_parallel::{DagStats, ExecStats, Pool, ThreadStats};
 pub use relation::{FnvHasher, ProbRelation};

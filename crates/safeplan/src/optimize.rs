@@ -305,7 +305,7 @@ fn order_joins(plan: &PlanNode, db: &ProbDb) -> PlanNode {
 mod tests {
     use super::*;
     use crate::build::build_plan;
-    use crate::exec::query_probability;
+    use crate::dag::query_probability;
     use cq::{parse_query, Pred, Query, Vocabulary};
     use pdb::generators::{random_db_for_query, RandomDbOptions};
     use rand::rngs::StdRng;

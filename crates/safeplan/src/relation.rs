@@ -24,8 +24,8 @@
 //!   partition the **row index space**; the element range of a morsel is
 //!   `rows.start*arity .. rows.end*arity`, so chunk concatenation in
 //!   morsel order reproduces a serial left-to-right pass bit for bit.
-//! * **Order is meaning** — row order is the serial executor's output
-//!   order. Joins emit probe-major/build-insertion-order rows *regardless
+//! * **Order is meaning** — row order is the executor's output order at
+//!   every thread count. Joins emit probe-major/build-insertion-order rows *regardless
 //!   of which side was hashed* (see `choose_build_side`), and grouping
 //!   emits groups in first-seen row order folding each group's rows in row
 //!   order, so `f64` results are bit-identical across executors and thread
@@ -35,8 +35,8 @@
 //! allocations**: values are copied slice-to-slice into the flat buffer,
 //! and grouping keys are packed into `u64`/`u128` machine words for arity
 //! ≤ 2 (`Grouper`) with a hashed fallback (with explicit collision
-//! chains) above that. The pre-columnar row executor is preserved in
-//! [`crate::rowref`] as the correctness oracle.
+//! chains) above that. The pre-columnar row executor is kept as a test
+//! oracle (`tests/common/rowref.rs`).
 
 use cq::{Value, Var};
 use lineage::ProbValue;
@@ -195,28 +195,6 @@ impl<P: ProbValue> ProbRelation<P> {
         }
     }
 
-    /// Natural join, multiplying probabilities. Correct when the two
-    /// relations' row events are independent (disjoint relation symbols —
-    /// guaranteed for self-join-free plans). Hashes the **smaller** input
-    /// (build-side selection); the output is identical either way: rows in
-    /// probe-major order over `self`, per key in `other`'s insertion order.
-    pub fn independent_join(&self, other: &ProbRelation<P>) -> ProbRelation<P> {
-        let spec = join_spec(&self.cols, &other.cols);
-        let (data, probs) = match choose_build_side(self.len(), other.len()) {
-            BuildSide::Right => {
-                let index = JoinIndex::build(other, &spec.other_key);
-                probe_emit(&spec, self, other, &index, 0..self.len())
-            }
-            BuildSide::Left => {
-                let index = JoinIndex::build(self, &spec.left_key);
-                let pairs = probe_pairs(&index, other, &spec.other_key, 0..other.len());
-                let pairs = pairs_by_left(&pairs, self.len());
-                emit_pairs(&spec, self, other, &pairs)
-            }
-        };
-        ProbRelation::from_parts(spec.out_cols, data, probs)
-    }
-
     /// Independent project: keep columns `keep`, combining collapsing rows
     /// with `1 − Π (1 − p)`. Correct when rows mapping to the same group are
     /// independent events (distinct values of the projected-away root
@@ -270,7 +248,11 @@ pub(crate) fn filter_rows<P: ProbValue>(
 /// Concatenate columnar morsel outputs in morsel order. Because every chunk
 /// holds whole rows (the alignment invariant), plain concatenation of the
 /// value buffers and probability columns reproduces the serial output.
-pub(crate) fn stitch_columnar<P>(chunks: Vec<(Vec<Value>, Vec<P>)>) -> (Vec<Value>, Vec<P>) {
+pub(crate) fn stitch_columnar<P>(mut chunks: Vec<(Vec<Value>, Vec<P>)>) -> (Vec<Value>, Vec<P>) {
+    // A lone chunk (every one-worker dispatch) already is the output.
+    if chunks.len() == 1 {
+        return chunks.pop().expect("one chunk");
+    }
     let mut data = Vec::with_capacity(chunks.iter().map(|(d, _)| d.len()).sum());
     let mut probs = Vec::with_capacity(chunks.iter().map(|(_, p)| p.len()).sum());
     for (d, p) in chunks {
@@ -367,7 +349,7 @@ pub(crate) fn hash_values(vals: &[Value]) -> u64 {
 ///   trusting the match.
 ///
 /// Slot ids are assigned 0, 1, 2, … in first-seen order, so iterating
-/// slots reproduces the first-seen group order the serial executor emits.
+/// slots reproduces the first-seen group order of a whole-input fold.
 pub(crate) struct Grouper {
     arity: usize,
     /// Flat interned keys, stride `arity`: slot `s` owns
@@ -547,9 +529,8 @@ pub(crate) fn group_fold_rows<P: ProbValue>(
 // Join machinery
 // ---------------------------------------------------------------------------
 
-/// Column bookkeeping of a natural join, shared between the serial
-/// [`ProbRelation::independent_join`] and the parallel probe so both
-/// produce identical schemas and row layouts.
+/// Column bookkeeping of a natural join, shared by every probe morsel and
+/// both build sides so they produce identical schemas and row layouts.
 pub(crate) struct JoinSpec {
     /// Key positions of the join columns in the left side.
     pub left_key: Vec<usize>,
@@ -586,8 +567,8 @@ pub(crate) fn join_spec(left: &[Var], right: &[Var]) -> JoinSpec {
 
 /// Which input a join hashes. The **smaller** side becomes the build side;
 /// ties keep the right (the legacy choice). The decision is a pure function
-/// of the two row counts, so the serial and parallel executors always pick
-/// the same side — and the emitted rows are identical either way.
+/// of the two materialized row counts, and the emitted rows are identical
+/// either way.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum BuildSide {
     Left,
@@ -638,8 +619,8 @@ impl JoinIndex {
 /// Probe-and-emit kernel for a **right-side** build: stream `left` rows in
 /// `range` against the index, emitting output rows straight into columnar
 /// buffers (left values, then right extras; probability product). This is
-/// the serial join's exact output for that probe range, so parallel chunks
-/// stitched in morsel order agree bit for bit.
+/// the join's exact output for that probe range, so chunks stitched in
+/// morsel order agree bit for bit with a whole-range probe.
 pub(crate) fn probe_emit<P: ProbValue>(
     spec: &JoinSpec,
     left: &ProbRelation<P>,
@@ -719,8 +700,8 @@ pub(crate) fn pairs_by_left(pairs: &[(u32, u32)], left_len: usize) -> Vec<(u32, 
 
 /// Emission kernel over join id pairs: materialize each `(left, right)`
 /// pair into the columnar output (left values, right extras, probability
-/// product). Shared by the serial build-left join and its morsel-parallel
-/// emission.
+/// product). A one-worker pool runs it once over all pairs of a
+/// build-left join, a wider one per morsel.
 pub(crate) fn emit_pairs<P: ProbValue>(
     spec: &JoinSpec,
     left: &ProbRelation<P>,
@@ -744,6 +725,12 @@ pub(crate) fn emit_pairs<P: ProbValue>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The executor's join at one thread.
+    fn join(l: &ProbRelation<f64>, r: &ProbRelation<f64>) -> ProbRelation<f64> {
+        let pool = exec_parallel::Pool::new(1);
+        crate::dag::par_join(l, r, &pool, &mut crate::OpCounters::default())
+    }
 
     fn rel(cols: &[u32], rows: &[(&[u64], f64)]) -> ProbRelation<f64> {
         let mut out = ProbRelation::new(cols.iter().map(|&c| Var(c)).collect());
@@ -789,7 +776,7 @@ mod tests {
     fn join_on_common_column() {
         let r = rel(&[0], &[(&[1], 0.5), (&[2], 0.25)]);
         let s = rel(&[0, 1], &[(&[1, 7], 0.5), (&[1, 8], 0.5), (&[3, 9], 0.5)]);
-        let j = r.independent_join(&s);
+        let j = join(&r, &s);
         assert_eq!(j.cols(), &[Var(0), Var(1)]);
         assert_eq!(j.len(), 2); // only x = 1 matches
         for (_, p) in j.iter() {
@@ -801,7 +788,7 @@ mod tests {
     fn join_disjoint_schemas_is_cartesian() {
         let r = rel(&[0], &[(&[1], 0.5)]);
         let s = rel(&[1], &[(&[7], 0.5), (&[8], 0.25)]);
-        let j = r.independent_join(&s);
+        let j = join(&r, &s);
         assert_eq!(j.len(), 2);
         assert_eq!(j.cols().len(), 2);
     }
@@ -809,7 +796,7 @@ mod tests {
     #[test]
     fn join_with_certain_is_identity() {
         let r = rel(&[0], &[(&[1], 0.5), (&[2], 0.25)]);
-        let j = ProbRelation::certain().independent_join(&r);
+        let j = join(&ProbRelation::certain(), &r);
         assert_eq!(j.len(), 2);
         let probs: Vec<f64> = j.probs().to_vec();
         assert_eq!(probs, vec![0.5, 0.25]);
@@ -832,7 +819,7 @@ mod tests {
                 (&[2, 5], 0.125),
             ],
         );
-        let j = l.independent_join(&r);
+        let j = join(&l, &r);
         // Expected: probe-major over l, per key right rows ascending.
         let spec = join_spec(l.cols(), r.cols());
         let index = JoinIndex::build(&r, &spec.other_key);

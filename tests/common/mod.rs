@@ -2,15 +2,17 @@
 //! `sharded_agreement`, `parallel_agreement`, `incremental_agreement`,
 //! `safeplan_cross_engine`, `config_matrix`): the thread counts they
 //! sweep, the random hierarchical query, database and delta generators,
-//! and the row-oracle comparison.
+//! and the row oracle ([`rowref`]) with its comparison.
 
 // Each suite links this module separately and uses a subset of it.
 #![allow(dead_code)]
 
+pub mod rowref;
+
 use probdb::prelude::{DeltaBatch, ProbDb, Query, Value, Var, Vocabulary};
 use rand::rngs::StdRng;
 use rand::Rng;
-use safeplan::rowref::RowRelation;
+use rowref::RowRelation;
 use safeplan::ProbRelation;
 
 pub const THREADS: [usize; 4] = [1, 2, 4, 8];

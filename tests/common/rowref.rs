@@ -1,24 +1,23 @@
 //! The row-at-a-time reference executor: the data plane as it stood before
-//! the columnar flat-buffer rewrite (PR 3).
+//! the columnar flat-buffer rewrite.
 //!
 //! Rows travel as `Vec<(Vec<Value>, P)>` — one heap allocation per row —
 //! joins always hash the right-hand input, and grouping goes through a
 //! `BTreeMap<Vec<Value>, P>` with per-row key clones. It is kept, verbatim
-//! in behavior, as the **correctness oracle**: the columnar executors
-//! (serial [`crate::exec`] and the parallel [`crate::dag`], at every
-//! thread and shard count) must return *bit-for-bit* what this executor
-//! returns — same rows, same order, same `f64` values. The
-//! `columnar_agreement` and `sharded_agreement` integration tests pin
-//! that property on random hierarchical self-join-free queries and ranked
-//! answer sets.
+//! in behavior, as the **correctness oracle**: the library's executor
+//! (`safeplan::dag`, at every thread and shard count) must return
+//! *bit-for-bit* what this executor returns — same rows, same order, same
+//! `f64` values. The `columnar_agreement` and `sharded_agreement` suites
+//! pin that property on random hierarchical self-join-free queries and
+//! ranked answer sets.
 //!
-//! Nothing in the production path calls into this module.
+//! It lives with the tests, not in the library: nothing in the production
+//! path calls into it, and it shares no code with the kernels it checks.
 
-use crate::exec::{complement_domain, complement_row_count, eval_pred};
-use crate::node::PlanNode;
-use cq::{Atom, Term, Value, Var};
+use cq::{Atom, CompOp, Pred, Term, Value, Var};
 use lineage::ProbValue;
 use pdb::{ProbDb, TupleId};
+use safeplan::PlanNode;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -59,7 +58,7 @@ impl<P: ProbValue> RowRelation<P> {
     }
 
     /// Natural join, multiplying probabilities; always hashes the
-    /// right-hand side regardless of size (the PR-2 behavior).
+    /// right-hand side regardless of size.
     pub fn independent_join(&self, other: &RowRelation<P>) -> RowRelation<P> {
         let spec = row_join_spec(&self.cols, &other.cols);
         let index = build_join_index(&other.rows, &spec.other_key);
@@ -165,7 +164,7 @@ fn probe_join_rows<P: ProbValue>(
     out
 }
 
-/// Execute `plan` row-at-a-time. Same contract as [`crate::execute`]; no
+/// Execute `plan` row-at-a-time. Same contract as `safeplan::execute`; no
 /// pushdown indexes, no columnar buffers.
 pub fn row_execute<P: ProbValue>(db: &ProbDb, probs: &[P], plan: &PlanNode) -> RowRelation<P> {
     assert_eq!(probs.len(), db.num_tuples(), "probability vector length");
@@ -239,7 +238,7 @@ pub fn row_ranked_probabilities<P: ProbValue>(
         .collect()
 }
 
-/// The PR-2 scan kernel: filter the whole relation by the atom's constants
+/// The scan kernel: filter the whole relation by the atom's constants
 /// and repeated variables, emitting rows in tuple-id order.
 fn scan_rows<P: ProbValue>(
     db: &ProbDb,
@@ -278,7 +277,7 @@ fn scan_rows<P: ProbValue>(
     out
 }
 
-/// The PR-2 complement kernel over a range of linearized bindings.
+/// The complement kernel over a range of linearized bindings.
 fn complement_rows<P: ProbValue>(
     db: &ProbDb,
     probs: &[P],
@@ -311,4 +310,46 @@ fn complement_rows<P: ProbValue>(
         out.push((binding, p));
     }
     out
+}
+
+/// Evaluation domain of a complement scan: active domain plus the atom's
+/// constants, in the order the library's complement kernel uses.
+fn complement_domain(db: &ProbDb, atom: &Atom) -> Vec<Value> {
+    let mut domain: Vec<Value> = db.active_domain().into_iter().collect();
+    for c in atom.constants() {
+        if !domain.contains(&c) {
+            domain.push(c);
+        }
+    }
+    domain
+}
+
+/// Rows a complement scan over `k` variables produces: `|domain|^k`, with
+/// the `k == 0` ground atom contributing its single row.
+fn complement_row_count(k: usize, domain_len: usize) -> usize {
+    if k == 0 {
+        1
+    } else {
+        domain_len
+            .checked_pow(k as u32)
+            .expect("complement scan domain too large")
+    }
+}
+
+fn eval_pred(pred: &Pred, cols: &[Var], row: &[Value]) -> bool {
+    let resolve = |t: &Term| -> Value {
+        match t {
+            Term::Const(c) => *c,
+            Term::Var(v) => {
+                let i = cols.iter().position(|c| c == v).expect("select var bound");
+                row[i]
+            }
+        }
+    };
+    let (l, r) = (resolve(&pred.lhs), resolve(&pred.rhs));
+    match pred.op {
+        CompOp::Lt => l < r,
+        CompOp::Eq => l == r,
+        CompOp::Ne => l != r,
+    }
 }

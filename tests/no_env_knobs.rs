@@ -34,7 +34,9 @@ fn engine_variables_change_nothing() {
     db.insert(r, vec![Value(1)], 0.5);
     db.insert(s, vec![Value(1), Value(2)], 0.5);
     let ev = engine.evaluate(&db, &q, Strategy::Auto).unwrap();
-    assert!(ev.parallel.is_none() && ev.scheduler.is_none(), "{ev:?}");
+    let threads = ev.parallel.as_ref().map(|p| p.threads());
+    let shards = ev.sharding.as_ref().map(|s| s.shards);
+    assert_eq!((threads, shards), (Some(1), Some(1)), "{ev:?}");
     assert!(!telemetry::enabled());
     assert!(telemetry::take_spans().is_empty());
 

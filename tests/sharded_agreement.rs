@@ -1,21 +1,23 @@
-//! Sharded/DAG agreement: the parallel DAG executor must return
-//! **bit-for-bit** what the serial executor returns — same rows, same
-//! order, same `f64` values — at every (threads × shards) tuning,
-//! including non-power-of-two fan-outs, on both the split-derived and the
-//! shard-resident scan plane, on random hierarchical self-join-free
-//! queries over random databases, through ranked (top-k) retrieval, and
-//! through engine-level evaluation and incremental view refresh.
+//! Sharded/DAG agreement: the executor must return at every
+//! (threads × shards) tuning **bit-for-bit** what it returns at one
+//! thread and one shard (its serial configuration) — same rows, same
+//! order, same `f64` values — including non-power-of-two fan-outs, on
+//! both the split-derived and the shard-resident scan plane, on random
+//! hierarchical self-join-free queries over random databases, through
+//! ranked (top-k) retrieval, and through engine-level evaluation and
+//! incremental view refresh.
 //!
-//! The DAG cases use a morsel grain of 2, so even 20-tuple inputs split
-//! into many morsels and the multi-chunk filter, the left-build pair
-//! re-sort and the hash-partitioned project fold all run. With the
-//! resident layout on, sharded scans must also resolve without a single
-//! global-index probe. The serial executor is itself held to the row
-//! oracle in `columnar_agreement.rs`; the fixed-shape test here runs the
-//! whole chain.
+//! The multi-thread cases use a morsel grain of 2, so even 20-tuple
+//! inputs split into many morsels and the multi-chunk filter, the
+//! left-build pair re-sort and the hash-partitioned project fold all run.
+//! With the resident layout on, sharded scans must also resolve without a
+//! single global-index probe. The serial configuration is itself held to
+//! the row oracle in `columnar_agreement.rs`; the fixed-shape test here
+//! runs the whole chain.
 
 mod common;
 
+use common::rowref::row_execute;
 use common::{assert_same, random_db, random_hierarchical_query, THREADS};
 use probdb::prelude::{
     build_plan, parse_query, Engine, ExecOptions, PlanNode, ProbDb, Strategy, Value, Vocabulary,
@@ -23,10 +25,9 @@ use probdb::prelude::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use safeplan::rowref::row_execute;
 use safeplan::{
-    dag_execute, dag_execute_counted, dag_ranked_probabilities, execute, execute_counted,
-    ranked_probabilities, DagOptions, OpCounters, ProbRelation,
+    dag_execute_counted, dag_ranked_probabilities_counted, execute, ranked_probabilities,
+    DagOptions, OpCounters, ProbRelation,
 };
 
 const SHARDS: [usize; 5] = [1, 2, 3, 4, 7];
@@ -34,7 +35,7 @@ const SHARDS: [usize; 5] = [1, 2, 3, 4, 7];
 /// 20-tuple database splits into several morsels.
 const GRAIN: usize = 2;
 
-/// Run `plan` through the DAG executor at every (threads × shards) tuning
+/// Run `plan` through the executor at every (threads × shards) tuning
 /// with the split-derived plane, then again with the matching resident
 /// layout, asserting each result equals `serial`. Resident runs must probe
 /// only the per-shard posting lists. Leaves `db` monolithic.
@@ -82,9 +83,9 @@ fn assert_dag_matches_serial(
     db.set_shard_layout(1);
 }
 
-/// DAG executor against the serial one on random hierarchical SJF queries
-/// and databases, for the compiler's plan and the optimizer's rewrite of
-/// it (join order and build sides differ), at every tuning and scan plane.
+/// Every tuning against the serial configuration on random hierarchical
+/// SJF queries and databases, for the compiler's plan and the optimizer's
+/// rewrite of it (join order and build sides differ), at every scan plane.
 #[test]
 fn dag_matches_serial_on_random_hierarchical_queries() {
     let mut rng = StdRng::seed_from_u64(0x5AA2D);
@@ -98,7 +99,13 @@ fn dag_matches_serial_on_random_hierarchical_queries() {
             for (k, plan) in plans.iter().enumerate() {
                 let ctx = format!("case {case} round {round} plan {k}: {}", q.display(&voc));
                 let mut serial_counters = OpCounters::default();
-                let serial = execute_counted(&db, db.probs(), plan, &mut serial_counters);
+                let (serial, _) = dag_execute_counted(
+                    &db,
+                    db.probs(),
+                    plan,
+                    &DagOptions::default(),
+                    &mut serial_counters,
+                );
                 assert_dag_matches_serial(&mut db, plan, &serial, &serial_counters, &ctx);
             }
         }
@@ -133,14 +140,20 @@ fn executors_match_row_oracle_on_every_operator_kind() {
             let ctx = format!("{shape} plan {k}");
             let oracle = row_execute(&db, db.probs(), plan);
             let mut serial_counters = OpCounters::default();
-            let serial = execute_counted(&db, db.probs(), plan, &mut serial_counters);
+            let (serial, _) = dag_execute_counted(
+                &db,
+                db.probs(),
+                plan,
+                &DagOptions::default(),
+                &mut serial_counters,
+            );
             assert_same(&serial, &oracle, &format!("{ctx} serial"));
             assert_dag_matches_serial(&mut db, plan, &serial, &serial_counters, &ctx);
         }
     }
 }
 
-/// Ranked retrieval: the DAG ranked path returns the serial executor's
+/// Ranked retrieval: the ranked path returns the serial configuration's
 /// exact answer list — tuples, probabilities, and order — at every
 /// tuning, so any top-k cut is identical.
 #[test]
@@ -158,12 +171,13 @@ fn dag_ranked_top_k_matches_serial() {
         let serial = ranked_probabilities(&db, db.probs(), &plan, &head);
         for threads in THREADS {
             for shards in SHARDS {
-                let (ranked, _run) = dag_ranked_probabilities(
+                let (ranked, _run) = dag_ranked_probabilities_counted(
                     &db,
                     db.probs(),
                     &plan,
                     &head,
                     &DagOptions::with_grain(threads, shards, GRAIN),
+                    &mut OpCounters::default(),
                 );
                 assert_eq!(
                     ranked.len(),
@@ -249,7 +263,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Property: for random R/1, S/2 databases (duplicate inserts allowed),
-    /// the DAG executor is bit-identical to the serial executor on q_hier
+    /// the executor is bit-identical to its serial configuration on q_hier
     /// at every (threads × shards) tuning.
     #[test]
     fn dag_is_bit_identical_on_random_dbs(
@@ -272,7 +286,9 @@ proptest! {
         for threads in THREADS {
             for shards in SHARDS {
                 let opts = DagOptions::with_grain(threads, shards, GRAIN);
-                let p = dag_execute(&db, db.probs(), &plan, &opts).scalar();
+                let mut counters = OpCounters::default();
+                let (rel, _) = dag_execute_counted(&db, db.probs(), &plan, &opts, &mut counters);
+                let p = rel.scalar();
                 prop_assert_eq!(p.to_bits(), serial.to_bits(), "t={} s={}", threads, shards);
             }
         }
