@@ -624,30 +624,14 @@ impl ViewHandle {
         let _span = telemetry::span("view-read");
         let start = Instant::now();
         let mut inner = self.inner.lock().expect("view poisoned");
-        // Under the epoch-snapshot discipline a handle can be read against
-        // *older* epochs than the one it last synced to (worker A reads
-        // epoch v+1 and refreshes the view; worker B is still holding
-        // epoch v). Delta refresh only moves forward, so serving B from
-        // the v+1 state would be a wrong-epoch read: rebuild the view at
-        // B's snapshot instead (or degrade to re-execution if the build
-        // declines). Every read answers from the exact epoch it was
-        // handed.
-        let mut rebuilt = false;
-        if let ViewInner::Incremental(view) = &*inner {
-            if db.version() < view.synced_version() {
-                rebuilt = true;
-                *inner = match &self.planned.plan {
-                    PhysicalPlan::Extensional { plan } => match IncrementalView::new(db, plan) {
-                        Ok(view) => ViewInner::Incremental(Box::new(view)),
-                        Err(_) => ViewInner::Reexec { cached: None },
-                    },
-                    _ => ViewInner::Reexec { cached: None },
-                };
-            }
-        }
         match &mut *inner {
             ViewInner::Incremental(view) => {
-                let refreshed = rebuilt || view.synced_version() != db.version();
+                // A read against an older epoch than the view last synced
+                // to (worker B still holds epoch v while worker A already
+                // refreshed to v+1) rematerializes the view at B's
+                // snapshot inside `refresh_run`: every read answers from
+                // the exact epoch it was handed.
+                let refreshed = view.synced_version() != db.version();
                 let run = view.refresh_run(
                     db,
                     RefreshOptions::with_tuning(self.exec.threads, self.exec.shards),

@@ -116,7 +116,7 @@ pub fn explain_evaluation(ev: &Evaluation) -> String {
         if inc.full_rebuilds > 0 {
             let _ = writeln!(
                 out,
-                "incremental: full rebuild ({} rows re-materialized; view fell behind the delta log)",
+                "incremental: full rebuild ({} rows re-materialized; the delta log could not carry the view to this version)",
                 inc.rows_retouched
             );
         } else {

@@ -277,6 +277,41 @@ impl KeyedRel {
         out
     }
 
+    /// Concatenate carriers of one shape in order; the first part is
+    /// adopted, not copied (so a single part costs nothing).
+    pub fn concat(arity: usize, kstride: usize, parts: Vec<KeyedRel>) -> KeyedRel {
+        let mut parts = parts.into_iter();
+        let mut out = parts
+            .next()
+            .unwrap_or_else(|| KeyedRel::carrier(arity, kstride));
+        for p in parts {
+            out.keys.extend_from_slice(&p.keys);
+            out.data.extend_from_slice(&p.data);
+            out.probs.extend_from_slice(&p.probs);
+        }
+        out
+    }
+
+    /// Order a carrier whose rows arrived unordered ascending by key (keys
+    /// must be distinct): one index sort, one gather. A carrier already in
+    /// order is returned as is.
+    pub fn into_sorted(self) -> KeyedRel {
+        if (1..self.len()).all(|i| self.key(i - 1) < self.key(i)) {
+            return self;
+        }
+        let mut order: Vec<u32> = (0..self.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| self.key(a as usize).cmp(self.key(b as usize)));
+        let mut out = KeyedRel::carrier(self.arity, self.kstride);
+        out.keys.reserve(self.keys.len());
+        out.data.reserve(self.data.len());
+        out.probs.reserve(self.len());
+        for &i in &order {
+            let i = i as usize;
+            out.push(self.key(i), self.row(i), self.probs[i]);
+        }
+        out
+    }
+
     /// Merge `added` (sorted by key, disjoint from existing keys) into the
     /// relation, preserving the key order. Appends when all added keys
     /// exceed the current maximum; otherwise rebuilds with the kept rows
@@ -327,25 +362,6 @@ impl KeyedRel {
         self.data = data;
         self.probs = probs;
     }
-}
-
-/// Sort delta rows (key, values, prob triples) ascending by key and return
-/// them as a fresh carrier. Duplicate keys are forbidden.
-pub(crate) fn sorted_carrier(
-    arity: usize,
-    kstride: usize,
-    rows: Vec<(Vec<u64>, Vec<Value>, f64)>,
-) -> KeyedRel {
-    let mut rows = rows;
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
-    debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "duplicate keys");
-    let mut out = KeyedRel::carrier(arity, kstride);
-    for (k, v, p) in &rows {
-        out.keys.extend_from_slice(k);
-        out.data.extend_from_slice(v);
-        out.probs.push(*p);
-    }
-    out
 }
 
 #[cfg(test)]

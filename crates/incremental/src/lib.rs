@@ -54,6 +54,17 @@
 //! the same buffers a single cold execution materializes transiently, held
 //! resident across refreshes.
 //!
+//! There is one way to fill that state: **materialization is a refresh
+//! from the empty state**. [`IncrementalView::new`] builds the operator
+//! structure alone (compiled scan slots, join-stage schemas, empty
+//! indexes and group tables) and runs one seeding refresh whose net
+//! changes are every live tuple of each scanned relation as `Δ⁺`, read
+//! from `ProbDb::tuples_of` in ascending id order. Into an empty state,
+//! the rules above reduce to the cold executor's scan, join and project.
+//! A refresh that cannot replay the log — a view behind the log's
+//! retention window, an out-of-band mutation, or a database that is an
+//! *older* snapshot than the view — rematerializes the same way.
+//!
 //! Plans containing complement scans (negated sub-goals) are not
 //! maintainable — any insert can reshape the active domain wholesale — and
 //! [`IncrementalView::new`] declines them ([`Unsupported`]); the engine
@@ -149,6 +160,31 @@ mod tests {
         let c = view.refresh(&db, RefreshOptions::serial());
         assert_eq!(c.full_rebuilds, 1);
         assert_eq!(c.incremental_refreshes, 0);
+        assert_matches_cold(&view, &db, &plan);
+    }
+
+    #[test]
+    fn refresh_against_an_older_snapshot_rematerializes() {
+        // A view synced to v2 and read with the v1 database must answer
+        // v1, not keep v2's state under v1's stamp — and going forward to
+        // v2 again must not replay the v1→v2 batch twice.
+        let (mut db, plan) = star_db();
+        let r = db.voc.find_relation("R").unwrap();
+        let mut batch = DeltaBatch::new();
+        batch.update(r, vec![Value(0)], 0.99);
+        db.apply(&batch);
+        let older = db.clone();
+        batch = DeltaBatch::new();
+        batch.update(r, vec![Value(1)], 0.97);
+        db.apply(&batch);
+        let mut view = IncrementalView::new(&db, &plan).unwrap();
+        let c = view.refresh(&older, RefreshOptions::serial());
+        assert_eq!(view.synced_version(), older.version());
+        assert_matches_cold(&view, &older, &plan);
+        assert_eq!((c.full_rebuilds, c.incremental_refreshes), (1, 0));
+        assert!(c.rows_retouched > 0);
+        let c = view.refresh(&db, RefreshOptions::serial());
+        assert_eq!((c.full_rebuilds, c.incremental_refreshes), (0, 1));
         assert_matches_cold(&view, &db, &plan);
     }
 

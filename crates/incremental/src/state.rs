@@ -18,11 +18,20 @@
 //!   bit-for-bit a cold execution's;
 //! * **select** — just its output; deltas filter through the predicate.
 //!
+//! [`Node::new`] builds only this structure — compiled slots, join-stage
+//! schemas, empty indexes and group tables — with every output empty.
+//! Data enters through one door, [`Node::refresh`]: materializing a view
+//! is a refresh from the empty state whose net changes are every live
+//! tuple as Δ⁺ ([`NetDelta::Seed`]), so filling and maintaining a view
+//! are the same delta rules. Every output is empty during that refresh,
+//! so each operator adopts its added rows as its output instead of
+//! copying them ([`OpDelta::commit_added`]).
+//!
 //! Deltas between operators are value-carrying row sets
 //! ([`OpDelta`]: removed, probability-updated, added), always sorted by
 //! stable key and pairwise key-disjoint within one refresh.
 
-use crate::keyed::{sorted_carrier, KeyedRel};
+use crate::keyed::KeyedRel;
 use crate::view::RefreshCounters;
 use cq::{Atom, CompOp, Pred, RelId, Term, Value, Var};
 use exec_parallel::Pool;
@@ -77,13 +86,45 @@ pub(crate) enum NetChange {
     Removed,
 }
 
+/// One relation's net changes, each list ascending by id.
+#[derive(Default)]
+pub(crate) struct RelChanges {
+    added: Vec<TupleId>,
+    /// Removed or updated ids.
+    touched: Vec<(TupleId, NetChange)>,
+}
+
+/// The net tuple changes one refresh propagates, per relation.
+pub(crate) enum NetDelta {
+    /// Materialization from the empty state: every live tuple of every
+    /// scanned relation is added, straight from `db.tuples_of` (ascending
+    /// ids) — nothing is read from the delta log.
+    Seed,
+    /// The coalesced pending log entries.
+    Log(FnvMap<RelId, RelChanges>),
+}
+
+impl NetDelta {
+    fn added<'a>(&'a self, db: &'a ProbDb, rel: RelId) -> &'a [TupleId] {
+        match self {
+            NetDelta::Seed => db.tuples_of(rel),
+            NetDelta::Log(by_rel) => by_rel.get(&rel).map_or(&[], |c| &c.added),
+        }
+    }
+
+    fn touched(&self, rel: RelId) -> &[(TupleId, NetChange)] {
+        match self {
+            NetDelta::Seed => &[],
+            NetDelta::Log(by_rel) => by_rel.get(&rel).map_or(&[], |c| &c.touched),
+        }
+    }
+}
+
 /// Pending log entries flattened and coalesced per tuple id (an insert
 /// later deleted nets out; an update before a delete is just the delete),
-/// sorted ascending by id. Current args/probs are read from the database —
-/// only the *membership* transitions need the history.
-pub(crate) fn coalesce<'a>(
-    batches: impl Iterator<Item = &'a pdb::AppliedDelta>,
-) -> Vec<(TupleId, RelId, NetChange)> {
+/// grouped by relation and ascending by id. Current args/probs are read
+/// from the database — only the *membership* transitions need the history.
+pub(crate) fn coalesce<'a>(batches: impl Iterator<Item = &'a pdb::AppliedDelta>) -> NetDelta {
     let mut net: FnvMap<u32, (RelId, Option<NetChange>)> = FnvMap::default();
     for batch in batches {
         for TupleChange { id, rel, kind } in &batch.changes {
@@ -108,7 +149,29 @@ pub(crate) fn coalesce<'a>(
         .filter_map(|(id, (rel, ch))| ch.map(|c| (TupleId(id), rel, c)))
         .collect();
     out.sort_by_key(|&(id, _, _)| id);
-    out
+    let mut by_rel: FnvMap<RelId, RelChanges> = FnvMap::default();
+    for (id, rel, change) in out {
+        let c = by_rel.entry(rel).or_default();
+        if change == NetChange::Added {
+            c.added.push(id);
+        } else {
+            c.touched.push((id, change));
+        }
+    }
+    NetDelta::Log(by_rel)
+}
+
+/// One refresh in flight: what every operator reads, and what it tallies.
+pub(crate) struct Pass<'a> {
+    pub db: &'a ProbDb,
+    pub net: &'a NetDelta,
+    /// Join probes and group refolds fan out over it.
+    pub pool: &'a Pool,
+    /// Scan-delta matching partitions tuple ids over it.
+    pub shards: ShardMap,
+    pub counters: RefreshCounters,
+    /// Scan-delta rows matched per shard.
+    pub shard_rows: Vec<u64>,
 }
 
 // ---------------------------------------------------------------------------
@@ -136,7 +199,10 @@ pub(crate) enum DeltaDetail {
 pub(crate) struct OpDelta {
     pub removed: KeyedRel,
     pub updated: KeyedRel,
+    /// Read through [`OpDelta::added`]: [`OpDelta::commit_added`] may have
+    /// moved these rows into the operator's output.
     pub added: KeyedRel,
+    added_is_out: bool,
     /// True when the operator changed anything at all (set even when the
     /// `updated` rows were elided under [`DeltaDetail::DirtyOnly`]).
     pub touched: bool,
@@ -148,7 +214,33 @@ impl OpDelta {
             removed: KeyedRel::carrier(arity, kstride),
             updated: KeyedRel::carrier(arity, kstride),
             added: KeyedRel::carrier(arity, kstride),
+            added_is_out: false,
             touched: false,
+        }
+    }
+
+    /// Merge the added rows into `out`, the operator's output (after its
+    /// removals). An empty output — every output during a seeding
+    /// refresh — adopts them instead: no copy, and no second resident
+    /// copy while the parent consumes the delta.
+    fn commit_added(&mut self, out: &mut KeyedRel) {
+        if !out.is_empty() {
+            out.merge_added(&self.added);
+            return;
+        }
+        out.keys = std::mem::take(&mut self.added.keys);
+        out.data = std::mem::take(&mut self.added.data);
+        out.probs = std::mem::take(&mut self.added.probs);
+        self.added_is_out = true;
+    }
+
+    /// The added rows, given `out`, the refreshed output of the operator
+    /// that produced this delta.
+    fn added<'a>(&'a self, out: &'a KeyedRel) -> &'a KeyedRel {
+        if self.added_is_out {
+            out
+        } else {
+            &self.added
         }
     }
 
@@ -156,6 +248,7 @@ impl OpDelta {
         !self.touched && self.removed.is_empty() && self.updated.is_empty() && self.added.is_empty()
     }
 
+    /// Rows in the delta (counted before [`OpDelta::commit_added`]).
     fn rows(&self) -> u64 {
         (self.removed.len() + self.updated.len() + self.added.len()) as u64
     }
@@ -175,13 +268,14 @@ pub(crate) enum Node {
 }
 
 impl Node {
-    /// Build the materialized state of `plan` against `db`. The resulting
-    /// output buffers are bit-for-bit the cold executor's.
-    pub fn build(db: &ProbDb, plan: &PlanNode) -> Result<Node, Unsupported> {
-        Node::build_node(db, plan, true)
+    /// The operator structure of `plan` with every output empty (the
+    /// constants `Certain`/`Never` excepted: they are static). A refresh
+    /// with [`NetDelta::Seed`] fills it.
+    pub fn new(plan: &PlanNode) -> Result<Node, Unsupported> {
+        Node::new_node(plan, true)
     }
 
-    fn build_node(db: &ProbDb, plan: &PlanNode, is_root: bool) -> Result<Node, Unsupported> {
+    fn new_node(plan: &PlanNode, is_root: bool) -> Result<Node, Unsupported> {
         Ok(match plan {
             PlanNode::Certain => {
                 let mut out = KeyedRel::new(Vec::new(), 0);
@@ -190,26 +284,25 @@ impl Node {
             }
             PlanNode::Never => Node::Const(KeyedRel::new(Vec::new(), 0)),
             PlanNode::ComplementScan { .. } => return Err(Unsupported::ComplementScan),
-            PlanNode::Scan { atom } => Node::Scan(ScanState::build(db, atom, !is_root)),
+            PlanNode::Scan { atom } => Node::Scan(ScanState::new(atom, !is_root)),
             PlanNode::Select { pred, input } => {
-                let child = Node::build_node(db, input, false)?;
-                Node::Select(SelectState::build(*pred, child))
+                Node::Select(SelectState::new(*pred, Node::new_node(input, false)?))
             }
             PlanNode::IndependentJoin { inputs } => match inputs.len() {
-                0 => Node::build_node(db, &PlanNode::Certain, is_root)?,
-                1 => Node::build_node(db, &inputs[0], is_root)?,
+                0 => Node::new_node(&PlanNode::Certain, is_root)?,
+                1 => Node::new_node(&inputs[0], is_root)?,
                 _ => {
                     let children = inputs
                         .iter()
-                        .map(|i| Node::build_node(db, i, false))
+                        .map(|i| Node::new_node(i, false))
                         .collect::<Result<Vec<_>, _>>()?;
-                    Node::Join(JoinState::build(children))
+                    Node::Join(JoinState::new(children))
                 }
             },
-            PlanNode::IndependentProject { keep, input } => {
-                let child = Node::build_node(db, input, false)?;
-                Node::Project(ProjectState::build(keep.clone(), child))
-            }
+            PlanNode::IndependentProject { keep, input } => Node::Project(ProjectState::new(
+                keep.clone(),
+                Node::new_node(input, false)?,
+            )),
         })
     }
 
@@ -238,25 +331,16 @@ impl Node {
         }
     }
 
-    /// Propagate the net tuple changes through the subtree, updating every
-    /// materialized output, and return the changes to this node's output.
-    #[allow(clippy::too_many_arguments)]
-    pub fn refresh(
-        &mut self,
-        db: &ProbDb,
-        net: &[(TupleId, RelId, NetChange)],
-        pool: &Pool,
-        shards: usize,
-        detail: DeltaDetail,
-        counters: &mut RefreshCounters,
-        shard_rows: &mut Vec<u64>,
-    ) -> OpDelta {
+    /// Propagate the pass's net tuple changes through the subtree, updating
+    /// every materialized output, and return the changes to this node's
+    /// output.
+    pub fn refresh(&mut self, pass: &mut Pass, detail: DeltaDetail) -> OpDelta {
         match self {
             Node::Const(out) => OpDelta::empty(out.arity, out.kstride),
-            Node::Scan(s) => s.refresh(db, net, pool, shards, counters, shard_rows),
-            Node::Select(s) => s.refresh(db, net, pool, shards, detail, counters, shard_rows),
-            Node::Join(s) => s.refresh(db, net, pool, shards, detail, counters, shard_rows),
-            Node::Project(s) => s.refresh(db, net, pool, shards, detail, counters, shard_rows),
+            Node::Scan(s) => s.refresh(pass),
+            Node::Select(s) => s.refresh(pass, detail),
+            Node::Join(s) => s.refresh(pass, detail),
+            Node::Project(s) => s.refresh(pass, detail),
         }
     }
 }
@@ -334,222 +418,84 @@ pub(crate) struct ScanState {
 }
 
 impl ScanState {
-    fn build(db: &ProbDb, atom: &Atom, defer_removals: bool) -> ScanState {
+    fn new(atom: &Atom, defer_removals: bool) -> ScanState {
         assert!(!atom.negated, "plans scan positive atoms only");
         let cols = atom.vars();
-        let slots = compile_slots(atom, &cols);
-        let mut out = KeyedRel::new(cols, 1);
-        let mut rowbuf = vec![Value(0); out.arity];
-        for &id in db.tuples_of(atom.rel) {
-            let t = db.tuple(id);
-            if match_tuple(&slots, &t.args, &mut rowbuf) {
-                out.push(&[u64::from(id.0)], &rowbuf, db.prob(id));
-            }
-        }
         ScanState {
             rel: atom.rel,
-            slots,
-            out,
+            slots: compile_slots(atom, &cols),
+            out: KeyedRel::new(cols, 1),
             tombstones: Vec::new(),
             defer_removals,
         }
     }
 
-    /// Match this relation's net-added ids against the compiled slots,
-    /// hash-partitioned over `shards` shards on the pool — the same
-    /// shard/merge stage as the DAG executor's sharded scans. Each shard
-    /// returns ascending positions into `ids` plus the survivor rows;
-    /// merging by position restores `net` order bit for bit.
-    #[allow(clippy::type_complexity)]
-    fn match_added_sharded(
-        &self,
-        db: &ProbDb,
-        ids: &[TupleId],
-        pool: &Pool,
-        shards: usize,
-    ) -> Vec<(Vec<u32>, Vec<Value>, Vec<f64>)> {
-        let map = ShardMap::new(shards);
-        let parts = map.split_positions(ids);
-        pool.map_partitions(parts.len(), |s| {
-            let mut pos: Vec<u32> = Vec::new();
-            let mut rows: Vec<Value> = Vec::new();
-            let mut probs: Vec<f64> = Vec::new();
-            let mut rowbuf = vec![Value(0); self.out.arity];
-            for &p in &parts[s] {
-                let id = ids[p as usize];
-                if match_tuple(&self.slots, &db.tuple(id).args, &mut rowbuf) {
-                    pos.push(p);
-                    rows.extend_from_slice(&rowbuf);
-                    probs.push(db.prob(id));
-                }
-            }
-            (pos, rows, probs)
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn refresh(
-        &mut self,
-        db: &ProbDb,
-        net: &[(TupleId, RelId, NetChange)],
-        pool: &Pool,
-        shards: usize,
-        counters: &mut RefreshCounters,
-        shard_rows: &mut Vec<u64>,
-    ) -> OpDelta {
-        if shard_rows.len() < shards.max(1) {
-            shard_rows.resize(shards.max(1), 0);
-        }
+    /// Apply this relation's net changes. Tuple ids are hash-partitioned
+    /// over the pass's shards on the pool — the same shard/merge stage as
+    /// the DAG executor's sharded scans; one shard is the whole relation.
+    /// Per shard, over the still-immutable buffer: added ids are matched
+    /// against the compiled slots, and removed/updated ids are located
+    /// (the O(log n) part; ids ascend within a shard, so each lookup
+    /// windows past the previous hit). The merge restores ascending-id
+    /// order, then the buffer edits replay serially in that order, so the
+    /// delta and the buffer are the same at every shard count.
+    fn refresh(&mut self, pass: &mut Pass) -> OpDelta {
         let _span = telemetry::span("scan-delta");
-        let mut delta = OpDelta::empty(self.out.arity, 1);
-        let mut rem_keys: Vec<u64> = Vec::new();
-        if shards > 1 {
-            // Sharded candidate matching: collect this relation's added ids
-            // (ascending — `net` ascends), match per shard, merge ascending.
-            // Added rows only ever land in `delta.added`, so hoisting them
-            // out of the serial walk leaves the delta byte-identical.
-            let ids: Vec<TupleId> = net
-                .iter()
-                .filter(|&&(_, rel, change)| rel == self.rel && change == NetChange::Added)
-                .map(|&(id, _, _)| id)
-                .collect();
-            let outs = self.match_added_sharded(db, &ids, pool, shards);
-            for (s, out) in outs.iter().enumerate() {
-                shard_rows[s] += out.2.len() as u64;
-            }
-            let arity = self.out.arity;
-            let mut cursors = vec![0usize; outs.len()];
-            loop {
-                let mut best: Option<(u32, usize)> = None;
-                for (s, out) in outs.iter().enumerate() {
-                    if cursors[s] < out.0.len() {
-                        let p = out.0[cursors[s]];
-                        if best.is_none_or(|(b, _)| p < b) {
-                            best = Some((p, s));
-                        }
-                    }
-                }
-                let Some((p, s)) = best else { break };
-                let i = cursors[s];
-                cursors[s] += 1;
-                let key = [u64::from(ids[p as usize].0)];
-                delta
-                    .added
-                    .push(&key, &outs[s].1[i * arity..(i + 1) * arity], outs[s].2[i]);
-            }
-            // Sharded Removed/Updated matching, same discipline: the
-            // buffer lookups (the O(log n) part) run per shard over the
-            // *immutable* buffer — positions cannot move until the apply
-            // pass below and the `merge_added` at the end — then the
-            // mutations replay serially in merged ascending-id order, so
-            // the delta lists and buffer stay byte-identical to the
-            // serial walk's.
-            let touched: Vec<(TupleId, NetChange)> = net
-                .iter()
-                .filter(|&&(_, rel, change)| rel == self.rel && change != NetChange::Added)
-                .map(|&(id, _, change)| (id, change))
-                .collect();
-            let tids: Vec<TupleId> = touched.iter().map(|&(id, _)| id).collect();
-            let map = ShardMap::new(shards);
-            let parts = map.split_positions(&tids);
-            let out_ref = &self.out;
-            let hit_lists: Vec<Vec<(u32, usize)>> = pool.map_partitions(parts.len(), |s| {
-                let mut hits = Vec::new();
-                // Positions ascend within a shard, so each shard keeps
-                // its own monotonic window into the buffer.
-                let mut cursor = 0usize;
-                for &p in &parts[s] {
-                    let key = [u64::from(tids[p as usize].0)];
-                    let lb = out_ref.lower_bound_from(cursor, &key);
-                    cursor = lb;
-                    if lb < out_ref.len() && out_ref.key(lb) == key {
-                        hits.push((p, lb));
-                        cursor = lb + 1;
-                    }
-                }
-                hits
-            });
-            for (s, hits) in hit_lists.iter().enumerate() {
-                shard_rows[s] += hits.len() as u64;
-            }
-            let mut cursors = vec![0usize; hit_lists.len()];
-            loop {
-                let mut best: Option<(u32, usize)> = None;
-                for (s, hits) in hit_lists.iter().enumerate() {
-                    if let Some(&(p, _)) = hits.get(cursors[s]) {
-                        if best.is_none_or(|(b, _)| p < b) {
-                            best = Some((p, s));
-                        }
-                    }
-                }
-                let Some((p, s)) = best else { break };
-                let lb = hit_lists[s][cursors[s]].1;
-                cursors[s] += 1;
-                let (id, change) = touched[p as usize];
-                let key = [u64::from(id.0)];
-                if change == NetChange::Removed {
-                    if self.defer_removals {
-                        // Tombstone: the parent learns through the delta;
-                        // the buffer stays fold-equivalent.
-                        delta
-                            .removed
-                            .push(&key, self.out.row(lb), self.out.probs[lb]);
-                        self.out.probs[lb] = 0.0;
-                        self.tombstones.push(key[0]);
-                    } else {
-                        rem_keys.extend_from_slice(&key);
-                    }
-                } else {
-                    let prob = db.prob(id);
-                    self.out.probs[lb] = prob;
-                    delta.updated.push(&key, self.out.row(lb), prob);
-                }
-            }
-        } else {
+        let (db, map) = (pass.db, pass.shards);
+        let added = pass.net.added(db, self.rel);
+        let touched = pass.net.touched(self.rel);
+        let parts = pass.pool.map_partitions(map.shards(), |s| {
+            let mut rows = KeyedRel::carrier(self.out.arity, 1);
             let mut rowbuf = vec![Value(0); self.out.arity];
-            // `net` ascends by id, so each delta list comes out key-sorted
-            // — and every lookup can window past the previous hit.
+            for &id in added.iter().filter(|&&id| map.shard_of(id) == s) {
+                if match_tuple(&self.slots, &db.tuple(id).args, &mut rowbuf) {
+                    rows.push(&[u64::from(id.0)], &rowbuf, db.prob(id));
+                }
+            }
+            let mut hits: Vec<(u32, usize)> = Vec::new();
             let mut cursor = 0usize;
-            for &(id, rel, change) in net {
-                if rel != self.rel {
-                    continue;
-                }
+            let mine = touched.iter().enumerate();
+            for (t, &(id, _)) in mine.filter(|(_, &(id, _))| map.shard_of(id) == s) {
                 let key = [u64::from(id.0)];
-                match change {
-                    NetChange::Added => {
-                        let t = db.tuple(id);
-                        if match_tuple(&self.slots, &t.args, &mut rowbuf) {
-                            delta.added.push(&key, &rowbuf, db.prob(id));
-                            shard_rows[0] += 1;
-                        }
-                    }
-                    NetChange::Removed | NetChange::Updated => {
-                        let lb = self.out.lower_bound_from(cursor, &key);
-                        cursor = lb;
-                        if lb < self.out.len() && self.out.key(lb) == key {
-                            shard_rows[0] += 1;
-                            if change == NetChange::Removed {
-                                if self.defer_removals {
-                                    // Tombstone: the parent learns through
-                                    // the delta; the buffer stays
-                                    // fold-equivalent.
-                                    delta
-                                        .removed
-                                        .push(&key, self.out.row(lb), self.out.probs[lb]);
-                                    self.out.probs[lb] = 0.0;
-                                    self.tombstones.push(key[0]);
-                                } else {
-                                    rem_keys.extend_from_slice(&key);
-                                }
-                            } else {
-                                let p = db.prob(id);
-                                self.out.probs[lb] = p;
-                                delta.updated.push(&key, self.out.row(lb), p);
-                            }
-                            cursor = lb + 1;
-                        }
-                    }
+                let lb = self.out.lower_bound_from(cursor, &key);
+                cursor = lb;
+                if lb < self.out.len() && self.out.key(lb) == key {
+                    hits.push((t as u32, lb));
+                    cursor = lb + 1;
                 }
+            }
+            (rows, hits)
+        });
+        let mut added_parts = Vec::with_capacity(parts.len());
+        let mut hits: Vec<(u32, usize)> = Vec::new();
+        for (s, (rows, h)) in parts.into_iter().enumerate() {
+            pass.shard_rows[s] += (rows.len() + h.len()) as u64;
+            added_parts.push(rows);
+            hits.extend(h);
+        }
+        let mut delta = OpDelta::empty(self.out.arity, 1);
+        delta.added = KeyedRel::concat(self.out.arity, 1, added_parts).into_sorted();
+        hits.sort_unstable();
+        let mut rem_keys: Vec<u64> = Vec::new();
+        for (t, lb) in hits {
+            let (id, change) = touched[t as usize];
+            let key = [u64::from(id.0)];
+            if change == NetChange::Removed {
+                if self.defer_removals {
+                    // Tombstone: the parent learns through the delta; the
+                    // buffer stays fold-equivalent.
+                    delta
+                        .removed
+                        .push(&key, self.out.row(lb), self.out.probs[lb]);
+                    self.out.probs[lb] = 0.0;
+                    self.tombstones.push(key[0]);
+                } else {
+                    rem_keys.extend_from_slice(&key);
+                }
+            } else {
+                let prob = db.prob(id);
+                self.out.probs[lb] = prob;
+                delta.updated.push(&key, self.out.row(lb), prob);
             }
         }
         if self.defer_removals {
@@ -564,10 +510,10 @@ impl ScanState {
         } else {
             delta.removed = self.out.remove_sorted_keys(&rem_keys);
         }
-        self.out.merge_added(&delta.added);
         delta.touched =
             !delta.removed.is_empty() || !delta.updated.is_empty() || !delta.added.is_empty();
-        counters.rows_retouched += delta.rows();
+        pass.counters.rows_retouched += delta.rows();
+        delta.commit_added(&mut self.out);
         delta
     }
 }
@@ -598,47 +544,21 @@ pub(crate) struct SelectState {
 }
 
 impl SelectState {
-    fn build(pred: Pred, child: Node) -> SelectState {
+    fn new(pred: Pred, child: Node) -> SelectState {
         let cin = child.out();
-        let lhs = compile_pred_src(&pred.lhs, &cin.cols);
-        let rhs = compile_pred_src(&pred.rhs, &cin.cols);
-        let mut out = KeyedRel::new(cin.cols.clone(), cin.kstride);
-        for i in 0..cin.len() {
-            if eval_compiled(pred.op, lhs, rhs, cin.row(i)) {
-                out.push(cin.key(i), cin.row(i), cin.prob(i));
-            }
-        }
         SelectState {
             op: pred.op,
-            lhs,
-            rhs,
+            lhs: compile_pred_src(&pred.lhs, &cin.cols),
+            rhs: compile_pred_src(&pred.rhs, &cin.cols),
+            out: KeyedRel::new(cin.cols.clone(), cin.kstride),
             child: Box::new(child),
-            out,
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn refresh(
-        &mut self,
-        db: &ProbDb,
-        net: &[(TupleId, RelId, NetChange)],
-        pool: &Pool,
-        shards: usize,
-        detail: DeltaDetail,
-        counters: &mut RefreshCounters,
-        shard_rows: &mut Vec<u64>,
-    ) -> OpDelta {
+    fn refresh(&mut self, pass: &mut Pass, detail: DeltaDetail) -> OpDelta {
         // A select must see full child updates to mirror probability
         // changes into its own buffer, whatever the parent asked for.
-        let d = self.child.refresh(
-            db,
-            net,
-            pool,
-            shards,
-            DeltaDetail::Full,
-            counters,
-            shard_rows,
-        );
+        let d = self.child.refresh(pass, DeltaDetail::Full);
         let _span = telemetry::span("select-delta");
         let mut delta = OpDelta::empty(self.out.arity, self.out.kstride);
         if d.is_empty() {
@@ -662,15 +582,14 @@ impl SelectState {
             }
         }
         delta.removed = self.out.remove_sorted_keys(&rem_keys);
-        for i in 0..d.added.len() {
-            if eval_compiled(self.op, self.lhs, self.rhs, d.added.row(i)) {
-                delta
-                    .added
-                    .push(d.added.key(i), d.added.row(i), d.added.prob(i));
+        let added = d.added(self.child.out());
+        for i in 0..added.len() {
+            if eval_compiled(self.op, self.lhs, self.rhs, added.row(i)) {
+                delta.added.push(added.key(i), added.row(i), added.prob(i));
             }
         }
-        self.out.merge_added(&delta.added);
-        counters.rows_retouched += delta.rows();
+        pass.counters.rows_retouched += delta.rows();
+        delta.commit_added(&mut self.out);
         delta
     }
 }
@@ -770,7 +689,7 @@ struct Stage {
 }
 
 impl Stage {
-    fn build(left: &KeyedRel, right: &KeyedRel) -> Stage {
+    fn new(left: &KeyedRel, right: &KeyedRel) -> Stage {
         let common: Vec<Var> = left
             .cols
             .iter()
@@ -790,7 +709,7 @@ impl Stage {
             .collect();
         let mut out_cols = left.cols.clone();
         out_cols.extend(right_extra.iter().map(|&i| right.cols[i]));
-        let mut stage = Stage {
+        Stage {
             left_key,
             right_key,
             right_extra,
@@ -799,53 +718,25 @@ impl Stage {
             left_index: ValIndex::new(left.kstride),
             right_index: ValIndex::new(right.kstride),
             out: KeyedRel::new(out_cols, left.kstride + right.kstride),
-        };
-        for j in 0..right.len() {
-            if stage.rk > 0 {
-                stage
-                    .right_index
-                    .insert(&extract(right.row(j), &stage.right_key), right.key(j));
-            }
         }
-        for i in 0..left.len() {
-            if stage.lk > 0 {
-                stage
-                    .left_index
-                    .insert(&extract(left.row(i), &stage.left_key), left.key(i));
-            }
-        }
-        // Probe-major emission over the sorted left side: output keys
-        // ascend by construction. Field-level destructuring keeps the
-        // index borrow apart from the output writes.
-        let Stage {
-            left_key,
-            right_extra,
-            rk,
-            right_index,
-            out,
-            ..
-        } = &mut stage;
-        let mut keybuf = vec![0u64; out.kstride];
-        let mut valbuf = vec![Value(0); out.arity];
-        let mut emit = |out: &mut KeyedRel, i: usize, j: usize| {
-            pair_key_into(&mut keybuf, left.key(i), right.key(j));
-            pair_vals_into(&mut valbuf, left.row(i), right.row(j), right_extra);
-            out.push(&keybuf, &valbuf, left.prob(i) * right.prob(j));
-        };
-        for i in 0..left.len() {
-            if *rk == 0 {
-                if !right.is_empty() {
-                    emit(out, i, 0);
-                }
-                continue;
-            }
-            let lvals = extract(left.row(i), left_key);
-            for chunk in right_index.get(&lvals).chunks(*rk) {
-                let j = right.find(chunk).expect("indexed right row");
-                emit(out, i, j);
-            }
-        }
-        stage
+    }
+
+    /// Append the pair of left row `(lkey, lrow)` and right row
+    /// `(rkey, rrow)` to a flat pair carrier: key = left key ++ right key,
+    /// values = left row ++ right extras. Pairs arrive unordered;
+    /// [`KeyedRel::into_sorted`] orders the carrier.
+    fn push_pair(
+        &self,
+        pairs: &mut KeyedRel,
+        (lkey, lrow): (&[u64], &[Value]),
+        (rkey, rrow): (&[u64], &[Value]),
+        prob: f64,
+    ) {
+        pairs.keys.extend_from_slice(lkey);
+        pairs.keys.extend_from_slice(rkey);
+        pairs.data.extend_from_slice(lrow);
+        pairs.data.extend(self.right_extra.iter().map(|&e| rrow[e]));
+        pairs.probs.push(prob);
     }
 
     /// Propagate one refresh through this stage. `left`/`right` are the
@@ -883,22 +774,21 @@ impl Stage {
         // 2. Remove output pairs: every pair under a removed left key
         //    (contiguous prefix ranges), plus surviving-left × removed-right
         //    pairs found through the (already pruned) left index.
-        let mut rem: Vec<Vec<u64>> = Vec::new();
+        let ks = self.out.kstride;
+        let mut rem: Vec<u64> = Vec::new(); // stride ks
         for i in 0..dl.removed.len() {
-            let range = self.out.prefix_range(dl.removed.key(i));
-            for idx in range {
-                rem.push(self.out.key(idx).to_vec());
+            for idx in self.out.prefix_range(dl.removed.key(i)) {
+                rem.extend_from_slice(self.out.key(idx));
             }
         }
         for j in 0..dr.removed.len() {
             extract_into(&mut valbuf, dr.removed.row(j), &self.right_key);
-            for lk in index_keys(&self.left_index, self.lk, &valbuf, left) {
-                rem.push(pair_key(&lk, dr.removed.key(j)));
-            }
+            for_each_match(&self.left_index, left, &valbuf, |lkey| {
+                rem.extend_from_slice(lkey);
+                rem.extend_from_slice(dr.removed.key(j));
+            });
         }
-        rem.sort();
-        let rem_flat: Vec<u64> = rem.iter().flatten().copied().collect();
-        delta.removed = self.out.remove_sorted_keys(&rem_flat);
+        delta.removed = self.out.remove_sorted_keys(&sorted_keys(&rem, ks));
 
         // 3. Recompute the probabilities of pairs whose side rows updated
         //    (full two-factor product from the post-edit sides — exactly
@@ -946,7 +836,6 @@ impl Stage {
         }
         // Right-side updates: candidate pair keys flat, sorted by index,
         // resolved by one cursor-windowed pass over output and left side.
-        let ks = self.out.kstride;
         let mut cand_keys: Vec<u64> = Vec::new(); // stride ks
         let mut cand_rp: Vec<f64> = Vec::new();
         for j in 0..dr.updated.len() {
@@ -1000,118 +889,87 @@ impl Stage {
 
         // 4. New pairs: ΔL probes the post-update right index (so ΔL×ΔR
         //    appears exactly once), ΔR probes the pre-update left index.
-        //    Probes are morsel-parallel — results stitch in morsel order,
-        //    then one sort restores the global key order.
-        for j in 0..dr.added.len() {
+        //    Probes are morsel-parallel into flat pair carriers stitched in
+        //    morsel order; one index sort restores the global key order
+        //    (and is skipped when the pairs already ascend, as the ΔL
+        //    probes of a seeding refresh do).
+        let (dl_added, dr_added) = (dl.added(left), dr.added(right));
+        for j in 0..dr_added.len() {
             if self.rk > 0 {
-                extract_into(&mut valbuf, dr.added.row(j), &self.right_key);
-                self.right_index.insert(&valbuf, dr.added.key(j));
+                extract_into(&mut valbuf, dr_added.row(j), &self.right_key);
+                self.right_index.insert(&valbuf, dr_added.key(j));
             }
         }
-        let mut pairs: Vec<(Vec<u64>, Vec<Value>, f64)> = Vec::new();
-        let left_chunks = pool.map_morsels(dl.added.len(), |r| {
-            let mut out = Vec::new();
+        let (arity, stage) = (self.out.arity, &*self);
+        let mut parts = pool.map_morsels(dl_added.len(), |r| {
+            let mut pairs = KeyedRel::carrier(arity, ks);
+            let mut vals: Vec<Value> = Vec::new();
             for i in r {
-                let lvals = extract(dl.added.row(i), &self.left_key);
-                for rk in index_keys(&self.right_index, self.rk, &lvals, right) {
-                    let j = right.find(&rk).expect("indexed right row");
-                    out.push((
-                        pair_key(dl.added.key(i), &rk),
-                        pair_vals(dl.added.row(i), right.row(j), &self.right_extra),
-                        dl.added.prob(i) * right.prob(j),
-                    ));
-                }
+                let l = (dl_added.key(i), dl_added.row(i));
+                extract_into(&mut vals, l.1, &stage.left_key);
+                for_each_match(&stage.right_index, right, &vals, |rkey| {
+                    let j = right.find(rkey).expect("indexed right row");
+                    let p = dl_added.prob(i) * right.prob(j);
+                    stage.push_pair(&mut pairs, l, (rkey, right.row(j)), p);
+                });
             }
-            out
+            pairs
         });
-        for c in left_chunks {
-            pairs.extend(c);
-        }
-        let right_chunks = pool.map_morsels(dr.added.len(), |r| {
-            let mut out = Vec::new();
+        parts.extend(pool.map_morsels(dr_added.len(), |r| {
+            let mut pairs = KeyedRel::carrier(arity, ks);
+            let mut vals: Vec<Value> = Vec::new();
             for j in r {
-                let rvals = extract(dr.added.row(j), &self.right_key);
-                for lk in index_keys(&self.left_index, self.lk, &rvals, left) {
-                    let i = left.find(&lk).expect("indexed left row");
-                    out.push((
-                        pair_key(&lk, dr.added.key(j)),
-                        pair_vals(left.row(i), dr.added.row(j), &self.right_extra),
-                        left.prob(i) * dr.added.prob(j),
-                    ));
-                }
+                let rt = (dr_added.key(j), dr_added.row(j));
+                extract_into(&mut vals, rt.1, &stage.right_key);
+                for_each_match(&stage.left_index, left, &vals, |lkey| {
+                    let i = left.find(lkey).expect("indexed left row");
+                    let p = left.prob(i) * dr_added.prob(j);
+                    stage.push_pair(&mut pairs, (lkey, left.row(i)), rt, p);
+                });
             }
-            out
-        });
-        for c in right_chunks {
-            pairs.extend(c);
-        }
-        for i in 0..dl.added.len() {
+            pairs
+        }));
+        for i in 0..dl_added.len() {
             if self.lk > 0 {
-                extract_into(&mut valbuf, dl.added.row(i), &self.left_key);
-                self.left_index.insert(&valbuf, dl.added.key(i));
+                extract_into(&mut valbuf, dl_added.row(i), &self.left_key);
+                self.left_index.insert(&valbuf, dl_added.key(i));
             }
         }
-        delta.added = sorted_carrier(self.out.arity, self.out.kstride, pairs);
-        self.out.merge_added(&delta.added);
+        delta.added = KeyedRel::concat(arity, ks, parts).into_sorted();
         counters.rows_retouched += delta.rows();
+        delta.commit_added(&mut self.out);
         delta
     }
 }
 
-/// The side keys matching `vals`: through the value index for keyed sides,
-/// or the single constant row for a 0-stride side (whose join-column set is
+/// Call `f` with each key of `side` whose join values are `vals`, in
+/// ascending order: through the value index for keyed sides, or the
+/// single constant row of a 0-stride side (whose join-column set is
 /// necessarily empty).
-fn index_keys(index: &ValIndex, kstride: usize, vals: &[Value], side: &KeyedRel) -> Vec<Vec<u64>> {
-    if kstride == 0 {
-        return if side.is_empty() {
-            Vec::new()
-        } else {
-            vec![Vec::new()]
-        };
+fn for_each_match(index: &ValIndex, side: &KeyedRel, vals: &[Value], mut f: impl FnMut(&[u64])) {
+    if index.kstride == 0 {
+        if !side.is_empty() {
+            f(&[]);
+        }
+        return;
     }
-    index
-        .get(vals)
-        .chunks(kstride)
-        .map(<[u64]>::to_vec)
-        .collect()
+    for key in index.get(vals).chunks_exact(index.kstride) {
+        f(key);
+    }
 }
 
-fn extract(row: &[Value], idx: &[usize]) -> Vec<Value> {
-    idx.iter().map(|&i| row[i]).collect()
+/// A flat key list (stride `k`) in ascending key order.
+fn sorted_keys(flat: &[u64], k: usize) -> Vec<u64> {
+    let mut keys: Vec<&[u64]> = flat.chunks_exact(k.max(1)).collect();
+    keys.sort_unstable();
+    keys.concat()
 }
 
-/// [`extract`] into a reusable buffer — the hot probe loops' key builder.
+/// Gather the `idx` columns of `row` into a reusable buffer — the hot
+/// probe loops' key builder.
 fn extract_into(buf: &mut Vec<Value>, row: &[Value], idx: &[usize]) {
     buf.clear();
     buf.extend(idx.iter().map(|&i| row[i]));
-}
-
-fn pair_key(lk: &[u64], rk: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(lk.len() + rk.len());
-    out.extend_from_slice(lk);
-    out.extend_from_slice(rk);
-    out
-}
-
-fn pair_key_into(buf: &mut [u64], lk: &[u64], rk: &[u64]) {
-    buf[..lk.len()].copy_from_slice(lk);
-    buf[lk.len()..].copy_from_slice(rk);
-}
-
-fn pair_vals(lrow: &[Value], rrow: &[Value], right_extra: &[usize]) -> Vec<Value> {
-    let mut out = Vec::with_capacity(lrow.len() + right_extra.len());
-    out.extend_from_slice(lrow);
-    for &e in right_extra {
-        out.push(rrow[e]);
-    }
-    out
-}
-
-fn pair_vals_into(buf: &mut [Value], lrow: &[Value], rrow: &[Value], right_extra: &[usize]) {
-    buf[..lrow.len()].copy_from_slice(lrow);
-    for (slot, &e) in buf[lrow.len()..].iter_mut().zip(right_extra) {
-        *slot = rrow[e];
-    }
 }
 
 pub(crate) struct JoinState {
@@ -1130,7 +988,7 @@ pub(crate) struct JoinState {
 }
 
 impl JoinState {
-    fn build(children: Vec<Node>) -> JoinState {
+    fn new(children: Vec<Node>) -> JoinState {
         let is_certain = |n: &Node| matches!(n, Node::Const(out) if !out.is_empty());
         let is_never = |n: &Node| matches!(n, Node::Const(out) if out.is_empty());
         if children.iter().any(is_never) {
@@ -1171,7 +1029,7 @@ impl JoinState {
             } else {
                 &stages[w - 2].out
             };
-            let stage = Stage::build(left, children[active[w]].out());
+            let stage = Stage::new(left, children[active[w]].out());
             stages.push(stage);
         }
         JoinState {
@@ -1192,40 +1050,19 @@ impl JoinState {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn refresh(
-        &mut self,
-        db: &ProbDb,
-        net: &[(TupleId, RelId, NetChange)],
-        pool: &Pool,
-        shards: usize,
-        detail: DeltaDetail,
-        counters: &mut RefreshCounters,
-        shard_rows: &mut Vec<u64>,
-    ) -> OpDelta {
+    fn refresh(&mut self, pass: &mut Pass, detail: DeltaDetail) -> OpDelta {
         let mut deltas: Vec<OpDelta> = self
             .children
             .iter_mut()
-            .map(|c| {
-                c.refresh(
-                    db,
-                    net,
-                    pool,
-                    shards,
-                    DeltaDetail::Full,
-                    counters,
-                    shard_rows,
-                )
-            })
+            .map(|c| c.refresh(pass, DeltaDetail::Full))
             .collect();
         let _span = telemetry::span("join-delta");
         if let Some(out) = &self.fixed_out {
             return OpDelta::empty(out.arity, out.kstride);
         }
-        let mut acc = std::mem::replace(
-            &mut deltas[self.active[0]],
-            OpDelta::empty(0, 0), // placeholder, never read again
-        );
+        // Each side delta is dropped as soon as its stage has consumed it.
+        let mut take = |i: usize| std::mem::replace(&mut deltas[i], OpDelta::empty(0, 0));
+        let mut acc = take(self.active[0]);
         for w in 1..self.active.len() {
             let (done, rest) = self.stages.split_at_mut(w - 1);
             let left: &KeyedRel = if w == 1 {
@@ -1241,15 +1078,8 @@ impl JoinState {
             } else {
                 DeltaDetail::Full
             };
-            acc = rest[0].refresh(
-                left,
-                &acc,
-                right,
-                &deltas[self.active[w]],
-                pool,
-                want,
-                counters,
-            );
+            let dr = take(self.active[w]);
+            acc = rest[0].refresh(left, &acc, right, &dr, pass.pool, want, &mut pass.counters);
         }
         acc
     }
@@ -1259,6 +1089,7 @@ impl JoinState {
 // Independent project
 // ---------------------------------------------------------------------------
 
+#[derive(Default)]
 struct GroupSlot {
     /// The group's key values (its output row).
     vals: Vec<Value>,
@@ -1300,7 +1131,7 @@ pub(crate) struct ProjectState {
 }
 
 impl ProjectState {
-    fn build(keep: Vec<Var>, child: Node) -> ProjectState {
+    fn new(keep: Vec<Var>, child: Node) -> ProjectState {
         let cin = child.out();
         let keep_idx: Vec<usize> = keep
             .iter()
@@ -1308,97 +1139,24 @@ impl ProjectState {
             .collect();
         let scalar = keep.is_empty();
         let ck = cin.kstride;
-        let mut state = ProjectState {
+        // The Boolean group exists (absent) from the start.
+        let slots = if scalar {
+            vec![GroupSlot::default()]
+        } else {
+            Vec::new()
+        };
+        ProjectState {
             keep: keep.clone(),
             keep_idx,
             scalar,
             ck,
             groups: FnvMap::default(),
-            slots: Vec::new(),
+            slots,
             dirty_flag: Vec::new(),
             slot_by_child_key: Vec::new(),
             out: KeyedRel::new(keep, ck),
             child: Box::new(child),
-        };
-        let cin = state.child.out();
-        if scalar {
-            let mut slot = GroupSlot {
-                vals: Vec::new(),
-                rows: Vec::new(),
-                probs: Vec::new(),
-                present: false,
-                out_key: Vec::new(),
-                prob: 0.0,
-            };
-            if !cin.is_empty() {
-                slot.present = true;
-                slot.out_key = cin.key(0).to_vec();
-                slot.prob = fold_all(cin);
-                state.out.push(&slot.out_key.clone(), &[], slot.prob);
-            }
-            state.slots.push(slot);
-            return state;
         }
-        // One pass in child row order: intern groups, fold Π(1−p) per
-        // group as rows arrive — the exact serial fold.
-        let mut none: Vec<f64> = Vec::new();
-        let mut gv: Vec<Value> = Vec::with_capacity(state.keep_idx.len());
-        for i in 0..cin.len() {
-            extract_into(&mut gv, cin.row(i), &state.keep_idx);
-            let c = 1.0 - cin.prob(i);
-            match state.groups.get(gv.as_slice()) {
-                Some(&s) => {
-                    let s = s as usize;
-                    if none[s] != 0.0 {
-                        none[s] *= c;
-                    }
-                    state.slots[s].rows.extend_from_slice(cin.key(i));
-                    state.slots[s].probs.push(cin.prob(i));
-                }
-                None => {
-                    let s = state.slots.len() as u32;
-                    state.groups.insert(gv.clone(), s);
-                    none.push(c);
-                    state.slots.push(GroupSlot {
-                        vals: gv.clone(),
-                        rows: cin.key(i).to_vec(),
-                        probs: vec![cin.prob(i)],
-                        present: true,
-                        out_key: cin.key(i).to_vec(),
-                        prob: 0.0,
-                    });
-                }
-            }
-        }
-        // Emit in slot (first-seen = ascending-min-key) order.
-        for (s, slot) in state.slots.iter_mut().enumerate() {
-            slot.prob = 1.0 - none[s];
-            state.out.push(&slot.out_key, &slot.vals, slot.prob);
-        }
-        state.dirty_flag = vec![false; state.slots.len()];
-        if ck == 1 {
-            let mut index = std::mem::take(&mut state.slot_by_child_key);
-            for (s, slot) in state.slots.iter().enumerate() {
-                for &k in &slot.rows {
-                    let i = k as usize;
-                    if i >= index.len() {
-                        index.resize(i + 1, u32::MAX);
-                    }
-                    index[i] = s as u32;
-                }
-            }
-            state.slot_by_child_key = index;
-        }
-        state
-    }
-
-    /// Record `key → slot` in the dense fast-path index (`ck == 1` only).
-    fn note_child_key(&mut self, key: u64, slot: u32) {
-        let i = key as usize;
-        if i >= self.slot_by_child_key.len() {
-            self.slot_by_child_key.resize(i + 1, u32::MAX);
-        }
-        self.slot_by_child_key[i] = slot;
     }
 
     /// Slot of a child row, through the dense index when available.
@@ -1419,17 +1177,7 @@ impl ProjectState {
             .expect("live child row's group exists")
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn refresh(
-        &mut self,
-        db: &ProbDb,
-        net: &[(TupleId, RelId, NetChange)],
-        pool: &Pool,
-        shards: usize,
-        detail: DeltaDetail,
-        counters: &mut RefreshCounters,
-        shard_rows: &mut Vec<u64>,
-    ) -> OpDelta {
+    fn refresh(&mut self, pass: &mut Pass, detail: DeltaDetail) -> OpDelta {
         // The Boolean group refolds over the whole child output, so the
         // child may elide its probability-update rows entirely.
         let want = if self.scalar {
@@ -1437,9 +1185,9 @@ impl ProjectState {
         } else {
             DeltaDetail::Full
         };
-        let d = self
-            .child
-            .refresh(db, net, pool, shards, want, counters, shard_rows);
+        let d = self.child.refresh(pass, want);
+        let counters = &mut pass.counters;
+        let pool = pass.pool;
         let _span = telemetry::span("project-delta");
         let mut delta = OpDelta::empty(self.out.arity, self.out.kstride);
         if d.is_empty() {
@@ -1473,8 +1221,9 @@ impl ProjectState {
                 dirty.push(s);
             }
         }
-        for i in 0..d.added.len() {
-            extract_into(&mut keybuf, d.added.row(i), &self.keep_idx);
+        let added = d.added(self.child.out());
+        for i in 0..added.len() {
+            extract_into(&mut keybuf, added.row(i), &self.keep_idx);
             let s = match self.groups.get(keybuf.as_slice()) {
                 Some(&s) => s,
                 None => {
@@ -1482,24 +1231,20 @@ impl ProjectState {
                     self.groups.insert(keybuf.clone(), s);
                     self.slots.push(GroupSlot {
                         vals: keybuf.clone(),
-                        rows: Vec::new(),
-                        probs: Vec::new(),
-                        present: false,
-                        out_key: Vec::new(),
-                        prob: 0.0,
+                        ..GroupSlot::default()
                     });
                     self.dirty_flag.push(false);
                     s
                 }
             };
             if self.ck == 1 {
-                self.note_child_key(d.added.key(i)[0], s);
+                note_child_key(&mut self.slot_by_child_key, added.key(i)[0], s);
             }
             let slot = &mut self.slots[s as usize];
-            let pos = chunk_lower_bound(&slot.rows, self.ck.max(1), d.added.key(i));
+            let pos = chunk_lower_bound(&slot.rows, self.ck.max(1), added.key(i));
             let at = pos * self.ck;
-            slot.rows.splice(at..at, d.added.key(i).iter().copied());
-            slot.probs.insert(pos, d.added.prob(i));
+            slot.rows.splice(at..at, added.key(i).iter().copied());
+            slot.probs.insert(pos, added.prob(i));
             if !std::mem::replace(&mut self.dirty_flag[s as usize], true) {
                 dirty.push(s);
             }
@@ -1528,7 +1273,7 @@ impl ProjectState {
         });
 
         // Phase 3: emit group-level edits in stable-key order.
-        let mut rem: Vec<Vec<u64>> = Vec::new();
+        let mut rem: Vec<u64> = Vec::new(); // stride ck
         let mut upd: Vec<u32> = Vec::new();
         let mut add: Vec<u32> = Vec::new();
         for (s, prob, rows_walked) in folded.into_iter().flatten() {
@@ -1538,7 +1283,7 @@ impl ProjectState {
             match prob {
                 None => {
                     if slot.present {
-                        rem.push(slot.out_key.clone());
+                        rem.extend_from_slice(&slot.out_key);
                         slot.present = false;
                     }
                 }
@@ -1550,7 +1295,7 @@ impl ProjectState {
                         slot.prob = p;
                         add.push(s);
                     } else if slot.out_key != newmin {
-                        rem.push(slot.out_key.clone());
+                        rem.extend_from_slice(&slot.out_key);
                         slot.out_key = newmin;
                         slot.prob = p;
                         add.push(s);
@@ -1561,9 +1306,7 @@ impl ProjectState {
                 }
             }
         }
-        rem.sort();
-        let rem_flat: Vec<u64> = rem.iter().flatten().copied().collect();
-        delta.removed = self.out.remove_sorted_keys(&rem_flat);
+        delta.removed = self.out.remove_sorted_keys(&sorted_keys(&rem, self.ck));
         if self.ck == 1 {
             // Sort by the (single-word) output key without touching the
             // slot heap blocks during comparisons.
@@ -1607,8 +1350,8 @@ impl ProjectState {
             let slot = &self.slots[s as usize];
             delta.added.push(&slot.out_key, &slot.vals, slot.prob);
         }
-        self.out.merge_added(&delta.added);
         counters.rows_retouched += delta.rows();
+        delta.commit_added(&mut self.out);
         delta
     }
 
@@ -1628,7 +1371,7 @@ impl ProjectState {
             }
             return;
         }
-        let p = fold_all(cin);
+        let p = fold_prob(&cin.probs);
         let newmin = cin.key(0).to_vec();
         if !slot.present {
             slot.present = true;
@@ -1651,12 +1394,14 @@ impl ProjectState {
     }
 }
 
-/// `1 − Π(1−p)` over every row of `rel`, in row order, with the executor's
-/// exact fold sequence (a strict left-to-right multiply chain — bit-exact
-/// maintenance forbids re-association, so this linear pass is the floor a
-/// Boolean refresh always pays).
-fn fold_all(rel: &KeyedRel) -> f64 {
-    fold_prob(&rel.probs)
+/// Record `key → slot` in a project's dense fast-path index (`ck == 1`
+/// only).
+fn note_child_key(index: &mut Vec<u32>, key: u64, slot: u32) {
+    let i = key as usize;
+    if i >= index.len() {
+        index.resize(i + 1, u32::MAX);
+    }
+    index[i] = slot;
 }
 
 /// Half an ulp of 1.0 (`2^-54`): once `Π(1−p)` is at or below this, the

@@ -1,9 +1,9 @@
 //! The incremental view: a cached safe plan pinned together with its
 //! per-operator materialized state, refreshed from the database delta log.
 
-use crate::state::{coalesce, DeltaDetail, Node, Unsupported};
+use crate::state::{coalesce, DeltaDetail, NetDelta, Node, Pass, Unsupported};
 use exec_parallel::{ExecStats, Pool, DEFAULT_GRAIN};
-use pdb::ProbDb;
+use pdb::{ProbDb, ShardMap};
 use safeplan::{PlanNode, ProbRelation, ShardStats};
 
 /// Tuning for one refresh.
@@ -20,7 +20,7 @@ pub struct RefreshOptions {
     /// ([`pdb::ShardMap`]) and matched/looked-up per shard, then merged
     /// back in id order — the same shard/merge stage as the DAG
     /// executor's sharded scans, and still bit-for-bit the serial
-    /// refresh. 1 = monolithic.
+    /// refresh. 1 = one shard holding every tuple id.
     pub shards: usize,
 }
 
@@ -31,10 +31,6 @@ impl RefreshOptions {
             grain: DEFAULT_GRAIN,
             shards: 1,
         }
-    }
-
-    pub fn with_threads(threads: usize) -> Self {
-        Self::with_tuning(threads, 1)
     }
 
     pub fn with_tuning(threads: usize, shards: usize) -> Self {
@@ -77,9 +73,10 @@ pub struct RefreshCounters {
     pub batches_replayed: u64,
     /// Refreshes that propagated deltas.
     pub incremental_refreshes: u64,
-    /// Refreshes that fell back to rebuilding the state from scratch
-    /// (view behind the log's retention window, or an out-of-band mutation
-    /// invalidated the log).
+    /// Refreshes that fell back to rematerializing the state from empty
+    /// (view behind the log's retention window, an out-of-band mutation
+    /// invalidated the log, or the database is an older snapshot than the
+    /// view).
     pub full_rebuilds: u64,
 }
 
@@ -135,13 +132,16 @@ impl std::fmt::Debug for IncrementalView {
 }
 
 impl IncrementalView {
-    /// Materialize the state of `plan` against the current database. Fails
+    /// Materialize the state of `plan` against the current database: the
+    /// empty operator state, filled by one seeding refresh in which every
+    /// live tuple of every scanned relation is Δ⁺ — the same delta rules
+    /// every later refresh runs, so there is one way to fill a view. Fails
     /// on plans with operators that cannot be delta-maintained (complement
     /// scans) — callers fall back to re-execution.
     pub fn new(db: &ProbDb, plan: &PlanNode) -> Result<IncrementalView, Unsupported> {
         Ok(IncrementalView {
             plan: plan.clone(),
-            root: Node::build(db, plan)?,
+            root: materialize(db, plan, RefreshOptions::serial())?,
             synced: db.version(),
             cumulative: RefreshCounters::default(),
         })
@@ -178,10 +178,10 @@ impl IncrementalView {
         ProbRelation::from_parts(out.cols.clone(), out.data.clone(), out.probs.clone())
     }
 
-    /// Bring the view up to the database's current version: replay the
-    /// pending delta-log entries through the operator state, or rebuild
-    /// from scratch when the log cannot cover the gap. Returns this
-    /// refresh's counters (also folded into [`IncrementalView::counters`]).
+    /// Bring the view to the database's version: replay the pending
+    /// delta-log entries through the operator state, or rematerialize it
+    /// when the log cannot carry the view there. Returns this refresh's
+    /// counters (also folded into [`IncrementalView::counters`]).
     pub fn refresh(&mut self, db: &ProbDb, opts: RefreshOptions) -> RefreshCounters {
         self.refresh_run(db, opts).counters
     }
@@ -190,50 +190,73 @@ impl IncrementalView {
     /// per-worker timings and the scan-delta shard spread.
     pub fn refresh_run(&mut self, db: &ProbDb, opts: RefreshOptions) -> RefreshRun {
         let _span = telemetry::span("refresh");
-        let mut run = RefreshRun::default();
-        let c = &mut run.counters;
         if db.version() == self.synced {
-            return run;
+            return RefreshRun::default();
         }
-        if self.synced < db.delta_log_start() {
-            // The log cannot replay us (retention window passed, or an
-            // out-of-band mutation cleared it): rebuild — never wrong,
-            // just not incremental.
+        let run = if db.version() < self.synced || self.synced < db.delta_log_start() {
+            // The log cannot carry us there: the retention window passed,
+            // an out-of-band mutation cleared it, or `db` is an older
+            // snapshot than the view (replay only moves forward).
+            // Rematerialize — never wrong, just not incremental.
             let _span = telemetry::span("rebuild");
             self.root =
-                Node::build(db, &self.plan).expect("a previously-built plan stays buildable");
-            c.full_rebuilds = 1;
-            c.rows_retouched = self.root.total_rows();
+                materialize(db, &self.plan, opts).expect("a previously-built plan stays buildable");
+            RefreshRun {
+                counters: RefreshCounters {
+                    full_rebuilds: 1,
+                    rows_retouched: self.root.total_rows(),
+                    ..RefreshCounters::default()
+                },
+                ..RefreshRun::default()
+            }
         } else {
-            c.batches_replayed = db.changes_since(self.synced).count() as u64;
             let net = {
                 let _span = telemetry::span("coalesce");
                 coalesce(db.changes_since(self.synced))
             };
-            let pool = Pool::with_grain(opts.threads, opts.grain);
-            let mut shard_rows = vec![0u64; opts.shards.max(1)];
-            {
-                let _span = telemetry::span("propagate");
-                self.root.refresh(
-                    db,
-                    &net,
-                    &pool,
-                    opts.shards,
-                    DeltaDetail::Full,
-                    c,
-                    &mut shard_rows,
-                );
-            }
+            let mut run = propagate(&mut self.root, db, &net, opts);
+            let c = &mut run.counters;
+            c.batches_replayed = db.changes_since(self.synced).count() as u64;
             c.incremental_refreshes = 1;
             c.rows_avoided = self.root.total_rows().saturating_sub(c.rows_retouched);
-            run.threads = pool.stats();
-            run.shards = ShardStats {
-                shards: opts.shards.max(1),
-                rows: shard_rows,
-            };
-        }
+            run
+        };
         self.synced = db.version();
         self.cumulative.absorb(&run.counters);
         run
+    }
+}
+
+/// The one fill path: `plan`'s empty operator state plus one seeding
+/// refresh ([`NetDelta::Seed`]: every live tuple is Δ⁺).
+fn materialize(db: &ProbDb, plan: &PlanNode, opts: RefreshOptions) -> Result<Node, Unsupported> {
+    let mut root = Node::new(plan)?;
+    propagate(&mut root, db, &NetDelta::Seed, opts);
+    Ok(root)
+}
+
+/// Run `net` through the state tree on a pool sized by `opts`.
+fn propagate(root: &mut Node, db: &ProbDb, net: &NetDelta, opts: RefreshOptions) -> RefreshRun {
+    let pool = Pool::with_grain(opts.threads, opts.grain);
+    let shards = opts.shards.max(1);
+    let mut pass = Pass {
+        db,
+        net,
+        pool: &pool,
+        shards: ShardMap::new(shards),
+        counters: RefreshCounters::default(),
+        shard_rows: vec![0; shards],
+    };
+    {
+        let _span = telemetry::span("propagate");
+        root.refresh(&mut pass, DeltaDetail::Full);
+    }
+    RefreshRun {
+        counters: pass.counters,
+        threads: pool.stats(),
+        shards: ShardStats {
+            shards,
+            rows: pass.shard_rows,
+        },
     }
 }

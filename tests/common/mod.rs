@@ -83,6 +83,12 @@ pub fn random_db(q: &Query, voc: &Vocabulary, rng: &mut StdRng) -> ProbDb {
 /// any point of the mutation history).
 pub fn seed_db(q: &Query, voc: &Vocabulary, rng: &mut StdRng) -> ProbDb {
     let mut db = ProbDb::new(voc.clone());
+    db.apply(&seed_batch(q, voc, rng));
+    db
+}
+
+/// The one insert batch [`seed_db`] applies: 8–16 random tuples per atom.
+pub fn seed_batch(q: &Query, voc: &Vocabulary, rng: &mut StdRng) -> DeltaBatch {
     let mut batch = DeltaBatch::new();
     for atom in &q.atoms {
         let arity = voc.arity(atom.rel);
@@ -91,8 +97,7 @@ pub fn seed_db(q: &Query, voc: &Vocabulary, rng: &mut StdRng) -> ProbDb {
             batch.insert(atom.rel, args, rng.gen_range(0.05..0.95));
         }
     }
-    db.apply(&batch);
-    db
+    batch
 }
 
 /// One random delta batch over the query's relations: a mix of

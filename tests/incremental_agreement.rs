@@ -8,11 +8,13 @@
 
 mod common;
 
-use common::{random_batch, random_hierarchical_query, seed_db, THREADS};
-use probdb::prelude::{Engine, IncrementalView, RefreshOptions, Strategy, Vocabulary};
+use common::{random_batch, random_hierarchical_query, seed_batch, seed_db, THREADS};
+use probdb::prelude::{
+    parse_query, Engine, IncrementalView, ProbDb, RefreshOptions, Strategy, Vocabulary,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use safeplan::{execute, optimize, ProbRelation};
+use safeplan::{execute, optimize, PlanNode, ProbRelation};
 
 fn assert_bit_identical(got: &ProbRelation<f64>, want: &ProbRelation<f64>, ctx: &str) {
     assert_eq!(got.cols(), want.cols(), "{ctx}: schema");
@@ -109,6 +111,94 @@ fn subscribed_views_agree_with_cold_engine_evaluations() {
                 q.display(&voc)
             );
             assert_eq!(reading.version, db.version());
+        }
+    }
+}
+
+/// Shapes the random hierarchical generator never draws, each a fixed
+/// query: a constant argument, a repeated variable, `<` and `!=` selects,
+/// and non-Boolean (ranked) templates. Every view is materialized three
+/// ways — on the seeded database, on the empty database before it is
+/// filled, and by the rebuild after a log gap longer than the delta log —
+/// and after every batch each one must be bit for bit the cold execution,
+/// at threads {1, 4} × shards {1, 3} (grain 2, so morsels split).
+#[test]
+fn fixed_shapes_agree_however_the_view_was_materialized() {
+    const SHAPES: [(&str, usize); 7] = [
+        ("R(x), S(x, 2)", 0),
+        ("R(x), S(x, x)", 0),
+        ("R(x), S(x, y), x < y", 0),
+        ("R(x), S(x, y), y != 2", 0),
+        ("R(x), S(x, y), T(x, y, 3)", 1),
+        ("R(x), S(x, y), x != 1", 1),
+        ("R(x), S(x, y), T(y)", 2),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x5A9E5);
+    for (text, heads) in SHAPES {
+        let mut voc = Vocabulary::new();
+        let q = parse_query(&mut voc, text).unwrap();
+        // The first `heads` variables in occurrence order become head
+        // columns of a ranked template (`x0`, `x1`, …).
+        let mut head = Vec::new();
+        for v in q.atoms.iter().flat_map(|a| a.vars()) {
+            if head.len() < heads && !head.contains(&v) {
+                head.push(v);
+            }
+        }
+        let plan = optimize(&safeplan::build_ranked_plan(&q, &head).unwrap());
+        assert!(!matches!(plan, PlanNode::Never), "{text}: plan is empty");
+        let configs: Vec<RefreshOptions> = [(1, 1), (1, 3), (4, 1), (4, 3)]
+            .into_iter()
+            .map(|(threads, shards)| RefreshOptions {
+                grain: 2,
+                ..RefreshOptions::with_tuning(threads, shards)
+            })
+            .collect();
+        let mut db = ProbDb::new(voc.clone());
+        let new_views = |db: &ProbDb| -> Vec<IncrementalView> {
+            configs
+                .iter()
+                .map(|_| IncrementalView::new(db, &plan).unwrap())
+                .collect()
+        };
+        let mut refilled = new_views(&db);
+        let mut gapped = new_views(&db);
+        db.apply(&seed_batch(&q, &voc, &mut rng));
+        let mut seeded = new_views(&db);
+        let check = |views: &mut [IncrementalView], db: &ProbDb, way: &str, step: &str| {
+            let cold = execute(db, db.probs(), &plan);
+            for (view, opts) in views.iter_mut().zip(&configs) {
+                view.refresh(db, *opts);
+                let ctx = format!("{text} ({way}, {step}, {opts:?})");
+                assert_bit_identical(&view.output(), &cold, &ctx);
+            }
+        };
+        check(&mut seeded, &db, "seeded", "start");
+        check(&mut refilled, &db, "refilled", "start");
+        // Outrun the delta log: the gapped views see none of it until the
+        // end; the others catch up every 256 batches.
+        for b in 0..=pdb::MAX_DELTA_LOG {
+            db.apply(&random_batch(&q, &db, &mut rng));
+            if b % 256 == 255 {
+                check(&mut seeded, &db, "seeded", "catch-up");
+                check(&mut refilled, &db, "refilled", "catch-up");
+            }
+        }
+        check(&mut seeded, &db, "seeded", "after the gap");
+        check(&mut refilled, &db, "refilled", "after the gap");
+        check(&mut gapped, &db, "gapped", "after the gap");
+        for view in &gapped {
+            assert_eq!(view.counters().full_rebuilds, 1, "{text}: the gap rebuilds");
+        }
+        for round in 0..6 {
+            db.apply(&random_batch(&q, &db, &mut rng));
+            let step = format!("round {round}");
+            check(&mut seeded, &db, "seeded", &step);
+            check(&mut refilled, &db, "refilled", &step);
+            check(&mut gapped, &db, "gapped", &step);
+        }
+        for view in seeded.iter().chain(&refilled) {
+            assert_eq!(view.counters().full_rebuilds, 0, "{text}: no gap");
         }
     }
 }
