@@ -12,7 +12,7 @@
 //! knowledge-compilation engine (the traces are decision-DNNFs); it is the
 //! exact oracle used throughout the workspace and — deliberately — has
 //! exponential worst-case behaviour on the lineages of #P-hard queries,
-//! which experiment E7 measures.
+//! which experiment E7 (`tests/paper_claims.rs`) asserts.
 //!
 //! The engine is generic over [`ProbValue`], so it runs both on `f64` and on
 //! exact rationals ([`numeric::QRat`]); [`model_count_exact`] uses the

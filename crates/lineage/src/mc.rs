@@ -12,8 +12,9 @@
 //!   small the answer is.
 //!
 //! This pair is the paper's practical foil: MystiQ (§1) falls back to
-//! "a Monte Carlo simulation algorithm" for unsafe queries, and the observed
-//! 1–2 orders of magnitude gap versus safe plans is experiment E4.
+//! "a Monte Carlo simulation algorithm" for unsafe queries. Experiment E4
+//! (`tests/paper_claims.rs`) asserts that seeded Karp–Luby lands inside
+//! its reported standard error where the safe plan is exact.
 //!
 //! Both estimators also come in parallel form ([`naive_mc_par`],
 //! [`karp_luby_par`]): the sample budget is fanned out over a scoped-thread

@@ -22,9 +22,11 @@ pub struct ProbTuple {
 /// One relation's resident rows inside one shard: a contiguous columnar
 /// buffer with the same invariants as `safeplan`'s flat relations —
 /// `data.len() == ids.len() * arity` (row `i` occupies
-/// `data[i*arity .. (i+1)*arity]`), `probs` parallel to `ids`, and `ids`
-/// strictly ascending (insertion appends monotonically increasing ids;
-/// deletion splices whole rows, preserving order).
+/// `data[i*arity .. (i+1)*arity]`) and `ids` strictly ascending
+/// (insertion appends monotonically increasing ids; deletion splices
+/// whole rows, preserving order). Probabilities are not stored here:
+/// scans index the caller's probability vector ([`ProbDb::probs`], or an
+/// exact-rational one) by tuple id.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShardColumn {
     /// Tuple ids of the resident rows, ascending.
@@ -32,11 +34,6 @@ pub struct ShardColumn {
     /// Row values, `ids.len() * arity`, row-major with the relation's
     /// arity as stride.
     pub data: Vec<Value>,
-    /// Marginal probabilities, parallel to `ids` (the shard-local mirror
-    /// of the database's probability column, [`ProbDb::probs`];
-    /// exact-rational readers index their own probability vectors by
-    /// tuple id).
-    pub probs: Vec<f64>,
 }
 
 /// One shard's resident storage: per-relation columnar buffers plus this
@@ -258,7 +255,7 @@ impl ProbDb {
         if let Some(id) = self.lookup_hashed(h, rel, &args) {
             let old = std::mem::replace(&mut self.probs[id.0 as usize], prob);
             if old.to_bits() != prob.to_bits() {
-                self.resident_overwrite(id, prob);
+                self.resident_overwrite(id);
             }
             return (id, Some(old));
         }
@@ -317,7 +314,6 @@ impl ProbDb {
         let owner = self.layout.shard_of(id);
         let ProbDb {
             tuples,
-            probs,
             resident,
             shard_versions,
             version,
@@ -328,7 +324,6 @@ impl ProbDb {
         let col = slab.by_rel.entry(t.rel).or_default();
         col.ids.push(id);
         col.data.extend_from_slice(&t.args);
-        col.probs.push(probs[id.0 as usize]);
         for (pos, &v) in t.args.iter().enumerate() {
             slab.cols
                 .entry((t.rel, pos as u32, v))
@@ -338,26 +333,19 @@ impl ProbDb {
         shard_versions[owner] = *version + 1;
     }
 
-    /// Mirror a probability overwrite into the owning shard's resident
-    /// probability column (posting lists and row values are untouched,
-    /// exactly like the global indexes).
-    fn resident_overwrite(&mut self, id: TupleId, prob: f64) {
+    /// Stamp the owning shard of a tuple whose probability was overwritten
+    /// (resident rows, posting lists and row values are untouched, exactly
+    /// like the global indexes).
+    fn resident_overwrite(&mut self, id: TupleId) {
         if self.resident.is_empty() {
             return;
         }
         let owner = self.layout.shard_of(id);
-        let rel = self.tuples[id.0 as usize].rel;
-        let col = self.resident[owner]
-            .by_rel
-            .get_mut(&rel)
-            .expect("resident rows for an owned tuple");
-        let at = col.ids.binary_search(&id).expect("resident row present");
-        col.probs[at] = prob;
         self.shard_versions[owner] = self.version + 1;
     }
 
     /// Splice a deleted tuple out of its owning shard: remove the whole
-    /// resident row (ids, value stride, probability) and the id from every
+    /// resident row (id and value stride) and the id from every
     /// shard-local posting list — ascending order preserved throughout, so
     /// per-shard lists stay exactly the ownership-filtered global lists.
     fn resident_delete(&mut self, id: TupleId) {
@@ -382,7 +370,6 @@ impl ProbDb {
         let arity = t.args.len();
         col.ids.remove(at);
         col.data.drain(at * arity..(at + 1) * arity);
-        col.probs.remove(at);
         for (pos, &v) in t.args.iter().enumerate() {
             let key = (t.rel, pos as u32, v);
             let list = slab.cols.get_mut(&key).expect("shard posting list");
@@ -514,7 +501,7 @@ impl ProbDb {
                     }
                     ChangeKind::Updated { new_prob, .. } => {
                         self.probs[c.id.0 as usize] = new_prob;
-                        self.resident_overwrite(c.id, new_prob);
+                        self.resident_overwrite(c.id);
                     }
                     ChangeKind::Deleted { .. } => {
                         let deleted = self.delete_inner(t.rel, &t.args).map(|(id, _)| id);
@@ -645,7 +632,6 @@ impl ProbDb {
         self.shard_versions = vec![self.version; shards];
         let ProbDb {
             tuples,
-            probs,
             by_rel,
             cols,
             resident,
@@ -657,7 +643,6 @@ impl ProbDb {
                 let col = resident[layout.shard_of(id)].by_rel.entry(rel).or_default();
                 col.ids.push(id);
                 col.data.extend_from_slice(&tuples[id.0 as usize].args);
-                col.probs.push(probs[id.0 as usize]);
             }
         }
         for (&key, list) in cols.iter() {
@@ -795,9 +780,7 @@ mod tests {
     }
 
     /// The probability-column invariant: one entry per tuple slot,
-    /// tombstones at 0.0, `prob` / `prob_vector` reading the same bits,
-    /// and every resident shard row's probability bit-equal to the
-    /// column at its id.
+    /// tombstones at 0.0, `prob` / `prob_vector` reading the same bits.
     fn assert_prob_column(db: &ProbDb) {
         let probs = db.probs();
         assert_eq!(probs.len(), db.num_tuples());
@@ -811,16 +794,6 @@ mod tests {
         let owned: Vec<u64> = db.prob_vector().iter().map(|p| p.to_bits()).collect();
         let borrowed: Vec<u64> = probs.iter().map(|p| p.to_bits()).collect();
         assert_eq!(owned, borrowed);
-        for col in db.resident.iter().flat_map(|slab| slab.by_rel.values()) {
-            assert_eq!(col.probs.len(), col.ids.len());
-            for (&id, &p) in col.ids.iter().zip(&col.probs) {
-                assert_eq!(
-                    p.to_bits(),
-                    probs[id.0 as usize].to_bits(),
-                    "resident {id:?}"
-                );
-            }
-        }
     }
 
     /// Every mutation kind writes the column through the shared kernels:
@@ -1076,7 +1049,6 @@ mod tests {
                     }
                     if let Some(colrel) = db.shard_resident(s, r) {
                         assert_eq!(colrel.data.len(), colrel.ids.len() * 2, "stride");
-                        assert_eq!(colrel.probs.len(), colrel.ids.len());
                         for (i, &id) in colrel.ids.iter().enumerate() {
                             let args = db.tuple(id).args.as_slice();
                             assert_eq!(&colrel.data[i * 2..(i + 1) * 2], args);

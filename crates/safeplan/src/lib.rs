@@ -13,8 +13,7 @@
 //! The plan computes exactly the Eq. 3 recurrence, but *set-at-a-time*
 //! (one pass per operator over sorted/hashed relations) rather than
 //! tuple-at-a-time (one recursive call per domain value), which is how a
-//! real engine would run it — and measurably faster at scale; the
-//! `plan_vs_recurrence` bench quantifies the gap.
+//! real engine would run it.
 //!
 //! The data plane is **columnar**: relations are flat buffers (one
 //! contiguous value vector with arity stride plus a probability column —

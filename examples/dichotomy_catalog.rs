@@ -1,6 +1,7 @@
 //! Classify the paper's full query catalog and print the dichotomy table
-//! (experiment E3 as an example binary; the bench harness's `table1`
-//! report prints the same rows with timing columns).
+//! (experiment E3 as an example binary; the test
+//! `catalog::tests::full_catalog_classification` asserts the same
+//! verdicts).
 //!
 //! Run with: `cargo run --example dichotomy_catalog`
 

@@ -1,0 +1,223 @@
+//! The paper's experimental claims E4, E5, E7 and E10 (hard side), each
+//! asserted with deterministic counters or seeded estimators — never a
+//! wall clock. The other claims already have tests of their own:
+//!
+//! | claim | test |
+//! |---|---|
+//! | E1–E3 (Table 1, Thm 1.8) | `catalog::tests::full_catalog_classification`, `catalog_cross_engine` |
+//! | E4 (safe plan vs Karp–Luby) | [`e4_safe_plan_is_exact_and_karp_luby_is_inside_its_error`] |
+//! | E4b (Karp–Luby at tiny P) | `lineage::mc::tests::karp_luby_handles_tiny_probabilities` |
+//! | E5 (Cor. 3.7) | [`e5_safe_plan_work_is_polynomial_of_degree_at_most_v`] |
+//! | E6 (Thm 1.5, App. C) | `reduction_roundtrips::hk_reduction_round_trips` |
+//! | E7 (App. B) | [`e7_exact_compilation_blows_up_on_h0_but_not_on_the_star`] |
+//! | Fig. 1 ablation | `coverage::ablation_tests::simplification_passes_are_load_bearing` |
+//! | E9 (plans vs Eq. 3) | `safeplan::exec::tests::plans_match_recurrence_and_brute_force` |
+//! | E10 safe side | `exact_recurrence::tests::counting_matches_exact_lineage_counting` |
+//! | E10 hard side | [`e10_counting_on_h0_is_exact_lineage_not_the_recurrence`] |
+//! | E11 (multisimulation) | `multisim::tests::{converges_to_exact_top_k, non_critical_candidates_stop_early}` |
+//!
+//! `cargo run --example dichotomy_catalog` (and `exact_counting`,
+//! `hardness_reduction`, `topk_multisim`) print the same experiments as
+//! tables.
+
+use lineage::exact::exact_probability_with_stats;
+use probdb::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// `R(x), S(x,y)` (V = 2): `n` roots with `fanout` children each.
+fn star(n: u64, fanout: u64, seed: u64) -> (ProbDb, Query) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut voc = Vocabulary::new();
+    let q = parse_query(&mut voc, "R(x), S(x,y)").unwrap();
+    let r = voc.find_relation("R").unwrap();
+    let s = voc.find_relation("S").unwrap();
+    let mut db = ProbDb::new(voc);
+    for i in 0..n {
+        db.insert(r, vec![Value(i)], rng.gen_range(0.02..0.2));
+        for j in 0..fanout {
+            let y = n + i * fanout + j;
+            db.insert(s, vec![Value(i), Value(y)], rng.gen_range(0.02..0.3));
+        }
+    }
+    (db, q)
+}
+
+/// `R(x), S(x,y), U(x,y,z)` (V = 3): a three-level hierarchy.
+fn deep(n: u64, fanout: u64, seed: u64) -> (ProbDb, Query) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut voc = Vocabulary::new();
+    let q = parse_query(&mut voc, "R(x), S(x,y), U(x,y,z)").unwrap();
+    let r = voc.find_relation("R").unwrap();
+    let s = voc.find_relation("S").unwrap();
+    let u = voc.find_relation("U").unwrap();
+    let mut db = ProbDb::new(voc);
+    for i in 0..n {
+        db.insert(r, vec![Value(i)], rng.gen_range(0.05..0.3));
+        for j in 0..fanout {
+            let y = n + i * fanout + j;
+            db.insert(s, vec![Value(i), Value(y)], rng.gen_range(0.05..0.3));
+            for l in 0..fanout {
+                let z = 10_000 + y * fanout + l;
+                db.insert(
+                    u,
+                    vec![Value(i), Value(y), Value(z)],
+                    rng.gen_range(0.05..0.3),
+                );
+            }
+        }
+    }
+    (db, q)
+}
+
+/// `H_0 = R(x), S(x,y), S(x2,y2), T(y2)` (#P-hard) over a sparse random
+/// bipartite `S`: two edges from each of `n` left values.
+fn h0(n: u64, seed: u64) -> (ProbDb, Query) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut voc = Vocabulary::new();
+    let q = parse_query(&mut voc, "R(x), S(x,y), S(x2,y2), T(y2)").unwrap();
+    let r = voc.find_relation("R").unwrap();
+    let s = voc.find_relation("S").unwrap();
+    let t = voc.find_relation("T").unwrap();
+    let mut db = ProbDb::new(voc);
+    for i in 0..n {
+        db.insert(r, vec![Value(i)], rng.gen_range(0.2..0.8));
+        db.insert(t, vec![Value(1000 + i)], rng.gen_range(0.2..0.8));
+        for _ in 0..2 {
+            let j = rng.gen_range(0..n);
+            db.insert(s, vec![Value(i), Value(1000 + j)], rng.gen_range(0.2..0.8));
+        }
+    }
+    (db, q)
+}
+
+/// Least-squares slope of `ln y` against `ln x`: the fitted polynomial
+/// degree of `y(x)`.
+fn loglog_slope(points: &[(f64, f64)]) -> f64 {
+    let n = points.len() as f64;
+    let (mut sx, mut sy, mut sxx, mut sxy) = (0.0, 0.0, 0.0, 0.0);
+    for &(x, y) in points {
+        let (lx, ly) = (x.ln(), y.ln());
+        sx += lx;
+        sy += ly;
+        sxx += lx * lx;
+        sxy += lx * ly;
+    }
+    (n * sxy - sx * sy) / (n * sxx - sx * sx)
+}
+
+/// The extensional plan's work: rows scanned, rows joined, groups folded.
+fn safe_plan_work(db: &ProbDb, q: &Query) -> (u64, OpCounters) {
+    let ev = Engine::new().evaluate(db, q, Strategy::Auto).unwrap();
+    assert_eq!(ev.method, Method::Extensional);
+    let c = ev.extensional.expect("extensional runs report counters");
+    (c.rows_scanned + c.join_rows + c.groups, c)
+}
+
+/// E4 (§1, the MystiQ gap): on the star family the safe plan returns the
+/// possible-worlds probability (exact lineage compilation, to 1e-7), and
+/// seeded Karp–Luby at MystiQ-scale sampling lands inside six of its own
+/// standard errors. The "one to two orders of magnitude faster" half is a
+/// timing claim; `benchmark/` measures time.
+#[test]
+fn e4_safe_plan_is_exact_and_karp_luby_is_inside_its_error() {
+    let engine = Engine::new();
+    for n in [20u64, 50] {
+        let (db, q) = star(n, 4, 42);
+        let ev = engine.evaluate(&db, &q, Strategy::Auto).unwrap();
+        assert_eq!(ev.method, Method::Extensional, "N={n}");
+        let dnf = lineage_of(&db, &q);
+        let exact = exact_probability(&dnf, db.probs());
+        assert!(
+            (ev.probability - exact).abs() < 1e-7,
+            "N={n}: safe plan {} vs exact lineage {exact}",
+            ev.probability
+        );
+        let mut rng = StdRng::seed_from_u64(5);
+        let est = karp_luby(&dnf, db.probs(), 50_000, &mut rng);
+        assert!(
+            (est.estimate - exact).abs() < 6.0 * est.std_error + 1e-3,
+            "N={n}: Karp-Luby {} (se {}) vs exact {exact}",
+            est.estimate,
+            est.std_error
+        );
+    }
+}
+
+/// E5 (Cor. 3.7): a safe plan's work is polynomial in the domain size N,
+/// of degree at most V(q), the query's variable count. Every scan reads
+/// each tuple of its relation once, so the constant is pinned too.
+#[test]
+fn e5_safe_plan_work_is_polynomial_of_degree_at_most_v() {
+    type Family = (&'static str, fn(u64) -> (ProbDb, Query));
+    let families: [Family; 2] = [("star", |n| star(n, 4, 7)), ("deep", |n| deep(n, 3, 7))];
+    for (name, build) in families {
+        let mut points = Vec::new();
+        let mut v = 0;
+        for n in [10u64, 20, 40, 80] {
+            let (db, q) = build(n);
+            v = q.vars().len();
+            let (work, c) = safe_plan_work(&db, &q);
+            assert_eq!(
+                c.rows_scanned,
+                db.num_tuples() as u64,
+                "{name} N={n}: each tuple is scanned once ({c:?})"
+            );
+            points.push((n as f64, work as f64));
+        }
+        let degree = loglog_slope(&points);
+        assert!(
+            degree <= v as f64,
+            "{name}: work {points:?} fits degree {degree:.3} > V(q) = {v}"
+        );
+    }
+}
+
+/// E7 (App. B): exact lineage compilation on the #P-hard `H_0` makes
+/// Shannon decisions faster than its tuple count grows, while the safe
+/// plan's work on the star grows linearly in its tuples.
+#[test]
+fn e7_exact_compilation_blows_up_on_h0_but_not_on_the_star() {
+    let mut hard = Vec::new();
+    let mut easy = Vec::new();
+    for n in [4u64, 6, 8] {
+        let (db, q) = h0(n, 3);
+        let (_, stats) = exact_probability_with_stats(&lineage_of(&db, &q), db.probs());
+        hard.push((db.num_tuples() as f64, stats.decisions as f64));
+        let (db, q) = star(n, 2, 3);
+        easy.push((db.num_tuples() as f64, safe_plan_work(&db, &q).0 as f64));
+    }
+    let hard_degree = loglog_slope(&hard);
+    let easy_degree = loglog_slope(&easy);
+    assert!(
+        hard_degree > 2.0,
+        "H_0 decisions {hard:?} fit degree {hard_degree:.3}, not super-linear"
+    );
+    assert!(
+        (easy_degree - 1.0).abs() < 0.05,
+        "star work {easy:?} fits degree {easy_degree:.3}, not linear"
+    );
+}
+
+/// E10, hard side (the conclusions' p = 1/2 question): counting the
+/// substructures that satisfy `H_0` inherits the dichotomy — the PTIME
+/// recurrence refuses the query, and exact lineage compilation returns
+/// the count that world enumeration gives.
+#[test]
+fn e10_counting_on_h0_is_exact_lineage_not_the_recurrence() {
+    let (mut db, q) = h0(4, 5);
+    assert!(count_substructures_recurrence(&db, &q).is_err());
+    let n = db.num_tuples();
+    let by_lineage = count_satisfying_worlds_exact(&db, &q);
+    for i in 0..n {
+        let t = db.tuple(TupleId(i as u32)).clone();
+        db.insert(t.rel, t.args, 0.5);
+    }
+    // 2^n · p(q) at p ≡ 1/2 is a sum of multiples of 2^-n: exact in f64.
+    let by_worlds = brute_force_probability(&db, &q) * (1u64 << n) as f64;
+    assert_eq!(
+        by_lineage,
+        BigUint::from_u64(by_worlds as u64),
+        "{n} tuples"
+    );
+}
