@@ -12,8 +12,7 @@
 //!
 //! | variant | substrate | when |
 //! |---|---|---|
-//! | [`PhysicalPlan::Trivial`] | constant | no sub-goals after minimization |
-//! | [`PhysicalPlan::Extensional`] | `safeplan` set-at-a-time operators | hierarchical, no self-joins |
+//! | [`PhysicalPlan::Extensional`] | `safeplan` set-at-a-time operators | hierarchical, no self-joins; a constant (`certain` / `never`) when nothing is left after minimization |
 //! | [`PhysicalPlan::Recurrence`] | Eq. 3 tuple-at-a-time recurrence | extensional compile declined |
 //! | [`PhysicalPlan::RootRecursion`] | §3.2 coverage root recursion | inversion-free self-joins |
 //! | [`PhysicalPlan::ExactLineage`] | weighted model counting | erasable inversions (§3.4 substitution) |
@@ -63,8 +62,6 @@ impl fmt::Display for Method {
 /// needs, nothing the classifier produced along the way.
 #[derive(Clone, Debug)]
 pub enum PhysicalPlan {
-    /// Constant probability, no data access (trivial after minimization).
-    Trivial { probability: f64 },
     /// Extensional safe plan run by the `safeplan` set-at-a-time executor —
     /// the preferred backend for hierarchical self-join-free queries.
     Extensional { plan: safeplan::PlanNode },
@@ -83,7 +80,6 @@ impl PhysicalPlan {
     /// The method this plan runs under normal (non-fallback) execution.
     pub fn method(&self) -> Method {
         match self {
-            PhysicalPlan::Trivial { .. } => Method::Recurrence,
             PhysicalPlan::Extensional { .. } => Method::Extensional,
             PhysicalPlan::Recurrence { .. } => Method::Recurrence,
             PhysicalPlan::RootRecursion { .. } => Method::SafePlan,
@@ -95,9 +91,6 @@ impl PhysicalPlan {
     /// Render the plan for CLI/debug output.
     pub fn display(&self, voc: &Vocabulary) -> String {
         match self {
-            PhysicalPlan::Trivial { probability } => {
-                format!("trivial (constant probability {probability})\n")
-            }
             PhysicalPlan::Extensional { plan } => {
                 format!("extensional plan:\n{}", plan.display(voc))
             }
@@ -204,7 +197,6 @@ impl Executor {
     /// fallbacks stay exact — only the reported [`Method`] changes.
     pub fn execute(&self, db: &ProbDb, plan: &PhysicalPlan) -> Result<ExecOutcome, String> {
         match plan {
-            PhysicalPlan::Trivial { probability } => Ok(exact(*probability, Method::Recurrence)),
             PhysicalPlan::Extensional { plan } => {
                 let mut counters = safeplan::OpCounters::default();
                 // The cost model gates the requested shard fan-out per
@@ -274,14 +266,6 @@ impl Executor {
         plan: &PhysicalPlan,
     ) -> (QRat, Method) {
         match plan {
-            PhysicalPlan::Trivial { probability } => {
-                let p = if *probability >= 1.0 {
-                    QRat::one()
-                } else {
-                    QRat::zero()
-                };
-                (p, Method::Recurrence)
-            }
             PhysicalPlan::Extensional { plan } => (
                 safeplan::query_probability_exact(db, probs, plan),
                 Method::Extensional,
@@ -459,10 +443,21 @@ mod tests {
         let mut voc = Vocabulary::new();
         let _ = voc.relation("R", 1).unwrap();
         let db = ProbDb::new(voc);
+        let probs = RatProbs::from_db(&db);
         let exec = Executor::new(1);
-        let out = exec
-            .execute(&db, &PhysicalPlan::Trivial { probability: 1.0 })
-            .unwrap();
-        assert_eq!(out.probability, 1.0);
+        for (node, p) in [
+            (safeplan::PlanNode::Certain, 1),
+            (safeplan::PlanNode::Never, 0),
+        ] {
+            let plan = PhysicalPlan::Extensional { plan: node };
+            assert_eq!(plan.method(), Method::Extensional);
+            let out = exec.execute(&db, &plan).unwrap();
+            assert_eq!(out.probability, p as f64);
+            assert_eq!(out.method, Method::Extensional);
+            assert_eq!(out.extensional.unwrap().rows_scanned, 0);
+            let (q, method) = exec.execute_exact(&db, &probs, &plan);
+            assert_eq!(q, QRat::from_int(p));
+            assert_eq!(method, Method::Extensional);
+        }
     }
 }

@@ -218,8 +218,12 @@ impl Planner {
                 // returned an empty-atom query only in those cases.
                 let certain = classification.minimized.atoms.is_empty()
                     && classification.minimized.normalize().is_some();
-                PhysicalPlan::Trivial {
-                    probability: if certain { 1.0 } else { 0.0 },
+                PhysicalPlan::Extensional {
+                    plan: if certain {
+                        safeplan::PlanNode::Certain
+                    } else {
+                        safeplan::PlanNode::Never
+                    },
                 }
             }
             Complexity::PTime(PTimeReason::HierarchicalNoSelfJoin) => {
@@ -275,9 +279,7 @@ impl Planner {
         let generic = generic_residual(q, head);
         let planned = self.plan_uncached(&generic)?;
         let kind = match &planned.plan {
-            PhysicalPlan::Trivial { .. } | PhysicalPlan::ExactLineage { .. } => {
-                ResidualKind::ExactLineage
-            }
+            PhysicalPlan::ExactLineage { .. } => ResidualKind::ExactLineage,
             PhysicalPlan::Extensional { .. } | PhysicalPlan::Recurrence { .. } => {
                 ResidualKind::Recurrence
             }

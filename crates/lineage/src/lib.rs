@@ -12,25 +12,18 @@
 //!   memoization). Exponential in the worst case — the paper proves it must
 //!   be, for #P-hard queries — but effective at laptop scale and the
 //!   ground-truth oracle for every other evaluator in the workspace,
-//! * [`mc`] — the Karp–Luby FPRAS for DNF probability and a naive
-//!   Monte-Carlo sampler; these are the "MystiQ fallback" baselines the
-//!   paper's introduction compares safe plans against,
-//! * [`circuit`] — explicit decision-DNNF compilation: compile once,
-//!   re-weight in linear time.
+//! * [`mc`] — the Karp–Luby FPRAS for DNF probability, the "MystiQ
+//!   fallback" baseline the paper's introduction compares safe plans
+//!   against.
 
-pub mod circuit;
 pub mod dnf;
 pub mod exact;
 pub mod field;
 pub mod mc;
 
-pub use circuit::{compile, Circuit, Node};
 pub use dnf::{Clause, Dnf, Lit};
 pub use exact::{
     exact_probability, exact_probability_generic, model_count, model_count_exact, ExactStats,
 };
 pub use field::ProbValue;
-pub use mc::{
-    karp_luby, karp_luby_par, karp_luby_with_scratch, naive_mc, naive_mc_par,
-    naive_mc_with_scratch, McEstimate, McScratch,
-};
+pub use mc::{karp_luby, karp_luby_par, karp_luby_with_scratch, McEstimate, McScratch};

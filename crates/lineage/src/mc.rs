@@ -1,24 +1,18 @@
-//! Monte-Carlo estimation of DNF probability.
+//! Monte-Carlo estimation of DNF probability: [`karp_luby`], the Karp–Luby
+//! importance sampler, an FPRAS for DNF probability. Sample a clause
+//! proportionally to its weight, complete it to a world, and count the
+//! sample iff the chosen clause is the *first* satisfied clause. Relative
+//! error is controlled independently of how small the answer is — naive
+//! world sampling would need `Ω(1/P)` samples.
 //!
-//! Two estimators:
-//!
-//! * [`naive_mc`] — sample worlds from the product distribution and count
-//!   how often the DNF is true. Unbiased but needs `Ω(1/P)` samples when the
-//!   answer is small.
-//! * [`karp_luby`] — the Karp–Luby importance sampler, an FPRAS for DNF
-//!   probability: sample a clause proportionally to its weight, complete it
-//!   to a world, and count the sample iff the chosen clause is the *first*
-//!   satisfied clause. Relative error is controlled independently of how
-//!   small the answer is.
-//!
-//! This pair is the paper's practical foil: MystiQ (§1) falls back to
-//! "a Monte Carlo simulation algorithm" for unsafe queries. Experiment E4
+//! This is the paper's practical foil: MystiQ (§1) falls back to "a Monte
+//! Carlo simulation algorithm" for unsafe queries. Experiment E4
 //! (`tests/paper_claims.rs`) asserts that seeded Karp–Luby lands inside
 //! its reported standard error where the safe plan is exact.
 //!
-//! Both estimators also come in parallel form ([`naive_mc_par`],
-//! [`karp_luby_par`]): the sample budget is fanned out over a scoped-thread
-//! worker pool, each worker drawing from its own RNG stream (seed-split via
+//! The estimator also comes in parallel form ([`karp_luby_par`]): the
+//! sample budget is fanned out over a scoped-thread worker pool, each
+//! worker drawing from its own RNG stream (seed-split via
 //! [`rand::rngs::StdRng::split`], so a fixed seed and thread count is fully
 //! reproducible), and the per-worker hit counts pool into one estimate with
 //! a pooled standard error.
@@ -66,93 +60,6 @@ impl McEstimate {
     /// Half-width of the 95% normal confidence interval.
     pub fn ci95(&self) -> f64 {
         1.96 * self.std_error
-    }
-}
-
-/// Naive Monte Carlo: sample independent worlds, average DNF truth.
-pub fn naive_mc<R: Rng>(dnf: &Dnf, probs: &[f64], samples: u64, rng: &mut R) -> McEstimate {
-    naive_mc_with_scratch(dnf, probs, samples, rng, &mut McScratch::new())
-}
-
-/// [`naive_mc`] reusing a caller-held [`McScratch`] — for hot loops that
-/// estimate many lineages back to back.
-pub fn naive_mc_with_scratch<R: Rng>(
-    dnf: &Dnf,
-    probs: &[f64],
-    samples: u64,
-    rng: &mut R,
-    scratch: &mut McScratch,
-) -> McEstimate {
-    if dnf.is_false() {
-        return McEstimate {
-            estimate: 0.0,
-            std_error: 0.0,
-            samples,
-        };
-    }
-    let hits = naive_hits(dnf, probs, samples, rng, scratch);
-    naive_estimate(hits, samples)
-}
-
-/// [`naive_mc`] with the sample budget fanned out over `threads` workers,
-/// each drawing from its own seed-split RNG stream. Deterministic for a
-/// fixed `(seed, threads)`; the per-worker hit counts pool into one
-/// estimate. Also reports per-thread busy-time counters.
-pub fn naive_mc_par(
-    dnf: &Dnf,
-    probs: &[f64],
-    samples: u64,
-    threads: usize,
-    seed: u64,
-) -> (McEstimate, ExecStats) {
-    if dnf.is_false() {
-        return (
-            McEstimate {
-                estimate: 0.0,
-                std_error: 0.0,
-                samples,
-            },
-            ExecStats::default(),
-        );
-    }
-    let (hits, stats) = pooled_hits(samples, threads, seed, |budget, rng| {
-        // One scratch per worker, reused across that worker's samples.
-        naive_hits(dnf, probs, budget, rng, &mut McScratch::new())
-    });
-    (naive_estimate(hits, samples), stats)
-}
-
-/// The naive sampling kernel: draw `samples` worlds, count satisfying
-/// ones. The world bitmap comes from `scratch` and every position is
-/// overwritten per draw, so reuse across samples (and calls) is free.
-fn naive_hits<R: Rng>(
-    dnf: &Dnf,
-    probs: &[f64],
-    samples: u64,
-    rng: &mut R,
-    scratch: &mut McScratch,
-) -> u64 {
-    let n = probs.len().max(dnf.num_vars());
-    let world = scratch.world(n);
-    let mut hits = 0u64;
-    for _ in 0..samples {
-        for (i, w) in world.iter_mut().enumerate() {
-            let p = probs.get(i).copied().unwrap_or(0.0);
-            *w = rng.gen::<f64>() < p;
-        }
-        if dnf.satisfied_by(world) {
-            hits += 1;
-        }
-    }
-    hits
-}
-
-fn naive_estimate(hits: u64, samples: u64) -> McEstimate {
-    let est = hits as f64 / samples as f64;
-    McEstimate {
-        estimate: est,
-        std_error: (est * (1.0 - est) / samples as f64).sqrt(),
-        samples,
     }
 }
 
@@ -352,18 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_mc_converges() {
-        let (d, probs) = chain_dnf(6);
-        let exact = exact_probability(&d, &probs);
-        let mut rng = StdRng::seed_from_u64(7);
-        let est = naive_mc(&d, &probs, 200_000, &mut rng);
-        assert!(
-            (est.estimate - exact).abs() < 5.0 * est.std_error.max(1e-3),
-            "exact={exact} est={est:?}"
-        );
-    }
-
-    #[test]
     fn karp_luby_converges() {
         let (d, probs) = chain_dnf(6);
         let exact = exact_probability(&d, &probs);
@@ -396,7 +291,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(karp_luby(&Dnf::new(), &[], 10, &mut rng).estimate, 0.0);
         assert_eq!(karp_luby(&Dnf::truth(), &[], 10, &mut rng).estimate, 1.0);
-        assert_eq!(naive_mc(&Dnf::new(), &[], 10, &mut rng).estimate, 0.0);
     }
 
     #[test]
@@ -406,9 +300,6 @@ mod tests {
             let (a, _) = karp_luby_par(&d, &probs, 20_000, threads, 99);
             let (b, _) = karp_luby_par(&d, &probs, 20_000, threads, 99);
             assert_eq!(a, b, "karp_luby_par threads={threads}");
-            let (a, _) = naive_mc_par(&d, &probs, 20_000, threads, 99);
-            let (b, _) = naive_mc_par(&d, &probs, 20_000, threads, 99);
-            assert_eq!(a, b, "naive_mc_par threads={threads}");
         }
     }
 
@@ -424,11 +315,6 @@ mod tests {
             );
             assert_eq!(stats.threads(), threads);
             assert_eq!(stats.total_morsels(), threads as u64);
-            let (nv, _) = naive_mc_par(&d, &probs, 100_000, threads, 5);
-            assert!(
-                (nv.estimate - exact).abs() < 5.0 * nv.std_error.max(1e-3),
-                "threads={threads}: exact={exact} est={nv:?}"
-            );
         }
     }
 
@@ -438,8 +324,6 @@ mod tests {
         assert_eq!(kl.estimate, 0.0);
         let (kl, _) = karp_luby_par(&Dnf::truth(), &[], 10, 4, 0);
         assert_eq!(kl.estimate, 1.0);
-        let (nv, _) = naive_mc_par(&Dnf::new(), &[], 10, 4, 0);
-        assert_eq!(nv.estimate, 0.0);
     }
 
     #[test]
@@ -457,10 +341,11 @@ mod tests {
         let fresh = karp_luby(&d, &probs, 5_000, &mut rng_a);
         let reused = karp_luby_with_scratch(&d, &probs, 5_000, &mut rng_b, &mut scratch);
         assert_eq!(fresh, reused);
+        // And the other way round: a scratch last sized for a smaller DNF.
         let mut rng_a = StdRng::seed_from_u64(9);
         let mut rng_b = StdRng::seed_from_u64(9);
-        let fresh = naive_mc(&d, &probs, 5_000, &mut rng_a);
-        let reused = naive_mc_with_scratch(&d, &probs, 5_000, &mut rng_b, &mut scratch);
+        let fresh = karp_luby(&d_big, &probs_big, 5_000, &mut rng_a);
+        let reused = karp_luby_with_scratch(&d_big, &probs_big, 5_000, &mut rng_b, &mut scratch);
         assert_eq!(fresh, reused);
     }
 
@@ -468,7 +353,7 @@ mod tests {
     fn estimates_report_sample_count_and_ci() {
         let (d, probs) = chain_dnf(3);
         let mut rng = StdRng::seed_from_u64(5);
-        let est = naive_mc(&d, &probs, 1000, &mut rng);
+        let est = karp_luby(&d, &probs, 1000, &mut rng);
         assert_eq!(est.samples, 1000);
         assert!(est.ci95() >= est.std_error);
     }

@@ -1,24 +1,26 @@
-//! Epoch-snapshot concurrency over [`ProbDb`]: many wait-free readers,
-//! one publishing writer, two long-lived copies of the database.
+//! Epoch-snapshot concurrency over [`ProbDb`]: many snapshot readers, one
+//! publishing writer, two long-lived copies of the database.
 //!
 //! The `&mut ProbDb` discipline used everywhere else in the workspace
 //! structurally forbids concurrent readers during a mutation. The
 //! [`EpochStore`] lifts that restriction for the serving layer:
 //!
-//! * **Readers** evaluate against immutable `Arc<ProbDb>` snapshots. A
-//!   registered [`ReaderHandle`] acquires the current snapshot with three
-//!   atomic operations and no locks — acquisition is wait-free, and a
-//!   reader never blocks on (or is blocked by) an in-flight writer.
+//! * **Readers** evaluate against immutable `Arc<ProbDb>` snapshots.
+//!   [`EpochStore::snapshot`] locks the *publication cell* — a small mutex
+//!   around the current epoch's `Arc` and its publication counter —
+//!   clones the `Arc`, and unlocks. The cell is held only for that clone
+//!   and for the writer's pointer swap, so a reader waits at most for a
+//!   swap, never for a write in progress, however many readers there are.
 //! * **The writer** owns no private copy. To write it takes the *spare* —
-//!   the one retired epoch it kept, if by now nobody else holds it — and
-//!   catches it up to the published epoch by replaying the published
-//!   epoch's own delta log ([`ProbDb::replay_from`], O(delta)); runs the
-//!   caller's closure on it; and publishes that buffer: swap the snapshot
-//!   pointer, retire the previous epoch, which becomes the next spare
-//!   once no acquisition can reach it. The two buffers leapfrog, so a
-//!   write costs what its delta costs, twice — not a copy of the
+//!   the epoch the last publish swapped out, if by now nobody else holds
+//!   it — and catches it up to the published epoch by replaying the
+//!   published epoch's own delta log ([`ProbDb::replay_from`], O(delta));
+//!   runs the caller's closure on it; and publishes that buffer: swap it
+//!   into the cell, bump the publication counter, notify watchers, and
+//!   keep the previous epoch as the next spare. The two buffers leapfrog,
+//!   so a write costs what its delta costs, twice — not a copy of the
 //!   database. Whenever there is no usable spare (the first write, or a
-//!   reader still holds the retired epoch when the next write starts) or
+//!   reader still holds the previous epoch when the next write starts) or
 //!   the log cannot bridge the gap ([`crate::MAX_DELTA_LOG`] overflow,
 //!   an out-of-band `insert`/`delete`, a layout change), the same path
 //!   starts from `(*published).clone()` instead — O(database), never
@@ -27,6 +29,8 @@
 //!   snapshot carries the version its content reflects and the delta log
 //!   up to it, so incremental views refresh across epochs exactly as they
 //!   do against a single mutating database.
+//! * **Watchers** block in [`EpochStore::wait_newer`] on the cell's
+//!   condvar, which every publish notifies, whoever made it.
 //!
 //! # Invariants (the epoch discipline)
 //!
@@ -34,123 +38,66 @@
 //!    snapshot a reader can reach or holds; readers can hold an epoch
 //!    arbitrarily long and observe bit-for-bit stable content.
 //! 2. **Versions are monotone.** Successive snapshots acquired by one
-//!    reader carry non-decreasing version stamps (the pointer only ever
+//!    reader carry non-decreasing version stamps (the cell only ever
 //!    advances).
 //! 3. **No torn reads.** A reader observes exactly the content of *some*
 //!    published epoch — never a mix of two epochs, never a half-applied
 //!    batch (the property test in `tests/epoch_snapshots.rs` races
 //!    readers against a writer to pin this).
-//! 4. **Readers never block the writer; the writer never blocks
-//!    readers.** Publication is a pointer swap; reclamation is deferred
-//!    until no in-flight acquisition can still reach the retired epoch.
+//! 4. **Readers wait only for a pointer swap, never for a write.** The
+//!    writer mutex, held for a whole write, is never taken by a reader;
+//!    the cell mutex, which readers take, is never held across the
+//!    caller's closure.
 //!
-//! # How reclamation works
+//! # Why recycling the previous epoch is safe
 //!
-//! Lock-free snapshot acquisition from a raw pointer needs a guarantee
-//! that the pointee is alive between the pointer load and the refcount
-//! increment. With no crates.io (`arc-swap`, `crossbeam`) available, the
-//! store hand-rolls a bounded epoch-based scheme: each registered reader
-//! owns an *announcement slot*. Acquisition announces the observed
-//! publication epoch, then loads the pointer; the writer swaps the
-//! pointer **before** bumping the publication epoch, retires the old
-//! `Arc` tagged with the post-bump epoch, and only reclaims a retired
-//! epoch once every active announcement is at least as new as its
-//! retirement tag. SeqCst ordering on the four operations makes the
-//! argument a total-order one: if a reader's load returned the retired
-//! pointer, its announcement preceded the writer's swap — and therefore
-//! carries an epoch strictly below the retirement tag, which keeps the
-//! `Arc` alive until the reader's own refcount increment lands and the
-//! slot clears.
-//!
-//! Slots are a fixed array of [`MAX_READERS`]; readers registered past
-//! that fall back to a lock-based acquisition (clone the published `Arc`
-//! under the writer mutex) — still correct, just not wait-free.
-//!
-//! # Why recycling a retired epoch is safe
-//!
-//! Reclaiming used to mean dropping the writer's reference; now the
-//! writer keeps one reclaimed epoch as the spare and, when the next write
-//! starts, calls `Arc::try_unwrap` on it. Both happen after the rule
-//! above has established that no acquisition in flight can still reach
-//! the epoch (and none can start: the pointer readers load has moved on),
-//! so the only parties that can touch it are holders of an `Arc` already
-//! counted in its strong count. `try_unwrap` succeeds only when that
-//! count is one (ours): the value moves out and is mutated as a plain
-//! owned `ProbDb`. If a reader still holds the epoch, `try_unwrap` fails,
-//! the writer's reference is dropped exactly as before, and the reader's
-//! copy stays immutable until it lets go. Recycling therefore writes to
-//! memory only where freeing it was already legal. The check is made at
-//! the last moment on purpose: a read in flight when its epoch retires —
-//! the normal state of a busy server — has until the next write to
-//! finish, so whether a write replays or clones does not hang on where
-//! the publish instant fell among the reads. A recycled buffer keeps its
-//! [`ProbDb::uid`] while its version advances; it is never published
-//! twice at one version, so `(uid, version)` still names one content
-//! state.
+//! The writer keeps the epoch it swapped out as the spare and, when the
+//! next write starts, calls `Arc::try_unwrap` on it. Once swapped out, the
+//! epoch cannot be reached through the cell, so no new reader can obtain
+//! it: the only parties that can touch it are holders of an `Arc` cloned
+//! before the swap and already counted in its strong count. `try_unwrap`
+//! succeeds only when that count is one (ours): the value moves out and
+//! is mutated as a plain owned `ProbDb`. If a reader still holds the
+//! epoch, `try_unwrap` fails, the writer's reference is dropped, and the
+//! reader's copy stays immutable until it lets go. Recycling therefore
+//! writes to memory only where freeing it would be legal. The check is
+//! made at the last moment on purpose: a read in flight when its epoch
+//! retires — the normal state of a busy server — has until the next
+//! write to finish, so whether a write replays or clones does not hang on
+//! where the publish instant fell among the reads. A recycled buffer
+//! keeps its [`ProbDb::uid`] while its version advances; it is never
+//! published twice at one version, so `(uid, version)` still names one
+//! content state.
 //!
 //! # Panics in the writer's closure
 //!
 //! The closure runs on a buffer local to [`EpochStore::with_writer`]. If
 //! it unwinds, the buffer is dropped with whatever half-applied state it
-//! had, and neither the published epoch nor the retired list was touched:
-//! the bookkeeping under the writer mutex is valid at every step, so later
-//! lockers recover the guard from the poisoned mutex and carry on (the
-//! next write simply starts from a clone).
+//! had, and the cell was not touched: the only state under the writer
+//! mutex is the spare, already taken, so later lockers recover the guard
+//! from the poisoned mutex and carry on (the next write simply starts
+//! from a clone). The cell mutex is never held across caller code.
 
 use crate::database::ProbDb;
 use crate::delta::DeltaBatch;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Wait-free reader slots per store; readers registered past this use the
-/// lock-based fallback path.
-pub const MAX_READERS: usize = 64;
-
-struct WriterInner {
-    /// The `Arc` behind `Shared::current` — keeps the current epoch alive.
-    published: Arc<ProbDb>,
-    /// Former epochs awaiting reclamation, tagged with the publication
-    /// epoch at which they were retired.
-    retired: Vec<(u64, Arc<ProbDb>)>,
-    /// The next write's buffer, if it is ours alone by then: a reclaimed
-    /// epoch (at an older version than `published`; a reader that
-    /// acquired it before it retired may still hold it), or the buffer of
-    /// a closure that published nothing (at `published`'s version,
-    /// possibly carrying a versionless change such as a grown vocabulary).
-    spare: Option<Arc<ProbDb>>,
-}
-
-impl WriterInner {
-    /// The buffer the next write mutates, and whether it was recycled:
-    /// the spare — if no reader holds it any more — caught up to
-    /// `published` by log replay, else a clone.
-    fn take_writable(&mut self) -> (ProbDb, bool) {
-        // Still held by a reader: let go of it — the last holder frees
-        // it — and clone.
-        let ours = self.spare.take().and_then(|s| Arc::try_unwrap(s).ok());
-        if let Some(mut spare) = ours {
-            if spare.version() == self.published.version() || spare.replay_from(&self.published) {
-                return (spare, true);
-            }
-        }
-        ((*self.published).clone(), false)
-    }
-}
-
 struct Shared {
-    /// Data pointer of `WriterInner::published`: the current epoch.
-    current: AtomicPtr<ProbDb>,
-    /// Publication counter, bumped (after the pointer swap) on every
-    /// publish.
-    epoch: AtomicU64,
-    /// Version stamp of the current epoch, mirrored for lock-free reads.
-    version: AtomicU64,
-    /// Reader announcement slots: 0 = idle, `e + 1` = acquiring after
-    /// observing publication epoch `e`.
-    slots: [AtomicU64; MAX_READERS],
-    /// Next slot to hand out.
-    registered: AtomicUsize,
+    /// The publication cell: the current epoch and its publication
+    /// counter (1 after construction, +1 per publish). Held only for a
+    /// reader's `Arc::clone` and for the writer's swap.
+    cell: Mutex<(Arc<ProbDb>, u64)>,
+    /// Notified after every publish.
+    published: Condvar,
+    /// Serializes writes, and holds the next write's buffer if it is ours
+    /// alone by then: the epoch the last publish swapped out (at an older
+    /// version than the cell's; a reader that acquired it before the swap
+    /// may still hold it), or the buffer of a closure that published
+    /// nothing (at the cell's version, possibly carrying a versionless
+    /// change such as a grown vocabulary).
+    spare: Mutex<Option<Arc<ProbDb>>>,
     /// Nanoseconds the last publication spent obtaining its buffer and
     /// swapping it in (the snapshot-publication latency the serve bench
     /// reports).
@@ -158,14 +105,13 @@ struct Shared {
     /// Publications whose buffer was the recycled spare / a fresh clone.
     recycled: AtomicU64,
     cloned: AtomicU64,
-    writer: Mutex<WriterInner>,
 }
 
 /// How many publications started from each kind of buffer (see
 /// [`EpochStore::publish_counts`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PublishCounts {
-    /// The retired epoch, caught up by delta-log replay: O(delta).
+    /// The previous epoch, caught up by delta-log replay: O(delta).
     pub recycled: u64,
     /// A deep clone of the published epoch: O(database).
     pub cloned: u64,
@@ -182,47 +128,33 @@ pub struct EpochStore {
 impl EpochStore {
     /// Publish `db` itself as the first epoch (no copy is made).
     pub fn new(db: ProbDb) -> EpochStore {
-        let published = Arc::new(db);
-        let shared = Shared {
-            current: AtomicPtr::new(Arc::as_ptr(&published) as *mut ProbDb),
-            epoch: AtomicU64::new(1),
-            version: AtomicU64::new(published.version()),
-            slots: std::array::from_fn(|_| AtomicU64::new(0)),
-            registered: AtomicUsize::new(0),
-            publish_ns: AtomicU64::new(0),
-            recycled: AtomicU64::new(0),
-            cloned: AtomicU64::new(0),
-            writer: Mutex::new(WriterInner {
-                published,
-                retired: Vec::new(),
-                spare: None,
-            }),
-        };
         EpochStore {
-            shared: Arc::new(shared),
+            shared: Arc::new(Shared {
+                cell: Mutex::new((Arc::new(db), 1)),
+                published: Condvar::new(),
+                spare: Mutex::new(None),
+                publish_ns: AtomicU64::new(0),
+                recycled: AtomicU64::new(0),
+                cloned: AtomicU64::new(0),
+            }),
         }
     }
 
-    /// Register a reader. The first [`MAX_READERS`] registrations get a
-    /// wait-free announcement slot; later ones fall back to lock-based
-    /// acquisition. One handle per thread — the slot protocol is
-    /// single-owner, which `snapshot(&mut self)` enforces.
+    /// A reader's handle on the store; see [`ReaderHandle`].
     pub fn reader(&self) -> ReaderHandle {
-        let idx = self.shared.registered.fetch_add(1, SeqCst);
         ReaderHandle {
-            shared: Arc::clone(&self.shared),
-            slot: (idx < MAX_READERS).then_some(idx),
+            store: self.clone(),
         }
     }
 
     /// The version stamp of the current epoch.
     pub fn version(&self) -> u64 {
-        self.shared.version.load(SeqCst)
+        self.cell().0.version()
     }
 
     /// The publication counter (1 after construction, +1 per publish).
     pub fn epoch(&self) -> u64 {
-        self.shared.epoch.load(SeqCst)
+        self.cell().1
     }
 
     /// Nanoseconds the most recent publication spent obtaining its
@@ -234,8 +166,8 @@ impl EpochStore {
 
     /// Publications so far by the buffer they started from. `cloned`
     /// counts the O(database) slow case: the first write, a reader still
-    /// holding the retired epoch when the next write starts, or a gap the
-    /// delta log cannot bridge.
+    /// holding the previous epoch when the next write starts, or a gap
+    /// the delta log cannot bridge.
     /// (A buffer kept from a closure that published nothing counts as
     /// recycled when a later write publishes it.)
     pub fn publish_counts(&self) -> PublishCounts {
@@ -245,10 +177,36 @@ impl EpochStore {
         }
     }
 
-    /// Lock-based snapshot of the current epoch — for casual readers
-    /// (stats endpoints, tests) that don't hold a [`ReaderHandle`].
+    /// The current epoch: lock the cell, clone the `Arc`, unlock. Never
+    /// waits for a write in progress.
     pub fn snapshot(&self) -> Arc<ProbDb> {
-        Arc::clone(&self.lock_writer().published)
+        Arc::clone(&self.cell().0)
+    }
+
+    /// Wait up to `timeout` for an epoch newer than `version`, and return
+    /// the current epoch either way (its version tells which happened).
+    /// Returns at once if the current epoch is already newer, and early at
+    /// [`EpochStore::wake_waiters`] (or a spurious wake-up), so callers
+    /// loop until they see the version they want or have a reason to
+    /// stop.
+    pub fn wait_newer(&self, version: u64, timeout: Duration) -> Arc<ProbDb> {
+        let mut cell = self.cell();
+        if cell.0.version() <= version {
+            cell = self
+                .shared
+                .published
+                .wait_timeout(cell, timeout)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        Arc::clone(&cell.0)
+    }
+
+    /// Wake every thread in [`EpochStore::wait_newer`] without a publish,
+    /// so it can look at a stop condition of its own (a server shutting
+    /// down wakes its `/watch` streams this way).
+    pub fn wake_waiters(&self) {
+        self.shared.published.notify_all();
     }
 
     /// Apply one delta batch and publish the new epoch. Returns the new
@@ -268,66 +226,25 @@ impl EpochStore {
     /// next write starts from. If `f` panics the copy is discarded and
     /// the store is unchanged.
     pub fn with_writer<R>(&self, f: impl FnOnce(&mut ProbDb) -> R) -> R {
-        let mut w = self.lock_writer();
+        let mut spare = lock_recovering(&self.shared.spare);
         let start = Instant::now();
-        let (mut buf, recycled) = w.take_writable();
+        let published = self.snapshot();
+        let (mut buf, recycled) = take_writable(spare.take(), &published);
         let obtained = start.elapsed();
         let out = f(&mut buf);
-        if buf.version() == w.published.version() {
-            w.spare = Some(Arc::new(buf));
-        } else {
-            self.publish_locked(&mut w, buf, recycled, obtained);
+        if buf.version() == published.version() {
+            *spare = Some(Arc::new(buf));
+            return out;
         }
-        out
-    }
-
-    /// Epochs retired but not yet reclaimed (observability; bounded by
-    /// in-flight reader acquisitions, which are a few instructions long).
-    /// The spare is reclaimed, not awaiting reclamation: not counted.
-    pub fn retired_epochs(&self) -> usize {
-        self.lock_writer().retired.len()
-    }
-
-    fn lock_writer(&self) -> MutexGuard<'_, WriterInner> {
-        lock_recovering(&self.shared.writer)
-    }
-
-    /// Swap the snapshot pointer to `buf`, retire the previous epoch, and
-    /// reclaim every retired epoch no in-flight acquisition can still
-    /// reach — the first one becomes the spare. Caller holds the writer
-    /// lock and has taken the spare.
-    fn publish_locked(&self, w: &mut WriterInner, buf: ProbDb, recycled: bool, obtained: Duration) {
         let start = Instant::now();
         let snap = Arc::new(buf);
-        // Order matters (see module docs): swap the pointer first, *then*
-        // bump the publication epoch the retirement tag is drawn from.
-        self.shared
-            .current
-            .store(Arc::as_ptr(&snap) as *mut ProbDb, SeqCst);
-        let tag = self.shared.epoch.fetch_add(1, SeqCst) + 1;
-        self.shared.version.store(snap.version(), SeqCst);
-        let old = std::mem::replace(&mut w.published, snap);
-        w.retired.push((tag, old));
-        let slots = &self.shared.slots;
-        let mut i = 0;
-        while i < w.retired.len() {
-            // Keep while any active announcement predates the retirement:
-            // that reader may still be between its pointer load and its
-            // refcount increment.
-            let retired_at = w.retired[i].0;
-            let reachable = slots.iter().any(|s| {
-                let v = s.load(SeqCst);
-                v != 0 && v - 1 < retired_at
-            });
-            if reachable {
-                i += 1;
-                continue;
-            }
-            // Keep one for the next write (which checks that no reader
-            // holds it by then); let go of the rest.
-            let (_, epoch) = w.retired.swap_remove(i);
-            w.spare.get_or_insert(epoch);
-        }
+        let previous = {
+            let mut cell = self.cell();
+            cell.1 += 1;
+            std::mem::replace(&mut cell.0, snap)
+        };
+        self.shared.published.notify_all();
+        *spare = Some(previous);
         let counter = if recycled {
             &self.shared.recycled
         } else {
@@ -337,62 +254,45 @@ impl EpochStore {
         self.shared
             .publish_ns
             .store((obtained + start.elapsed()).as_nanos() as u64, SeqCst);
+        out
+    }
+
+    fn cell(&self) -> MutexGuard<'_, (Arc<ProbDb>, u64)> {
+        lock_recovering(&self.shared.cell)
     }
 }
 
-/// Lock the writer mutex, recovering the guard if a writer closure
-/// panicked under it: `WriterInner` is valid at every step (see "Panics
-/// in the writer's closure" in the module docs).
-fn lock_recovering(writer: &Mutex<WriterInner>) -> MutexGuard<'_, WriterInner> {
-    writer.lock().unwrap_or_else(PoisonError::into_inner)
+/// The buffer the next write mutates, and whether it was recycled: the
+/// spare — if no reader holds it any more — caught up to `published` by
+/// log replay, else a clone.
+fn take_writable(spare: Option<Arc<ProbDb>>, published: &ProbDb) -> (ProbDb, bool) {
+    // Still held by a reader: let go of it — the last holder frees it —
+    // and clone.
+    if let Some(mut spare) = spare.and_then(|s| Arc::try_unwrap(s).ok()) {
+        if spare.version() == published.version() || spare.replay_from(published) {
+            return (spare, true);
+        }
+    }
+    (published.clone(), false)
 }
 
-/// A registered reader: acquires the current epoch wait-free (or through
-/// the lock-based fallback when the slot array was exhausted).
+/// Lock `m`, recovering the guard if a panic poisoned it: the state under
+/// both of the store's mutexes is valid at every step (see "Panics in the
+/// writer's closure" in the module docs).
+fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A reader's handle on the store. [`ReaderHandle::snapshot`] is
+/// [`EpochStore::snapshot`]; the handle holds no state of its own.
 pub struct ReaderHandle {
-    shared: Arc<Shared>,
-    slot: Option<usize>,
+    store: EpochStore,
 }
 
 impl ReaderHandle {
-    /// Acquire the current epoch. Wait-free for slotted readers: announce
-    /// the observed publication epoch, load the pointer, take a refcount,
-    /// clear the announcement — no locks, no retries, never blocked by a
-    /// concurrent [`EpochStore::apply`].
+    /// Acquire the current epoch (see [`EpochStore::snapshot`]).
     pub fn snapshot(&mut self) -> Arc<ProbDb> {
-        let Some(idx) = self.slot else {
-            return Arc::clone(&lock_recovering(&self.shared.writer).published);
-        };
-        let slot = &self.shared.slots[idx];
-        let announce = self.shared.epoch.load(SeqCst);
-        slot.store(announce + 1, SeqCst);
-        let ptr = self.shared.current.load(SeqCst);
-        // SAFETY: `ptr` is the data pointer of an `Arc` the writer
-        // retains (`published`, or a retired entry). If this load
-        // returned a pointer the writer has since retired, our
-        // announcement — stored before the load, SeqCst — precedes the
-        // writer's swap in the total order and carries an epoch below the
-        // retirement tag, so the reclamation rule in `publish_locked`
-        // keeps the `Arc` in the retired list — neither dropped nor made
-        // the spare — until the increment below lands and the slot
-        // clears; from then on our own count keeps the writer's
-        // `try_unwrap` from succeeding.
-        let snap = unsafe {
-            Arc::increment_strong_count(ptr);
-            Arc::from_raw(ptr as *const ProbDb)
-        };
-        slot.store(0, SeqCst);
-        snap
-    }
-
-    /// Did this handle get a wait-free announcement slot?
-    pub fn is_wait_free(&self) -> bool {
-        self.slot.is_some()
-    }
-
-    /// The version stamp of the current epoch (no acquisition).
-    pub fn version(&self) -> u64 {
-        self.shared.version.load(SeqCst)
+        self.store.snapshot()
     }
 }
 
@@ -400,6 +300,7 @@ impl ReaderHandle {
 mod tests {
     use super::*;
     use cq::{Value, Vocabulary};
+    use std::sync::mpsc;
 
     fn seed_db() -> (ProbDb, cq::RelId) {
         let mut voc = Vocabulary::new();
@@ -419,7 +320,6 @@ mod tests {
         let v0 = db.version();
         let store = EpochStore::new(db);
         let mut reader = store.reader();
-        assert!(reader.is_wait_free());
         let snap = reader.snapshot();
         assert_eq!(snap.version(), v0);
         assert_eq!(store.version(), v0);
@@ -440,27 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn retired_epochs_are_reclaimed_when_no_reader_is_acquiring() {
-        let (db, r) = seed_db();
-        let store = EpochStore::new(db);
-        let mut reader = store.reader();
-        // Hold a snapshot across many publishes: holding an acquired Arc
-        // does not pin the retired list (only in-flight acquisitions do).
-        let held = reader.snapshot();
-        for i in 0..20u64 {
-            let mut batch = DeltaBatch::new();
-            batch.update(r, vec![Value(0)], 0.01 + (i as f64) * 0.01);
-            store.apply(&batch);
-        }
-        assert_eq!(
-            store.retired_epochs(),
-            0,
-            "no in-flight acquisition: every retired epoch reclaimed"
-        );
-        assert_eq!(held.prob_of(r, &[Value(1)]), 0.5, "held epoch stable");
-    }
-
-    #[test]
     fn no_publish_without_a_version_change() {
         let (db, r) = seed_db();
         let store = EpochStore::new(db);
@@ -477,14 +356,77 @@ mod tests {
     }
 
     #[test]
-    fn readers_past_the_slot_array_fall_back_to_locking() {
-        let (db, _r) = seed_db();
-        let v = db.version();
+    fn readers_never_wait_for_a_write_in_progress() {
+        let (db, r) = seed_db();
+        let v0 = db.version();
         let store = EpochStore::new(db);
-        let mut handles: Vec<ReaderHandle> = (0..MAX_READERS + 2).map(|_| store.reader()).collect();
-        assert!(handles[0].is_wait_free());
-        assert!(!handles[MAX_READERS].is_wait_free());
-        assert_eq!(handles[MAX_READERS + 1].snapshot().version(), v);
+        let mut readers: Vec<ReaderHandle> = (0..128).map(|_| store.reader()).collect();
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        let seen = std::thread::scope(|scope| {
+            scope.spawn(move || {
+                // Acquire only once the write below is under way.
+                entered_rx.recv().unwrap();
+                let versions: Vec<u64> =
+                    readers.iter_mut().map(|h| h.snapshot().version()).collect();
+                let _ = done_tx.send(versions);
+            });
+            store.with_writer(|db| {
+                entered_tx.send(()).unwrap();
+                // Hold the write open until every reader has acquired; the
+                // bound makes a reader that waits for it fail, not hang.
+                let seen = done_rx.recv_timeout(Duration::from_secs(10));
+                db.apply(&update0(r, 0.9));
+                seen
+            })
+        });
+        let seen = seen.expect("a reader waited for the write in progress");
+        assert_eq!(
+            seen,
+            vec![v0; 128],
+            "readers saw the epoch before the write"
+        );
+        assert_eq!(store.version(), v0 + 1);
+    }
+
+    #[test]
+    fn wait_newer_returns_on_a_publish_a_wake_or_its_timeout() {
+        let (db, r) = seed_db();
+        let v0 = db.version();
+        let store = EpochStore::new(db);
+        let quiet = store.wait_newer(v0, Duration::from_millis(20));
+        assert_eq!(quiet.version(), v0, "nothing published: the current epoch");
+        // `wake_waiters` ends a wait long before its timeout. Keep waking
+        // until the waiter is back, so it cannot sleep through the call.
+        let start = Instant::now();
+        let woken = std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| store.wait_newer(v0, Duration::from_secs(60)));
+            while !waiter.is_finished() {
+                store.wake_waiters();
+                std::thread::yield_now();
+            }
+            waiter.join().unwrap()
+        });
+        assert_eq!(woken.version(), v0);
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "slept through the wake"
+        );
+        let woken = std::thread::scope(|scope| {
+            let watcher = scope.spawn(|| {
+                let start = Instant::now();
+                loop {
+                    let snap = store.wait_newer(v0, Duration::from_secs(10));
+                    if snap.version() > v0 || start.elapsed() > Duration::from_secs(10) {
+                        return snap;
+                    }
+                }
+            });
+            store.apply(&update0(r, 0.9));
+            watcher.join().unwrap()
+        });
+        assert_eq!(woken.version(), v0 + 1);
+        assert_eq!(woken.prob_of(r, &[Value(0)]), 0.9);
     }
 
     #[test]
@@ -535,7 +477,6 @@ mod tests {
             assert_eq!(counts.cloned, 1, "publish {i}: {counts:?}");
             assert_eq!(reader.snapshot().prob_of(r, &[Value(0)]), i as f64 / 100.0);
         }
-        assert_eq!(store.retired_epochs(), 0);
 
         // Hold the current epoch across two publishes: it retires at the
         // first and is still not ours alone when the second starts, so

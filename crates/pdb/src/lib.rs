@@ -37,7 +37,7 @@ pub mod worlds;
 pub use bid::{BidDb, Block};
 pub use database::{ProbDb, ProbTuple, ShardColumn, TupleId, MAX_DELTA_LOG};
 pub use delta::{AppliedDelta, ChangeKind, DeltaBatch, DeltaOp, TupleChange};
-pub use epoch::{EpochStore, PublishCounts, ReaderHandle, MAX_READERS};
+pub use epoch::{EpochStore, PublishCounts, ReaderHandle};
 pub use eval::{all_valuations, satisfies, Valuation};
 pub use exact::{
     brute_force_probability_exact, count_satisfying_worlds_exact, exact_query_probability, RatProbs,

@@ -2,11 +2,11 @@
 //!
 //! A hand-rolled HTTP/1.1 + JSON query service over `std::net` (no
 //! crates.io, like `exec-parallel` and `telemetry`): a listener feeds a
-//! fixed worker pool; every worker owns one wait-free reader slot in the
-//! shared [`pdb::EpochStore`] and evaluates against immutable
-//! `Arc<ProbDb>` snapshots while a single writer applies `DeltaBatch`es
-//! to the store's second buffer — the retired epoch, caught up by
-//! delta-log replay — and publishes it as the new epoch.
+//! fixed worker pool; every worker takes snapshots of the shared
+//! [`pdb::EpochStore`] and evaluates against immutable `Arc<ProbDb>`
+//! snapshots while a single writer applies `DeltaBatch`es to the store's
+//! second buffer — the previous epoch, caught up by delta-log replay —
+//! and publishes it as the new epoch.
 //!
 //! ## Wire protocol
 //!
@@ -55,11 +55,11 @@
 //!
 //! 1. **Published epochs are immutable.** A snapshot handed to a reader
 //!    never changes. The writer mutates only a buffer nobody else can
-//!    reach — a retired epoch it holds the last reference to, replayed
-//!    up to date in O(delta), or failing that a deep clone — and swaps
-//!    the published pointer to it. A reader that still holds a retired
-//!    epoch when the next write starts keeps it intact and costs that
-//!    write the clone (`publish.cloned` in `/stats`,
+//!    reach — the previous epoch, once it holds the last reference to
+//!    it, replayed up to date in O(delta), or failing that a deep clone —
+//!    and swaps the published pointer to it. A reader that still holds
+//!    the previous epoch when the next write starts keeps it intact and
+//!    costs that write the clone (`publish.cloned` in `/stats`,
 //!    `server.publish.cloned` in `/metrics`); handlers let go of their
 //!    snapshot before writing the response, so a read costs no clone
 //!    unless it outlasts a whole write interval.
@@ -69,9 +69,11 @@
 //! 3. **No torn reads.** Every response is computed against exactly one
 //!    snapshot — bit-for-bit the result of *some* published epoch, never
 //!    a mix of two.
-//! 4. **Readers never block the writer, the writer never blocks
-//!    readers.** Snapshot acquisition is wait-free (an atomic announce +
-//!    pointer load); `apply` runs concurrently with in-flight reads.
+//! 4. **Readers wait only for a pointer swap, never for an `/apply`.**
+//!    Snapshot acquisition clones the current `Arc` under a small mutex
+//!    the writer holds only to swap the pointer; `/apply` runs
+//!    concurrently with in-flight reads, and every publish, whoever makes
+//!    it, wakes every `/watch` stream.
 //!
 //! The result cache is keyed by `(db uid, version, seed, exec shape,
 //! strategy, Query::cache_key())`, so hits are only possible within one

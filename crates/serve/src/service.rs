@@ -1,18 +1,16 @@
-//! The query service: a `TcpListener` feeding a fixed worker pool, every
-//! worker holding its own wait-free [`pdb::ReaderHandle`] into the shared
-//! [`pdb::EpochStore`]. Reads (`/eval`, `/rank`, `/watch`) evaluate
-//! against immutable `Arc<ProbDb>` snapshots and never block the writer;
-//! `/apply` runs under the store's single-writer lock on the store's
-//! second buffer — the retired epoch, caught up by replaying the delta
-//! log — and publishes it as the new epoch, so a write costs O(delta).
-//! That only works while nobody holds the retired epoch when the next
-//! write starts: handlers keep a snapshot for one evaluation and let go
-//! before they write the response, so neither a slow peer nor an open
-//! `/watch` stream pins one (a held one forces that write to deep-clone —
-//! counted in `server.publish.cloned`). The engine
-//! is shared across workers — its plan cache is the sharded-lock LRU and
-//! its result cache short-circuits repeated identical reads within an
-//! epoch.
+//! The query service: a `TcpListener` feeding a fixed worker pool over
+//! one shared [`pdb::EpochStore`]. Reads (`/eval`, `/rank`, `/watch`)
+//! evaluate against immutable `Arc<ProbDb>` snapshots and never wait for
+//! a write; `/apply` runs under the store's single-writer lock on the
+//! store's second buffer — the previous epoch, caught up by replaying the
+//! delta log — and publishes it as the new epoch, so a write costs
+//! O(delta). That only works while nobody holds the previous epoch when
+//! the next write starts: handlers keep a snapshot for one evaluation and
+//! let go before they write the response, so neither a slow peer nor an
+//! open `/watch` stream pins one (a held one forces that write to
+//! deep-clone — counted in `server.publish.cloned`). The engine is shared
+//! across workers — its plan cache is the sharded-lock LRU and its result
+//! cache short-circuits repeated identical reads within an epoch.
 //!
 //! # Observability (on by default)
 //!
@@ -48,7 +46,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use cq::{parse_query, Query, Term, Var, Vocabulary};
 use dichotomy::engine::{Engine, ExecOptions, Strategy};
 use dichotomy::ranking::{ranked_answers_captured, ranked_answers_counted};
-use pdb::{EpochStore, ProbDb, PublishCounts, ReaderHandle};
+use pdb::{EpochStore, ProbDb, PublishCounts};
 use telemetry::json::{escape, parse, Json};
 use telemetry::metrics::format_f64;
 use telemetry::recorder::Ring;
@@ -72,7 +70,7 @@ const ACCESS_TAIL_CAP: usize = 1024;
 pub struct ServeOptions {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Fixed worker pool size (each worker owns one epoch reader slot).
+    /// Fixed worker pool size.
     pub workers: usize,
     /// Monte-Carlo sample budget for `Strategy::Auto` hard queries.
     pub mc_samples: u64,
@@ -347,9 +345,6 @@ struct Shared {
     /// Accepted connections queued for the worker pool.
     conns: Mutex<VecDeque<TcpStream>>,
     conn_cv: Condvar,
-    /// Latest published version, bumped by `/apply` to wake watchers.
-    publish: Mutex<u64>,
-    publish_cv: Condvar,
     shutdown: AtomicBool,
     metrics: Metrics,
     started: Instant,
@@ -405,15 +400,12 @@ impl Server {
             opts: opts.clone(),
             conns: Mutex::new(VecDeque::new()),
             conn_cv: Condvar::new(),
-            publish: Mutex::new(0),
-            publish_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             metrics: Metrics::new(),
             started: Instant::now(),
             slow_ms,
             obs,
         });
-        *shared.publish.lock().expect("publish poisoned") = shared.store.version();
 
         let accept_shared = Arc::clone(&shared);
         let acceptor = std::thread::Builder::new()
@@ -423,11 +415,10 @@ impl Server {
         let mut workers = Vec::with_capacity(opts.workers.max(1));
         for i in 0..opts.workers.max(1) {
             let worker_shared = Arc::clone(&shared);
-            let reader = worker_shared.store.reader();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(worker_shared, reader))?,
+                    .spawn(move || worker_loop(worker_shared))?,
             );
         }
         Ok(Server {
@@ -484,7 +475,7 @@ impl Server {
         // Unblock the acceptor with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         self.shared.conn_cv.notify_all();
-        self.shared.publish_cv.notify_all();
+        self.shared.store.wake_waiters();
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
@@ -521,7 +512,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, mut reader: ReaderHandle) {
+fn worker_loop(shared: Arc<Shared>) {
     loop {
         let conn = {
             let mut q = shared.conns.lock().expect("conns poisoned");
@@ -541,18 +532,14 @@ fn worker_loop(shared: Arc<Shared>, mut reader: ReaderHandle) {
         };
         match conn {
             Some(stream) => {
-                let _ = handle_connection(&shared, &mut reader, stream);
+                let _ = handle_connection(&shared, stream);
             }
             None => return,
         }
     }
 }
 
-fn handle_connection(
-    shared: &Arc<Shared>,
-    reader: &mut ReaderHandle,
-    stream: TcpStream,
-) -> io::Result<()> {
+fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     // Short read timeout so idle keep-alive connections notice shutdown;
     // `http::read_request` rides through the timeouts otherwise.
@@ -573,7 +560,7 @@ fn handle_connection(
             Err(_) => return Ok(()),
         };
         let keep_alive = req.keep_alive;
-        dispatch(shared, reader, &req, &mut wr)?;
+        dispatch(shared, &req, &mut wr)?;
         if !keep_alive || shared.shutdown.load(Ordering::SeqCst) {
             return Ok(());
         }
@@ -605,12 +592,7 @@ fn endpoint_label(path: &str) -> &'static str {
     }
 }
 
-fn dispatch(
-    shared: &Arc<Shared>,
-    reader: &mut ReaderHandle,
-    req: &Request,
-    wr: &mut TcpStream,
-) -> io::Result<()> {
+fn dispatch(shared: &Arc<Shared>, req: &Request, wr: &mut TcpStream) -> io::Result<()> {
     shared.metrics.requests.incr();
     let path = req.path.split('?').next().unwrap_or("");
     let ep = shared.metrics.endpoint(endpoint_label(path));
@@ -624,10 +606,10 @@ fn dispatch(
         ("GET", "/stats") => handle_stats(shared, wr)?,
         ("GET", "/metrics") => handle_metrics(shared, wr)?,
         ("GET", "/debug/requests") => handle_debug_requests(shared, wr)?,
-        ("POST", "/eval") => handle_eval(shared, reader, &req.body, wr, &mut info)?,
-        ("POST", "/rank") => handle_rank(shared, reader, &req.body, wr, &mut info)?,
+        ("POST", "/eval") => handle_eval(shared, &req.body, wr, &mut info)?,
+        ("POST", "/rank") => handle_rank(shared, &req.body, wr, &mut info)?,
         ("POST", "/apply") => handle_apply(shared, &req.body, wr)?,
-        ("POST", "/watch") => handle_watch(shared, reader, &req.body, wr)?,
+        ("POST", "/watch") => handle_watch(shared, &req.body, wr)?,
         (
             _,
             "/health" | "/stats" | "/metrics" | "/debug/requests" | "/eval" | "/rank" | "/apply"
@@ -735,7 +717,7 @@ fn handle_stats(shared: &Arc<Shared>, wr: &mut TcpStream) -> io::Result<u16> {
     };
     let body = format!(
         concat!(
-            "{{\"version\":{},\"epoch\":{},\"retired_epochs\":{},\"uptime_ms\":{},",
+            "{{\"version\":{},\"epoch\":{},\"uptime_ms\":{},",
             "\"requests\":{},\"errors\":{},\"inflight\":{},\"watch_updates\":{},",
             "\"spans_dropped\":{},",
             "\"plan_cache\":{{\"hits\":{},\"misses\":{},\"classifications\":{},",
@@ -749,7 +731,6 @@ fn handle_stats(shared: &Arc<Shared>, wr: &mut TcpStream) -> io::Result<u16> {
         ),
         shared.store.version(),
         shared.store.epoch(),
-        shared.store.retired_epochs(),
         shared.started.elapsed().as_millis(),
         m.requests.get(),
         m.errors.get(),
@@ -946,7 +927,6 @@ fn spans_json(spans: &[SpanRec]) -> String {
 
 fn handle_eval(
     shared: &Arc<Shared>,
-    reader: &mut ReaderHandle,
     body: &str,
     wr: &mut TcpStream,
     info: &mut ReqInfo,
@@ -959,7 +939,7 @@ fn handle_eval(
         return bad_request(wr, "missing 'query'");
     };
     let trace = doc.get("trace").is_some_and(|j| j == &Json::Bool(true));
-    let snap = reader.snapshot();
+    let snap = shared.store.snapshot();
     let (q, _) = match parse_known_query(&snap, qtext) {
         Ok(x) => x,
         Err(e) => return bad_request(wr, &e),
@@ -1020,7 +1000,6 @@ fn handle_eval(
 
 fn handle_rank(
     shared: &Arc<Shared>,
-    reader: &mut ReaderHandle,
     body: &str,
     wr: &mut TcpStream,
     info: &mut ReqInfo,
@@ -1037,7 +1016,7 @@ fn handle_rank(
         return bad_request(wr, "missing 'head' (e.g. \"x0\" or \"x0 x1\")");
     };
     let top = doc.get("top").and_then(|j| j.as_u64()).map(|t| t as usize);
-    let snap = reader.snapshot();
+    let snap = shared.store.snapshot();
     let (q, _) = match parse_known_query(&snap, qtext) {
         Ok(x) => x,
         Err(e) => return bad_request(wr, &e),
@@ -1112,8 +1091,8 @@ fn handle_rank(
 
 /// The shared `/apply` path: parse the delta script against a clone of
 /// the writable buffer's vocabulary (so a rejected script leaves nothing
-/// behind), apply every batch under the writer lock, publish, and wake
-/// watchers.
+/// behind), apply every batch under the writer lock, and publish (which
+/// wakes watchers).
 fn apply_script(shared: &Arc<Shared>, script: &str) -> Result<ApplySummary, String> {
     let applied = shared.store.with_writer(|db| {
         let mut voc = db.voc.clone();
@@ -1132,13 +1111,6 @@ fn apply_script(shared: &Arc<Shared>, script: &str) -> Result<ApplySummary, Stri
     let publish_ns = shared.store.last_publish_ns();
     shared.metrics.publish_ns.record_ns(publish_ns);
     shared.metrics.feed_publish_counts(&shared.store);
-    {
-        let mut latest = shared.publish.lock().expect("publish poisoned");
-        if version > *latest {
-            *latest = version;
-        }
-    }
-    shared.publish_cv.notify_all();
     Ok(ApplySummary {
         version,
         batches,
@@ -1170,12 +1142,7 @@ fn handle_apply(shared: &Arc<Shared>, body: &str, wr: &mut TcpStream) -> io::Res
     }
 }
 
-fn handle_watch(
-    shared: &Arc<Shared>,
-    reader: &mut ReaderHandle,
-    body: &str,
-    wr: &mut TcpStream,
-) -> io::Result<u16> {
+fn handle_watch(shared: &Arc<Shared>, body: &str, wr: &mut TcpStream) -> io::Result<u16> {
     let doc = match parse_body(body) {
         Ok(d) => d,
         Err(e) => return bad_request(wr, &e),
@@ -1194,7 +1161,7 @@ fn handle_watch(
         .map(Duration::from_millis)
         .unwrap_or(shared.opts.watch_timeout);
 
-    let snap = reader.snapshot();
+    let snap = shared.store.snapshot();
     let (q, _) = match parse_known_query(&snap, qtext) {
         Ok(x) => x,
         Err(e) => return bad_request(wr, &e),
@@ -1220,28 +1187,23 @@ fn handle_watch(
     let mut delivered = 1;
     let deadline = Instant::now() + timeout;
     while delivered < updates {
-        // Wait for the next published epoch (or the deadline / shutdown).
-        let mut latest = shared.publish.lock().expect("publish poisoned");
-        while *latest <= last_version {
-            if shared.shutdown.load(Ordering::SeqCst) || Instant::now() >= deadline {
-                break;
-            }
+        // Wait for the next published epoch; the deadline or a shutdown
+        // terminates the stream. `Server::shutdown` wakes this wait, and
+        // the slices bound a shutdown that lands between the check and
+        // the wait.
+        let snap = loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            let (guard, _) = shared
-                .publish_cv
-                .wait_timeout(latest, remaining.min(Duration::from_millis(50)))
-                .expect("publish poisoned");
-            latest = guard;
-        }
-        let available = *latest;
-        drop(latest);
-        if available <= last_version {
-            break; // timed out or shutting down — terminate the stream.
-        }
-        let snap = reader.snapshot();
-        if snap.version() <= last_version {
-            continue; // our reader raced the publish; try again.
-        }
+            if shared.shutdown.load(Ordering::SeqCst) || remaining.is_zero() {
+                break None;
+            }
+            let snap = shared
+                .store
+                .wait_newer(last_version, remaining.min(Duration::from_millis(50)));
+            if snap.version() > last_version {
+                break Some(snap);
+            }
+        };
+        let Some(snap) = snap else { break };
         let reading = match view.read(&snap) {
             Ok(r) => r,
             Err(_) => break,

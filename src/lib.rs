@@ -29,9 +29,10 @@
 //!   Chrome-trace export (`--trace`) and the typed metrics
 //!   registry behind `Evaluation::metric_set` and the CLI's `--json` mode,
 //! * [`serve`] — the concurrent query service: a hand-rolled HTTP/1.1 +
-//!   JSON server whose workers read wait-free epoch snapshots of the
+//!   JSON server whose workers read immutable epoch snapshots of the
 //!   database while a single writer applies deltas and publishes new
-//!   epochs (`probdb serve`).
+//!   epochs (`probdb serve`); a read waits at most for a pointer swap,
+//!   never for a write.
 //!
 //! ## Quickstart
 //!
@@ -88,7 +89,7 @@ pub mod prelude {
         PhysicalPlan, Planner, PlannerStats, RankedAnswer, RankedPlan, RankedRun,
     };
     pub use incremental::{IncrementalView, RefreshCounters, RefreshOptions};
-    pub use lineage::{exact_probability, karp_luby, naive_mc, Dnf};
+    pub use lineage::{exact_probability, karp_luby, Dnf};
     pub use numeric::{BigInt, BigUint, QRat};
     pub use pdb::{
         brute_force_probability, count_satisfying_worlds_exact, lineage_of, DeltaBatch, DeltaOp,

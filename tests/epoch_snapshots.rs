@@ -175,16 +175,19 @@ fn readers_only_observe_published_epochs() {
             assert!(total > 0, "readers never got to observe anything");
         });
         assert_eq!(store.version(), replay.version());
-        // With every reader parked, retired epochs must drain on the next
-        // publish cycle (reclamation is writer-driven).
+        // With every reader joined nobody holds the previous epoch, so the
+        // next write recycles it instead of cloning the database.
         let r = voc.find_relation("R").unwrap();
         let mut flush = DeltaBatch::new();
         flush.insert(r, vec![Value(999)], 0.5);
+        let before = store.publish_counts();
         store.apply(&flush);
-        assert!(
-            store.retired_epochs() <= 1,
-            "retired epochs not reclaimed: {}",
-            store.retired_epochs()
+        let after = store.publish_counts();
+        assert_eq!(
+            after.recycled,
+            before.recycled + 1,
+            "{before:?} -> {after:?}"
         );
+        assert_eq!(after.cloned, before.cloned, "{before:?} -> {after:?}");
     }
 }

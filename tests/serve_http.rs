@@ -276,47 +276,62 @@ fn publishes_are_counted_by_kind_in_stats_and_metrics() {
     }
 }
 
-#[test]
-fn an_open_watch_stream_does_not_pin_its_subscribe_time_epoch() {
-    use std::io::{BufRead, BufReader, Read, Write};
+/// A `/watch` stream spoken to by hand: `HttpClient` only returns once
+/// the stream has ended, and these tests are about what holds while it is
+/// open.
+struct WatchStream {
+    rd: std::io::BufReader<std::net::TcpStream>,
+}
 
-    let server = start_server();
-
-    // Speak to /watch by hand: `HttpClient` only returns once the stream
-    // has ended, and this test is about what holds while it is open.
-    let mut wr = std::net::TcpStream::connect(server.addr()).unwrap();
-    let body = "{\"query\":\"R(x), S(x, y)\",\"updates\":3}";
-    write!(
-        wr,
-        "POST /watch HTTP/1.1\r\nHost: probdb\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    let mut rd = BufReader::new(wr.try_clone().unwrap());
-    let mut line = String::new();
-    while rd.read_line(&mut line).unwrap() > 2 {
-        line.clear(); // response head, up to the blank line
+impl WatchStream {
+    fn open(server: &Server, body: &str) -> WatchStream {
+        use std::io::{BufRead, Write};
+        let mut wr = std::net::TcpStream::connect(server.addr()).unwrap();
+        write!(
+            wr,
+            "POST /watch HTTP/1.1\r\nHost: probdb\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        let mut rd = std::io::BufReader::new(wr);
+        let mut line = String::new();
+        while rd.read_line(&mut line).unwrap() > 2 {
+            line.clear(); // response head, up to the blank line
+        }
+        WatchStream { rd }
     }
-    let mut next_version = || {
-        line.clear();
-        rd.read_line(&mut line).unwrap();
+
+    /// The next reading's version; `None` once the stream has ended.
+    fn next_version(&mut self) -> Option<u64> {
+        use std::io::{BufRead, Read};
+        let mut line = String::new();
+        self.rd.read_line(&mut line).unwrap();
         let size = usize::from_str_radix(line.trim(), 16).unwrap();
         let mut chunk = vec![0u8; size + 2]; // data + CRLF
-        rd.read_exact(&mut chunk).unwrap();
+        self.rd.read_exact(&mut chunk).unwrap();
+        if size == 0 {
+            return None;
+        }
         let doc = parse(std::str::from_utf8(&chunk[..size]).unwrap()).unwrap();
-        num(&doc, "version") as u64
-    };
+        Some(num(&doc, "version") as u64)
+    }
+}
+
+#[test]
+fn an_open_watch_stream_does_not_pin_its_subscribe_time_epoch() {
+    let server = start_server();
+    let mut watch = WatchStream::open(&server, "{\"query\":\"R(x), S(x, y)\",\"updates\":3}");
 
     // The first reading has arrived, so the subscription is set up; the
     // epoch it was taken from is still the published one.
-    let v0 = next_version();
+    let v0 = watch.next_version().unwrap();
     assert_eq!(v0, server.version());
 
     // One publish (a clone: nothing to recycle yet) retires that epoch.
     // With the stream still open nothing may be holding it: it is the
     // next write's buffer, so that write replays instead of cloning.
     let v1 = server.apply("~ R(3) @ 0.9").unwrap().version;
-    assert_eq!(next_version(), v1);
+    assert_eq!(watch.next_version(), Some(v1));
     let v2 = server.apply("~ R(3) @ 0.8").unwrap().version;
     let counts = server.store().publish_counts();
     assert_eq!(
@@ -324,7 +339,55 @@ fn an_open_watch_stream_does_not_pin_its_subscribe_time_epoch() {
         (1, 1),
         "the open /watch stream still holds its subscribe-time epoch"
     );
-    assert_eq!(next_version(), v2);
+    assert_eq!(watch.next_version(), Some(v2));
+}
+
+#[test]
+fn a_publish_through_the_store_wakes_an_open_watch() {
+    let server = start_server();
+    let mut watch = WatchStream::open(&server, "{\"query\":\"R(x), S(x, y)\",\"updates\":2}");
+    let v0 = watch.next_version().unwrap();
+
+    // Not through `/apply` or `Server::apply`: straight into the store.
+    let r = server.store().snapshot().voc.find_relation("R").unwrap();
+    let mut batch = DeltaBatch::new();
+    batch.update(r, vec![Value(3)], 0.9);
+    let v1 = server.store().apply(&batch);
+    assert!(v1 > v0);
+    assert_eq!(
+        watch.next_version(),
+        Some(v1),
+        "the stream ended without the epoch the store published"
+    );
+}
+
+#[test]
+fn stats_answer_while_a_write_is_in_progress() {
+    use std::sync::mpsc;
+
+    let server = start_server();
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel();
+    let finished = std::thread::scope(|scope| {
+        let store = server.store();
+        let writer = scope.spawn(move || {
+            store.with_writer(|_db| {
+                entered_tx.send(()).unwrap();
+                // Hold the write open until `/stats` has answered; the
+                // bound makes a `/stats` that waits for it fail, not hang.
+                done_rx.recv_timeout(Duration::from_secs(10))
+            })
+        });
+        entered_rx.recv().unwrap();
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let stats = client.get("/stats").unwrap();
+        let _ = done_tx.send(stats);
+        writer.join().unwrap()
+    });
+    let stats = finished.expect("/stats waited for the write in progress");
+    assert_eq!(stats.status, 200, "{}", stats.body);
+    let doc = parse(&stats.body).unwrap();
+    assert_eq!(num(&doc, "version") as u64, server.version());
 }
 
 #[test]
