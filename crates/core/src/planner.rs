@@ -279,7 +279,14 @@ impl Planner {
         let generic = generic_residual(q, head);
         let planned = self.plan_uncached(&generic)?;
         let kind = match &planned.plan {
-            PhysicalPlan::ExactLineage { .. } => ResidualKind::ExactLineage,
+            // A constant generic residual says nothing about real bindings:
+            // a predicate comparing a head variable with a constant can be
+            // false for the sentinels and true for data (`h < 5`), leaving
+            // a residual of any shape. Exact lineage answers every shape.
+            PhysicalPlan::Extensional {
+                plan: safeplan::PlanNode::Certain | safeplan::PlanNode::Never,
+            }
+            | PhysicalPlan::ExactLineage { .. } => ResidualKind::ExactLineage,
             PhysicalPlan::Extensional { .. } | PhysicalPlan::Recurrence { .. } => {
                 ResidualKind::Recurrence
             }

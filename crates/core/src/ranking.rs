@@ -455,6 +455,40 @@ mod tests {
     }
 
     #[test]
+    fn head_constant_predicates_over_a_hard_residual_use_exact_lineage() {
+        // The generic residual binds `h` to a sentinel far above 5, so it
+        // plans as the constant `never`; the residual for a real binding is
+        // the non-hierarchical `R(x), S(x,y), T(y)` and needs lineage.
+        for pred in ["h < 5", "h = 3"] {
+            let mut voc = Vocabulary::new();
+            let q = parse_query(&mut voc, &format!("A(h), R(x), S(x,y), T(y), {pred}")).unwrap();
+            let h = q.vars()[0];
+            let a = voc.find_relation("A").unwrap();
+            let r = voc.find_relation("R").unwrap();
+            let s = voc.find_relation("S").unwrap();
+            let t = voc.find_relation("T").unwrap();
+            let mut db = ProbDb::new(voc);
+            db.insert(a, vec![Value(3)], 0.7);
+            db.insert(a, vec![Value(9)], 0.8);
+            for i in 0..2u64 {
+                db.insert(r, vec![Value(i)], 0.5);
+                db.insert(t, vec![Value(i)], 0.6);
+                for j in 0..2u64 {
+                    db.insert(s, vec![Value(i), Value(j)], 0.4);
+                }
+            }
+            let engine = Engine::new();
+            let answers = ranked_answers(&engine, &db, &q, &[h], Strategy::Auto).unwrap();
+            assert_eq!(answers.len(), 1, "{pred}");
+            assert_eq!(answers[0].tuple, vec![Value(3)]);
+            assert_eq!(answers[0].method, Method::ExactLineage);
+            let residual = q.apply(&Subst::singleton(h, Value(3)));
+            let bf = brute_force_probability(&db, &residual);
+            assert!((answers[0].probability - bf).abs() < 1e-9, "{pred}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "does not occur")]
     fn foreign_head_variable_rejected() {
         let (db, q, _) = movie_db();
