@@ -34,7 +34,7 @@ use crate::planner::{PlannedQuery, Planner, PlannerStats};
 use crate::result_cache::ResultCache;
 use cq::Query;
 use exec_parallel::ExecStats;
-use incremental::{IncrementalView, RefreshCounters, RefreshOptions};
+use incremental::{IncrementalView, RefreshCounters};
 use pdb::ProbDb;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -634,7 +634,7 @@ impl ViewHandle {
                 let refreshed = view.synced_version() != db.version();
                 let run = view.refresh_run(
                     db,
-                    RefreshOptions::with_tuning(self.exec.threads, self.exec.shards),
+                    safeplan::DagOptions::new(self.exec.threads, self.exec.shards),
                 );
                 let execution = start.elapsed();
                 // An incremental refresh runs its delta kernels on the same

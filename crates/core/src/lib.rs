@@ -87,7 +87,7 @@ pub use exact_recurrence::{count_substructures_recurrence, eval_recurrence_exact
 pub use exec_parallel::{ExecStats, ThreadStats};
 pub use explain::{explain, explain_evaluation};
 pub use hierarchy::{check_hierarchical, is_hierarchical};
-pub use incremental::{RefreshCounters, RefreshOptions};
+pub use incremental::RefreshCounters;
 pub use inversion::{find_inversion, InversionWitness};
 pub use multisim::{
     multisim_marginals, multisim_top_k, MultiSimAnswer, MultiSimConfig, MultiSimResult,

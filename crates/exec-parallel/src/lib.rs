@@ -181,25 +181,6 @@ impl Pool {
         })
     }
 
-    /// [`Pool::map_morsels`] for **strided flat buffers**: the index space
-    /// is `rows` logical rows, each `stride` contiguous elements wide, as
-    /// in a columnar relation whose value buffer is `rows * stride` long.
-    /// Morsel boundaries fall on row boundaries, and `work` receives both
-    /// the row range and the matching element range
-    /// (`rows.start*stride .. rows.end*stride`) — a morsel never splits a
-    /// row, so per-morsel output buffers concatenate back into a valid
-    /// strided buffer. Row counters report rows, not elements.
-    pub fn map_morsels_strided<T, F>(&self, rows: usize, stride: usize, work: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Range<usize>, Range<usize>) -> T + Sync,
-    {
-        self.map_morsels(rows, |r| {
-            let elems = r.start * stride..r.end * stride;
-            work(r, elems)
-        })
-    }
-
     /// Apply `work` to partition ids `0..parts`, returning results in
     /// partition order. Each partition is handled by exactly one worker.
     ///
@@ -375,38 +356,6 @@ mod tests {
         assert_eq!(chunks, vec![7, 7, 7, 2]);
         assert_eq!(pool.stats().total_rows(), 23);
         assert_eq!(pool.stats().total_morsels(), 4);
-    }
-
-    #[test]
-    fn strided_morsels_are_row_aligned() {
-        let stride = 3;
-        let rows = 10;
-        let data: Vec<u32> = (0..(rows * stride) as u32).collect();
-        for threads in [1, 2, 4] {
-            let pool = Pool::with_grain(threads, 4);
-            let chunks = pool.map_morsels_strided(rows, stride, |r, e| {
-                assert_eq!(e.start, r.start * stride);
-                assert_eq!(e.end, r.end * stride);
-                assert_eq!(e.len() % stride, 0, "morsel splits a row");
-                data[e].to_vec()
-            });
-            let flat: Vec<u32> = chunks.into_iter().flatten().collect();
-            assert_eq!(flat, data, "threads={threads}");
-        }
-        // Row counters report rows, not elements.
-        let pool = Pool::with_grain(2, 4);
-        pool.map_morsels_strided(rows, stride, |_, _| ());
-        assert_eq!(pool.stats().total_rows(), rows as u64);
-    }
-
-    #[test]
-    fn zero_stride_is_the_boolean_relation_case() {
-        let pool = Pool::with_grain(2, 1);
-        let chunks = pool.map_morsels_strided(2, 0, |r, e| {
-            assert!(e.is_empty());
-            r.len()
-        });
-        assert_eq!(chunks, vec![1, 1]);
     }
 
     #[test]

@@ -24,12 +24,28 @@
 //! `(data, probs)` equal a from-scratch execution's buffers exactly.
 
 use cq::{Value, Var};
-use std::cmp::Ordering;
 
-/// Order-preserving pack of a 2-element key into one `u128`.
-#[inline]
-fn pack2(a: u64, b: u64) -> u128 {
-    (u128::from(a) << 64) | u128::from(b)
+/// First chunk index of `flat` (stride `k`, chunks ascending) whose first
+/// `key.len()` words are not below `key` — a full key's lower bound, or
+/// where the chunks starting with a prefix begin. Stride-1 keys (scan
+/// tuple ids and everything built on one scan) compare as raw `u64`s.
+pub(crate) fn lower_bound(flat: &[u64], k: usize, key: &[u64]) -> usize {
+    if k == 0 || key.is_empty() {
+        return 0;
+    }
+    if k == 1 {
+        return flat.partition_point(|&x| x < key[0]);
+    }
+    let (mut lo, mut hi) = (0, flat.len() / k);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if &flat[mid * k..mid * k + key.len()] < key {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// A columnar relation with a parallel sorted stable-key column.
@@ -110,72 +126,22 @@ impl KeyedRel {
         self.probs.push(prob);
     }
 
-    /// Row index of an exact key, by binary search. Stride-1 keys (the
-    /// overwhelmingly common case: scan tuple ids and everything built on
-    /// one scan) compare as raw `u64`s, skipping slice construction.
+    /// Row index of an exact key, by binary search.
     pub fn find(&self, key: &[u64]) -> Option<usize> {
         debug_assert_eq!(key.len(), self.kstride);
-        if self.kstride == 0 {
-            return (!self.is_empty()).then_some(0);
-        }
-        if self.kstride == 1 {
-            return self.keys.binary_search(&key[0]).ok();
-        }
-        if self.kstride == 2 {
-            // Pack (hi, lo) into a u128: order-preserving, compares in one
-            // machine comparison instead of a slice walk.
-            let target = pack2(key[0], key[1]);
-            let mut lo = 0usize;
-            let mut hi = self.len();
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                let got = pack2(self.keys[mid * 2], self.keys[mid * 2 + 1]);
-                match got.cmp(&target) {
-                    Ordering::Less => lo = mid + 1,
-                    Ordering::Greater => hi = mid,
-                    Ordering::Equal => return Some(mid),
-                }
-            }
-            return None;
-        }
-        let mut lo = 0usize;
-        let mut hi = self.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match self.key(mid).cmp(key) {
-                Ordering::Less => lo = mid + 1,
-                Ordering::Greater => hi = mid,
-                Ordering::Equal => return Some(mid),
-            }
-        }
-        None
+        let i = lower_bound(&self.keys, self.kstride, key);
+        (i < self.len() && self.key(i) == key).then_some(i)
     }
 
     /// The contiguous row range whose keys start with `prefix`
     /// (lexicographic sorting keeps equal prefixes adjacent).
     pub fn prefix_range(&self, prefix: &[u64]) -> std::ops::Range<usize> {
         debug_assert!(prefix.len() <= self.kstride);
-        if prefix.is_empty() {
-            return 0..self.len();
-        }
-        let p = prefix.len();
-        let lo = self.partition(|k| &k[..p] < prefix);
-        let hi = self.partition(|k| &k[..p] <= prefix);
+        let lo = lower_bound(&self.keys, self.kstride, prefix);
+        let hi = (lo..self.len())
+            .find(|&i| &self.key(i)[..prefix.len()] != prefix)
+            .unwrap_or(self.len());
         lo..hi
-    }
-
-    fn partition(&self, pred: impl Fn(&[u64]) -> bool) -> usize {
-        let mut lo = 0usize;
-        let mut hi = self.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if pred(self.key(mid)) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
     }
 
     /// First row index in `from..len` whose key is `>= key`, by
@@ -212,16 +178,8 @@ impl KeyedRel {
             step *= 2;
         }
         // Binary search in (lo, hi].
-        let mut lo = lo + 1;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if below(mid) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        let k = self.kstride;
+        lo + 1 + lower_bound(&self.keys[(lo + 1) * k..hi * k], k, key)
     }
 
     /// Remove the rows whose keys appear in `removed` (flat, stride

@@ -34,6 +34,19 @@
 //!   pass over the child output.
 //! * **Select** — deltas filter through the compiled predicate.
 //!
+//! ## One operator algebra
+//!
+//! The rules above run on the cold executor's own kernels, imported from
+//! `safeplan` rather than copied: the compiled scan (`ScanPlan`), the
+//! compiled predicate (`CompiledPred`), the join's column bookkeeping
+//! (`JoinSpec`), key interning (`Grouper`, filled by `gather_key`) for
+//! join-value indexes and project groups, and the group fold with its
+//! saturation rule (`lineage::ProbValue::independent_or`, the same step
+//! `safeplan`'s project folds with). A refresh is tuned by the executor's
+//! options (`safeplan::DagOptions`). What this crate adds is only what
+//! maintenance needs: stable keys, both-side indexes, tombstones and
+//! delta carriers.
+//!
 //! ## Order and bit-for-bit identity
 //!
 //! Every row carries a **stable key** (tuple id at scans, concatenation
@@ -56,8 +69,8 @@
 //!
 //! There is one way to fill that state: **materialization is a refresh
 //! from the empty state**. [`IncrementalView::new`] builds the operator
-//! structure alone (compiled scan slots, join-stage schemas, empty
-//! indexes and group tables) and runs one seeding refresh whose net
+//! structure alone (compiled scans and predicates, join-stage schemas,
+//! empty indexes and group tables) and runs one seeding refresh whose net
 //! changes are every live tuple of each scanned relation as `Δ⁺`, read
 //! from `ProbDb::tuples_of` in ascending id order. Into an empty state,
 //! the rules above reduce to the cold executor's scan, join and project.
@@ -75,14 +88,19 @@ mod state;
 mod view;
 
 pub use state::Unsupported;
-pub use view::{IncrementalView, RefreshCounters, RefreshOptions, RefreshRun};
+pub use view::{IncrementalView, RefreshCounters, RefreshRun};
+
+/// A refresh is tuned exactly as an execution is (threads, morsel grain,
+/// shard fan-out), so it takes the executor's options; this name is kept
+/// for callers written against the refresh's own options type.
+pub use safeplan::DagOptions as RefreshOptions;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cq::{parse_query, Value, Vocabulary};
     use pdb::{DeltaBatch, ProbDb};
-    use safeplan::{build_plan, execute, optimize};
+    use safeplan::{build_plan, execute, optimize, DagOptions};
 
     fn star_db() -> (ProbDb, safeplan::PlanNode) {
         let mut voc = Vocabulary::new();
@@ -137,7 +155,7 @@ mod tests {
             .insert(s, vec![Value(9), Value(309)], 0.7)
             .delete(r, vec![Value(5)]);
         db.apply(&batch);
-        let c = view.refresh(&db, RefreshOptions::serial());
+        let c = view.refresh(&db, DagOptions::serial());
         assert_eq!(c.incremental_refreshes, 1);
         assert!(c.rows_retouched > 0);
         assert_matches_cold(&view, &db, &plan);
@@ -147,7 +165,7 @@ mod tests {
     fn refresh_is_idempotent_and_cheap_when_synced() {
         let (db, plan) = star_db();
         let mut view = IncrementalView::new(&db, &plan).unwrap();
-        let c = view.refresh(&db, RefreshOptions::serial());
+        let c = view.refresh(&db, DagOptions::serial());
         assert_eq!(c, RefreshCounters::default());
     }
 
@@ -157,7 +175,7 @@ mod tests {
         let r = db.voc.find_relation("R").unwrap();
         let mut view = IncrementalView::new(&db, &plan).unwrap();
         db.insert(r, vec![Value(77)], 0.5); // raw insert: log invalidated
-        let c = view.refresh(&db, RefreshOptions::serial());
+        let c = view.refresh(&db, DagOptions::serial());
         assert_eq!(c.full_rebuilds, 1);
         assert_eq!(c.incremental_refreshes, 0);
         assert_matches_cold(&view, &db, &plan);
@@ -178,12 +196,12 @@ mod tests {
         batch.update(r, vec![Value(1)], 0.97);
         db.apply(&batch);
         let mut view = IncrementalView::new(&db, &plan).unwrap();
-        let c = view.refresh(&older, RefreshOptions::serial());
+        let c = view.refresh(&older, DagOptions::serial());
         assert_eq!(view.synced_version(), older.version());
         assert_matches_cold(&view, &older, &plan);
         assert_eq!((c.full_rebuilds, c.incremental_refreshes), (1, 0));
         assert!(c.rows_retouched > 0);
-        let c = view.refresh(&db, RefreshOptions::serial());
+        let c = view.refresh(&db, DagOptions::serial());
         assert_eq!((c.full_rebuilds, c.incremental_refreshes), (0, 1));
         assert_matches_cold(&view, &db, &plan);
     }
@@ -201,8 +219,8 @@ mod tests {
                 .update(s, vec![Value(round), Value(100 + round)], 0.05)
                 .delete(s, vec![Value(round), Value(200 + round)]);
             db.apply(&batch);
-            serial.refresh(&db, RefreshOptions::serial());
-            par.refresh(&db, RefreshOptions::with_grain(4, 1));
+            serial.refresh(&db, DagOptions::serial());
+            par.refresh(&db, DagOptions::with_grain(4, 1, 1));
             assert_matches_cold(&serial, &db, &plan);
             assert_matches_cold(&par, &db, &plan);
             assert_eq!(
@@ -223,11 +241,11 @@ mod tests {
         let r = db.voc.find_relation("R").unwrap();
         let s = db.voc.find_relation("S").unwrap();
         let mut serial = IncrementalView::new(&db, &plan).unwrap();
-        let mut sharded: Vec<(RefreshOptions, IncrementalView)> = [(1, 2), (4, 2), (4, 4)]
+        let mut sharded: Vec<(DagOptions, IncrementalView)> = [(1, 2), (4, 2), (4, 4)]
             .into_iter()
             .map(|(threads, shards)| {
                 (
-                    RefreshOptions::with_tuning(threads, shards),
+                    DagOptions::new(threads, shards),
                     IncrementalView::new(&db, &plan).unwrap(),
                 )
             })
@@ -244,7 +262,7 @@ mod tests {
                 .update(s, vec![Value(0), Value(100)], 0.05)
                 .delete(s, vec![Value(1), Value(201)]);
             db.apply(&batch);
-            serial.refresh(&db, RefreshOptions::serial());
+            serial.refresh(&db, DagOptions::serial());
             assert_matches_cold(&serial, &db, &plan);
             for (opts, view) in &mut sharded {
                 view.refresh(&db, *opts);
@@ -287,7 +305,7 @@ mod tests {
         let mut batch = DeltaBatch::new();
         batch.delete(s, vec![Value(0), Value(1)]);
         db.apply(&batch);
-        view.refresh(&db, RefreshOptions::serial());
+        view.refresh(&db, DagOptions::serial());
         assert_matches_cold(&view, &db, &plan);
     }
 
@@ -301,13 +319,13 @@ mod tests {
             wipe.delete(r, vec![Value(i)]);
         }
         db.apply(&wipe);
-        view.refresh(&db, RefreshOptions::serial());
+        view.refresh(&db, DagOptions::serial());
         assert_matches_cold(&view, &db, &plan);
         assert_eq!(view.probability(), 0.0);
         let mut refill = DeltaBatch::new();
         refill.insert(r, vec![Value(1)], 0.9);
         db.apply(&refill);
-        view.refresh(&db, RefreshOptions::serial());
+        view.refresh(&db, DagOptions::serial());
         assert_matches_cold(&view, &db, &plan);
         assert!(view.probability() > 0.0);
     }

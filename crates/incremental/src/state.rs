@@ -3,8 +3,8 @@
 //! Every plan operator keeps its full output as a [`KeyedRel`] plus the
 //! auxiliary structure that makes a refresh cheap:
 //!
-//! * **scan** — the compiled per-position slots and the matching rows in
-//!   tuple-id order; a delta re-checks only the changed tuples;
+//! * **scan** — the matching rows in tuple-id order; a delta re-checks
+//!   only the changed tuples;
 //! * **join** (a chain of binary stages, exactly the executor's n-ary
 //!   fold) — value-keyed hash indexes on *both* sides mapping join values
 //!   to sorted stable row keys, the "hash tables with tuple-id
@@ -18,39 +18,33 @@
 //!   bit-for-bit a cold execution's;
 //! * **select** — just its output; deltas filter through the predicate.
 //!
-//! [`Node::new`] builds only this structure — compiled slots, join-stage
-//! schemas, empty indexes and group tables — with every output empty.
-//! Data enters through one door, [`Node::refresh`]: materializing a view
-//! is a refresh from the empty state whose net changes are every live
-//! tuple as Δ⁺ ([`NetDelta::Seed`]), so filling and maintaining a view
-//! are the same delta rules. Every output is empty during that refresh,
-//! so each operator adopts its added rows as its output instead of
-//! copying them ([`OpDelta::commit_added`]).
+//! The row-level work is `safeplan`'s own kernels ([`ScanPlan`],
+//! [`CompiledPred`], [`JoinSpec`], [`Grouper`], [`gather_key`]) and the
+//! cold fold [`ProbValue::independent_or`]; see the crate docs.
+//!
+//! [`Node::new`] builds only this structure — compiled scans and
+//! predicates, join-stage schemas, empty indexes and group tables — with
+//! every output empty. Data enters through one door, [`Node::refresh`]:
+//! materializing a view is a refresh from the empty state whose net
+//! changes are every live tuple as Δ⁺ ([`NetDelta::Seed`]), so filling and
+//! maintaining a view are the same delta rules. Every output is empty
+//! during that refresh, so each operator adopts its added rows as its
+//! output instead of copying them ([`OpDelta::commit_added`]).
 //!
 //! Deltas between operators are value-carrying row sets
 //! ([`OpDelta`]: removed, probability-updated, added), always sorted by
 //! stable key and pairwise key-disjoint within one refresh.
 
-use crate::keyed::KeyedRel;
+use crate::keyed::{lower_bound, KeyedRel};
 use crate::view::RefreshCounters;
-use cq::{Atom, CompOp, Pred, RelId, Term, Value, Var};
+use cq::{Atom, Pred, RelId, Value, Var};
 use exec_parallel::Pool;
 use pdb::{ChangeKind, ProbDb, ShardMap, TupleChange, TupleId};
-use safeplan::PlanNode;
-use std::collections::HashMap;
+use safeplan::{
+    gather_key, join_spec, scan_plan, CompiledPred, Grouper, JoinSpec, PlanNode, ProbValue,
+    ScanPlan,
+};
 use std::fmt;
-use std::hash::BuildHasherDefault;
-
-/// The executor's cheap deterministic FNV hasher — keys are trusted
-/// in-process values (packed `Value`s / tuple ids), not attacker input,
-/// and SipHash is measurably the hot-path cost at delta rates.
-pub(crate) type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<safeplan::FnvHasher>>;
-
-// Probability arithmetic note: every fold below uses the literal `f64`
-// operations of `lineage::ProbValue` for f64 — `mul` is `*`, `complement`
-// is `1.0 - x`, `one` is `1.0` — in the executor's exact sequence, which
-// is what makes refreshed buffers bit-identical to a cold execution. The
-// agreement property tests pin this.
 
 /// Why a plan cannot be maintained incrementally (the caller should fall
 /// back to re-execution, which is always sound).
@@ -100,22 +94,22 @@ pub(crate) enum NetDelta {
     /// scanned relation is added, straight from `db.tuples_of` (ascending
     /// ids) — nothing is read from the delta log.
     Seed,
-    /// The coalesced pending log entries.
-    Log(FnvMap<RelId, RelChanges>),
+    /// The coalesced pending log entries, indexed by relation id.
+    Log(Vec<RelChanges>),
 }
 
 impl NetDelta {
     fn added<'a>(&'a self, db: &'a ProbDb, rel: RelId) -> &'a [TupleId] {
         match self {
             NetDelta::Seed => db.tuples_of(rel),
-            NetDelta::Log(by_rel) => by_rel.get(&rel).map_or(&[], |c| &c.added),
+            NetDelta::Log(by_rel) => by_rel.get(rel.0 as usize).map_or(&[], |c| &c.added),
         }
     }
 
     fn touched(&self, rel: RelId) -> &[(TupleId, NetChange)] {
         match self {
             NetDelta::Seed => &[],
-            NetDelta::Log(by_rel) => by_rel.get(&rel).map_or(&[], |c| &c.touched),
+            NetDelta::Log(by_rel) => by_rel.get(rel.0 as usize).map_or(&[], |c| &c.touched),
         }
     }
 }
@@ -125,11 +119,14 @@ impl NetDelta {
 /// grouped by relation and ascending by id. Current args/probs are read
 /// from the database — only the *membership* transitions need the history.
 pub(crate) fn coalesce<'a>(batches: impl Iterator<Item = &'a pdb::AppliedDelta>) -> NetDelta {
-    let mut net: FnvMap<u32, (RelId, Option<NetChange>)> = FnvMap::default();
-    for batch in batches {
-        for TupleChange { id, rel, kind } in &batch.changes {
-            let entry = net.entry(id.0).or_insert((*rel, None));
-            entry.1 = match (entry.1, kind) {
+    // A stable sort by id keeps each tuple's history in log order.
+    let mut log: Vec<&TupleChange> = batches.flat_map(|b| &b.changes).collect();
+    log.sort_by_key(|c| c.id);
+    let mut by_rel: Vec<RelChanges> = Vec::new();
+    for history in log.chunk_by(|a, b| a.id == b.id) {
+        let mut net = None;
+        for TupleChange { kind, .. } in history {
+            net = match (net, kind) {
                 (None, ChangeKind::Inserted) => Some(NetChange::Added),
                 (None, ChangeKind::Updated { .. }) => Some(NetChange::Updated),
                 (None, ChangeKind::Deleted { .. }) => Some(NetChange::Removed),
@@ -143,15 +140,12 @@ pub(crate) fn coalesce<'a>(batches: impl Iterator<Item = &'a pdb::AppliedDelta>)
                 (prior, kind) => unreachable!("change {kind:?} after net {prior:?}"),
             };
         }
-    }
-    let mut out: Vec<(TupleId, RelId, NetChange)> = net
-        .into_iter()
-        .filter_map(|(id, (rel, ch))| ch.map(|c| (TupleId(id), rel, c)))
-        .collect();
-    out.sort_by_key(|&(id, _, _)| id);
-    let mut by_rel: FnvMap<RelId, RelChanges> = FnvMap::default();
-    for (id, rel, change) in out {
-        let c = by_rel.entry(rel).or_default();
+        let Some(change) = net else { continue };
+        let TupleChange { id, rel, .. } = *history[0];
+        if by_rel.len() <= rel.0 as usize {
+            by_rel.resize_with(rel.0 as usize + 1, RelChanges::default);
+        }
+        let c = &mut by_rel[rel.0 as usize];
         if change == NetChange::Added {
             c.added.push(id);
         } else {
@@ -286,7 +280,7 @@ impl Node {
             PlanNode::ComplementScan { .. } => return Err(Unsupported::ComplementScan),
             PlanNode::Scan { atom } => Node::Scan(ScanState::new(atom, !is_root)),
             PlanNode::Select { pred, input } => {
-                Node::Select(SelectState::new(*pred, Node::new_node(input, false)?))
+                Node::Select(SelectState::new(pred, Node::new_node(input, false)?))
             }
             PlanNode::IndependentJoin { inputs } => match inputs.len() {
                 0 => Node::new_node(&PlanNode::Certain, is_root)?,
@@ -349,57 +343,9 @@ impl Node {
 // Scan
 // ---------------------------------------------------------------------------
 
-/// One argument position's demand, compiled once (mirrors the executor's
-/// scan compilation, so the surviving rows — and their order — match).
-#[derive(Clone, Copy, Debug)]
-enum Slot {
-    Const(Value),
-    Bind(usize),
-    Check(usize),
-}
-
-fn compile_slots(atom: &Atom, cols: &[Var]) -> Vec<Slot> {
-    let mut seen = vec![false; cols.len()];
-    atom.args
-        .iter()
-        .map(|term| match term {
-            Term::Const(c) => Slot::Const(*c),
-            Term::Var(v) => {
-                let ci = cols.iter().position(|c| c == v).expect("own var");
-                if seen[ci] {
-                    Slot::Check(ci)
-                } else {
-                    seen[ci] = true;
-                    Slot::Bind(ci)
-                }
-            }
-        })
-        .collect()
-}
-
-fn match_tuple(slots: &[Slot], args: &[Value], rowbuf: &mut [Value]) -> bool {
-    for (pos, slot) in slots.iter().enumerate() {
-        let got = args[pos];
-        match *slot {
-            Slot::Const(c) => {
-                if got != c {
-                    return false;
-                }
-            }
-            Slot::Bind(ci) => rowbuf[ci] = got,
-            Slot::Check(ci) => {
-                if rowbuf[ci] != got {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
 pub(crate) struct ScanState {
     rel: RelId,
-    slots: Vec<Slot>,
+    plan: ScanPlan,
     /// Matching rows in ascending tuple-id order; key = tuple id.
     out: KeyedRel,
     /// Deferred removals (non-root scans only): a removed row is
@@ -423,7 +369,7 @@ impl ScanState {
         let cols = atom.vars();
         ScanState {
             rel: atom.rel,
-            slots: compile_slots(atom, &cols),
+            plan: scan_plan(atom, &cols),
             out: KeyedRel::new(cols, 1),
             tombstones: Vec::new(),
             defer_removals,
@@ -434,7 +380,7 @@ impl ScanState {
     /// over the pass's shards on the pool — the same shard/merge stage as
     /// the DAG executor's sharded scans; one shard is the whole relation.
     /// Per shard, over the still-immutable buffer: added ids are matched
-    /// against the compiled slots, and removed/updated ids are located
+    /// against the compiled scan, and removed/updated ids are located
     /// (the O(log n) part; ids ascend within a shard, so each lookup
     /// windows past the previous hit). The merge restores ascending-id
     /// order, then the buffer edits replay serially in that order, so the
@@ -448,7 +394,7 @@ impl ScanState {
             let mut rows = KeyedRel::carrier(self.out.arity, 1);
             let mut rowbuf = vec![Value(0); self.out.arity];
             for &id in added.iter().filter(|&&id| map.shard_of(id) == s) {
-                if match_tuple(&self.slots, &db.tuple(id).args, &mut rowbuf) {
+                if self.plan.bind(&db.tuple(id).args, &mut rowbuf) {
                     rows.push(&[u64::from(id.0)], &rowbuf, db.prob(id));
                 }
             }
@@ -522,34 +468,17 @@ impl ScanState {
 // Select
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy, Debug)]
-enum PredSrc {
-    Col(usize),
-    Const(Value),
-}
-
-fn compile_pred_src(t: &Term, cols: &[Var]) -> PredSrc {
-    match t {
-        Term::Const(c) => PredSrc::Const(*c),
-        Term::Var(v) => PredSrc::Col(cols.iter().position(|c| c == v).expect("select var bound")),
-    }
-}
-
 pub(crate) struct SelectState {
-    op: CompOp,
-    lhs: PredSrc,
-    rhs: PredSrc,
+    pred: CompiledPred,
     child: Box<Node>,
     out: KeyedRel,
 }
 
 impl SelectState {
-    fn new(pred: Pred, child: Node) -> SelectState {
+    fn new(pred: &Pred, child: Node) -> SelectState {
         let cin = child.out();
         SelectState {
-            op: pred.op,
-            lhs: compile_pred_src(&pred.lhs, &cin.cols),
-            rhs: compile_pred_src(&pred.rhs, &cin.cols),
+            pred: CompiledPred::new(pred, &cin.cols),
             out: KeyedRel::new(cin.cols.clone(), cin.kstride),
             child: Box::new(child),
         }
@@ -584,7 +513,7 @@ impl SelectState {
         delta.removed = self.out.remove_sorted_keys(&rem_keys);
         let added = d.added(self.child.out());
         for i in 0..added.len() {
-            if eval_compiled(self.op, self.lhs, self.rhs, added.row(i)) {
+            if self.pred.eval(added.row(i)) {
                 delta.added.push(added.key(i), added.row(i), added.prob(i));
             }
         }
@@ -594,92 +523,63 @@ impl SelectState {
     }
 }
 
-fn eval_compiled(op: CompOp, lhs: PredSrc, rhs: PredSrc, row: &[Value]) -> bool {
-    let resolve = |s: PredSrc| match s {
-        PredSrc::Col(i) => row[i],
-        PredSrc::Const(c) => c,
-    };
-    let (l, r) = (resolve(lhs), resolve(rhs));
-    match op {
-        CompOp::Lt => l < r,
-        CompOp::Eq => l == r,
-        CompOp::Ne => l != r,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Join
 // ---------------------------------------------------------------------------
 
-/// Join-value index of one side: join-column values → the side's stable
-/// row keys holding them, flat and ascending (the back-pointers a probe
-/// follows). The executor's build-side hash table, kept alive and
-/// delta-maintained instead of rebuilt per execution.
+/// Join-value index of one side: join-column values interned in a
+/// [`Grouper`], and per value slot the side's stable row keys holding them,
+/// flat and ascending (the back-pointers a probe follows). The executor's
+/// build-side hash table, kept alive and delta-maintained instead of
+/// rebuilt per execution. A value whose rows are all removed keeps its
+/// slot, emptied, for a later insert to reuse.
 struct ValIndex {
     kstride: usize,
-    map: FnvMap<Vec<Value>, Vec<u64>>,
+    values: Grouper,
+    postings: Vec<Vec<u64>>,
 }
 
 impl ValIndex {
-    fn new(kstride: usize) -> ValIndex {
+    fn new(arity: usize, kstride: usize) -> ValIndex {
         ValIndex {
             kstride,
-            map: FnvMap::default(),
+            values: Grouper::new(arity),
+            postings: Vec::new(),
         }
     }
 
     fn get(&self, vals: &[Value]) -> &[u64] {
-        self.map.get(vals).map_or(&[], |v| v.as_slice())
+        self.values.get(vals).map_or(&[], |s| &self.postings[s])
     }
 
     fn insert(&mut self, vals: &[Value], key: &[u64]) {
         debug_assert!(self.kstride > 0, "const sides are never indexed");
-        if let Some(list) = self.map.get_mut(vals) {
-            let pos = chunk_lower_bound(list, self.kstride, key);
-            list.splice(pos * self.kstride..pos * self.kstride, key.iter().copied());
-        } else {
-            self.map.insert(vals.to_vec(), key.to_vec());
+        let (s, new) = self.values.intern(vals);
+        if new {
+            self.postings.push(Vec::new());
         }
+        let list = &mut self.postings[s];
+        let at = lower_bound(list, self.kstride, key) * self.kstride;
+        list.splice(at..at, key.iter().copied());
     }
 
     fn remove(&mut self, vals: &[Value], key: &[u64]) {
-        let list = self.map.get_mut(vals).expect("indexed row");
-        let pos = chunk_lower_bound(list, self.kstride, key);
-        debug_assert_eq!(&list[pos * self.kstride..(pos + 1) * self.kstride], key);
-        list.drain(pos * self.kstride..(pos + 1) * self.kstride);
+        let s = self.values.get(vals).expect("indexed row");
+        let list = &mut self.postings[s];
+        let at = lower_bound(list, self.kstride, key) * self.kstride;
+        debug_assert_eq!(&list[at..at + self.kstride], key);
+        list.drain(at..at + self.kstride);
         if list.is_empty() {
-            self.map.remove(vals);
+            *list = Vec::new();
         }
     }
-}
-
-/// First chunk index in `flat` (stride `k`, chunks ascending) not below
-/// `key`.
-fn chunk_lower_bound(flat: &[u64], k: usize, key: &[u64]) -> usize {
-    let n = flat.len() / k;
-    let mut lo = 0usize;
-    let mut hi = n;
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if &flat[mid * k..(mid + 1) * k] < key {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 /// One binary stage of the executor's left-fold over join inputs.
 struct Stage {
-    /// Positions of the join columns in the left/right schemas.
-    left_key: Vec<usize>,
-    right_key: Vec<usize>,
-    /// Right columns that are not join columns, in schema order.
-    right_extra: Vec<usize>,
-    /// Stable-key strides of the two sides.
-    lk: usize,
-    rk: usize,
+    spec: JoinSpec,
+    /// Indexes on the join columns; their strides are the sides' key
+    /// strides.
     left_index: ValIndex,
     right_index: ValIndex,
     /// Output: key = left key ++ right key (lexicographic = the cold
@@ -690,34 +590,13 @@ struct Stage {
 
 impl Stage {
     fn new(left: &KeyedRel, right: &KeyedRel) -> Stage {
-        let common: Vec<Var> = left
-            .cols
-            .iter()
-            .copied()
-            .filter(|c| right.cols.contains(c))
-            .collect();
-        let left_key: Vec<usize> = common
-            .iter()
-            .map(|c| left.cols.iter().position(|l| l == c).unwrap())
-            .collect();
-        let right_key: Vec<usize> = common
-            .iter()
-            .map(|c| right.cols.iter().position(|r| r == c).unwrap())
-            .collect();
-        let right_extra: Vec<usize> = (0..right.cols.len())
-            .filter(|&i| !common.contains(&right.cols[i]))
-            .collect();
-        let mut out_cols = left.cols.clone();
-        out_cols.extend(right_extra.iter().map(|&i| right.cols[i]));
+        let spec = join_spec(&left.cols, &right.cols);
+        let arity = spec.left_key.len();
         Stage {
-            left_key,
-            right_key,
-            right_extra,
-            lk: left.kstride,
-            rk: right.kstride,
-            left_index: ValIndex::new(left.kstride),
-            right_index: ValIndex::new(right.kstride),
-            out: KeyedRel::new(out_cols, left.kstride + right.kstride),
+            left_index: ValIndex::new(arity, left.kstride),
+            right_index: ValIndex::new(arity, right.kstride),
+            out: KeyedRel::new(spec.out_cols.clone(), left.kstride + right.kstride),
+            spec,
         }
     }
 
@@ -735,39 +614,41 @@ impl Stage {
         pairs.keys.extend_from_slice(lkey);
         pairs.keys.extend_from_slice(rkey);
         pairs.data.extend_from_slice(lrow);
-        pairs.data.extend(self.right_extra.iter().map(|&e| rrow[e]));
+        pairs
+            .data
+            .extend(self.spec.other_extra.iter().map(|&e| rrow[e]));
         pairs.probs.push(prob);
     }
 
     /// Propagate one refresh through this stage. `left`/`right` are the
     /// post-edit side outputs, `dl`/`dr` their deltas.
-    #[allow(clippy::too_many_arguments)]
     fn refresh(
         &mut self,
         left: &KeyedRel,
         dl: &OpDelta,
         right: &KeyedRel,
         dr: &OpDelta,
-        pool: &Pool,
+        pass: &mut Pass,
         detail: DeltaDetail,
-        counters: &mut RefreshCounters,
     ) -> OpDelta {
         let mut delta = OpDelta::empty(self.out.arity, self.out.kstride);
         if dl.is_empty() && dr.is_empty() {
             return delta;
         }
         delta.touched = true;
-        let mut valbuf: Vec<Value> = Vec::new();
+        let (lk, rk) = (self.left_index.kstride, self.right_index.kstride);
+        let (left_key, right_key) = (&self.spec.left_key, &self.spec.other_key);
+        let mut valbuf = vec![Value(0); left_key.len()];
         // 1. Forget removed rows on both side indexes.
         for i in 0..dl.removed.len() {
-            if self.lk > 0 {
-                extract_into(&mut valbuf, dl.removed.row(i), &self.left_key);
+            if lk > 0 {
+                gather_key(dl.removed.row(i), left_key, &mut valbuf);
                 self.left_index.remove(&valbuf, dl.removed.key(i));
             }
         }
         for j in 0..dr.removed.len() {
-            if self.rk > 0 {
-                extract_into(&mut valbuf, dr.removed.row(j), &self.right_key);
+            if rk > 0 {
+                gather_key(dr.removed.row(j), right_key, &mut valbuf);
                 self.right_index.remove(&valbuf, dr.removed.key(j));
             }
         }
@@ -782,7 +663,7 @@ impl Stage {
             }
         }
         for j in 0..dr.removed.len() {
-            extract_into(&mut valbuf, dr.removed.row(j), &self.right_key);
+            gather_key(dr.removed.row(j), right_key, &mut valbuf);
             for_each_match(&self.left_index, left, &valbuf, |lkey| {
                 rem.extend_from_slice(lkey);
                 rem.extend_from_slice(dr.removed.key(j));
@@ -808,26 +689,26 @@ impl Stage {
             // galloped lower bound of (lkey, 0, …) past the previous one.
             let lkey = dl.updated.key(i);
             let lp = dl.updated.prob(i);
-            padded[..self.lk].copy_from_slice(lkey);
-            padded[self.lk..].fill(0);
+            padded[..lk].copy_from_slice(lkey);
+            padded[lk..].fill(0);
             let mut idx = self.out.lower_bound_from(pcur, &padded);
-            while idx < self.out.len() && &self.out.key(idx)[..self.lk] == lkey {
-                lp_rkeys.extend_from_slice(&self.out.key(idx)[self.lk..]);
+            while idx < self.out.len() && &self.out.key(idx)[..lk] == lkey {
+                lp_rkeys.extend_from_slice(&self.out.key(idx)[lk..]);
                 lp_aux.push((idx as u32, lp));
                 idx += 1;
             }
             pcur = idx;
         }
-        let rk = self.rk.max(1);
+        let rs = rk.max(1);
         let mut order: Vec<u32> = (0..lp_aux.len() as u32).collect();
         order.sort_unstable_by(|&a, &b| {
             let (a, b) = (a as usize, b as usize);
-            lp_rkeys[a * rk..(a + 1) * rk].cmp(&lp_rkeys[b * rk..(b + 1) * rk])
+            lp_rkeys[a * rs..(a + 1) * rs].cmp(&lp_rkeys[b * rs..(b + 1) * rs])
         });
         let mut rcur = 0usize;
         for &o in &order {
             let o = o as usize;
-            let rkey = &lp_rkeys[o * rk..(o + 1) * rk];
+            let rkey = &lp_rkeys[o * rs..(o + 1) * rs];
             let ridx = right.lower_bound_from(rcur, rkey);
             debug_assert!(right.key(ridx) == rkey, "right row of live pair");
             rcur = ridx; // several pairs may share one right row
@@ -839,11 +720,11 @@ impl Stage {
         let mut cand_keys: Vec<u64> = Vec::new(); // stride ks
         let mut cand_rp: Vec<f64> = Vec::new();
         for j in 0..dr.updated.len() {
-            extract_into(&mut valbuf, dr.updated.row(j), &self.right_key);
+            gather_key(dr.updated.row(j), right_key, &mut valbuf);
             let rp = dr.updated.prob(j);
-            if self.lk > 0 {
-                for lk in self.left_index.get(&valbuf).chunks(self.lk) {
-                    cand_keys.extend_from_slice(lk);
+            if lk > 0 {
+                for lkey in self.left_index.get(&valbuf).chunks(lk) {
+                    cand_keys.extend_from_slice(lkey);
                     cand_keys.extend_from_slice(dr.updated.key(j));
                     cand_rp.push(rp);
                 }
@@ -866,8 +747,8 @@ impl Stage {
             let lb = self.out.lower_bound_from(ocur, key);
             ocur = lb;
             if lb < self.out.len() && self.out.key(lb) == key {
-                let lidx = left.lower_bound_from(lcur, &key[..self.lk]);
-                debug_assert!(left.key(lidx) == &key[..self.lk], "left row of live pair");
+                let lidx = left.lower_bound_from(lcur, &key[..lk]);
+                debug_assert!(left.key(lidx) == &key[..lk], "left row of live pair");
                 lcur = lidx; // several pairs may share one left row
                 upd.push((lb, left.prob(lidx) * cand_rp[o]));
                 ocur = lb + 1;
@@ -875,7 +756,7 @@ impl Stage {
         }
         upd.sort_unstable_by_key(|&(idx, _)| idx);
         upd.dedup_by_key(|&mut (idx, _)| idx);
-        counters.rows_retouched += upd.len() as u64;
+        pass.counters.rows_retouched += upd.len() as u64;
         if detail == DeltaDetail::Full {
             for &(idx, p) in &upd {
                 self.out.probs[idx] = p;
@@ -895,18 +776,18 @@ impl Stage {
         //    probes of a seeding refresh do).
         let (dl_added, dr_added) = (dl.added(left), dr.added(right));
         for j in 0..dr_added.len() {
-            if self.rk > 0 {
-                extract_into(&mut valbuf, dr_added.row(j), &self.right_key);
+            if rk > 0 {
+                gather_key(dr_added.row(j), right_key, &mut valbuf);
                 self.right_index.insert(&valbuf, dr_added.key(j));
             }
         }
-        let (arity, stage) = (self.out.arity, &*self);
+        let (arity, stage, pool) = (self.out.arity, &*self, pass.pool);
         let mut parts = pool.map_morsels(dl_added.len(), |r| {
             let mut pairs = KeyedRel::carrier(arity, ks);
-            let mut vals: Vec<Value> = Vec::new();
+            let mut vals = vec![Value(0); left_key.len()];
             for i in r {
                 let l = (dl_added.key(i), dl_added.row(i));
-                extract_into(&mut vals, l.1, &stage.left_key);
+                gather_key(l.1, left_key, &mut vals);
                 for_each_match(&stage.right_index, right, &vals, |rkey| {
                     let j = right.find(rkey).expect("indexed right row");
                     let p = dl_added.prob(i) * right.prob(j);
@@ -917,10 +798,10 @@ impl Stage {
         });
         parts.extend(pool.map_morsels(dr_added.len(), |r| {
             let mut pairs = KeyedRel::carrier(arity, ks);
-            let mut vals: Vec<Value> = Vec::new();
+            let mut vals = vec![Value(0); right_key.len()];
             for j in r {
                 let rt = (dr_added.key(j), dr_added.row(j));
-                extract_into(&mut vals, rt.1, &stage.right_key);
+                gather_key(rt.1, right_key, &mut vals);
                 for_each_match(&stage.left_index, left, &vals, |lkey| {
                     let i = left.find(lkey).expect("indexed left row");
                     let p = left.prob(i) * dr_added.prob(j);
@@ -930,13 +811,13 @@ impl Stage {
             pairs
         }));
         for i in 0..dl_added.len() {
-            if self.lk > 0 {
-                extract_into(&mut valbuf, dl_added.row(i), &self.left_key);
+            if lk > 0 {
+                gather_key(dl_added.row(i), left_key, &mut valbuf);
                 self.left_index.insert(&valbuf, dl_added.key(i));
             }
         }
         delta.added = KeyedRel::concat(arity, ks, parts).into_sorted();
-        counters.rows_retouched += delta.rows();
+        pass.counters.rows_retouched += delta.rows();
         delta.commit_added(&mut self.out);
         delta
     }
@@ -965,13 +846,6 @@ fn sorted_keys(flat: &[u64], k: usize) -> Vec<u64> {
     keys.concat()
 }
 
-/// Gather the `idx` columns of `row` into a reusable buffer — the hot
-/// probe loops' key builder.
-fn extract_into(buf: &mut Vec<Value>, row: &[Value], idx: &[usize]) {
-    buf.clear();
-    buf.extend(idx.iter().map(|&i| row[i]));
-}
-
 pub(crate) struct JoinState {
     children: Vec<Node>,
     /// Indices of children that participate in stages (everything except
@@ -993,14 +867,9 @@ impl JoinState {
         let is_never = |n: &Node| matches!(n, Node::Const(out) if out.is_empty());
         if children.iter().any(is_never) {
             // Fold the schema the executor would produce; rows: none, ever.
-            let mut cols: Vec<Var> = Vec::new();
-            for c in &children {
-                for &v in &c.out().cols {
-                    if !cols.contains(&v) {
-                        cols.push(v);
-                    }
-                }
-            }
+            let cols = children.iter().fold(Vec::new(), |cols: Vec<Var>, c| {
+                join_spec(&cols, &c.out().cols).out_cols
+            });
             let out = KeyedRel::new(cols, 0);
             return JoinState {
                 children,
@@ -1079,7 +948,7 @@ impl JoinState {
                 DeltaDetail::Full
             };
             let dr = take(self.active[w]);
-            acc = rest[0].refresh(left, &acc, right, &dr, pass.pool, want, &mut pass.counters);
+            acc = rest[0].refresh(left, &acc, right, &dr, pass, want);
         }
         acc
     }
@@ -1089,10 +958,10 @@ impl JoinState {
 // Independent project
 // ---------------------------------------------------------------------------
 
+/// One group of a project; its key values (its output row) are the
+/// [`Grouper`] slot's key.
 #[derive(Default)]
 struct GroupSlot {
-    /// The group's key values (its output row).
-    vals: Vec<Value>,
     /// Stable child keys of the group's rows, flat, ascending — the fold
     /// order, which is the serial multiplication order.
     rows: Vec<u64>,
@@ -1109,7 +978,6 @@ struct GroupSlot {
 }
 
 pub(crate) struct ProjectState {
-    keep: Vec<Var>,
     keep_idx: Vec<usize>,
     /// Boolean aggregation (`keep = []`): one group holding every child
     /// row; refolded by a linear pass instead of per-group row sets.
@@ -1118,7 +986,8 @@ pub(crate) struct ProjectState {
     /// Child stable-key stride (also the output key stride: a group is
     /// keyed by its minimum child key).
     ck: usize,
-    groups: FnvMap<Vec<Value>, u32>,
+    /// Group keys; slot `s` of the grouper is `slots[s]`.
+    groups: Grouper,
     slots: Vec<GroupSlot>,
     /// Per-slot dirty flags for the current refresh (cleared afterwards),
     /// parallel to `slots` — O(1) marking.
@@ -1146,11 +1015,10 @@ impl ProjectState {
             Vec::new()
         };
         ProjectState {
-            keep: keep.clone(),
+            groups: Grouper::new(keep_idx.len()),
             keep_idx,
             scalar,
             ck,
-            groups: FnvMap::default(),
             slots,
             dirty_flag: Vec::new(),
             slot_by_child_key: Vec::new(),
@@ -1159,9 +1027,9 @@ impl ProjectState {
         }
     }
 
-    /// Slot of a child row, through the dense index when available.
+    /// The group of a child row, through the dense index when available.
     #[inline]
-    fn slot_of(&self, key: &[u64], row: &[Value], keybuf: &mut Vec<Value>) -> u32 {
+    fn slot_of(&self, key: &[u64], row: &[Value], keybuf: &mut [Value]) -> u32 {
         if self.ck == 1 {
             if let Some(&s) = self.slot_by_child_key.get(key[0] as usize) {
                 if s != u32::MAX {
@@ -1170,11 +1038,10 @@ impl ProjectState {
             }
             unreachable!("live child row has an indexed slot");
         }
-        extract_into(keybuf, row, &self.keep_idx);
-        *self
-            .groups
-            .get(keybuf.as_slice())
-            .expect("live child row's group exists")
+        gather_key(row, &self.keep_idx, keybuf);
+        self.groups
+            .get(keybuf)
+            .expect("live child row's group exists") as u32
     }
 
     fn refresh(&mut self, pass: &mut Pass, detail: DeltaDetail) -> OpDelta {
@@ -1201,11 +1068,11 @@ impl ProjectState {
         // Phase 1: apply membership edits to the per-group row sets and
         // collect the touched groups (flag vector: O(1) per mark).
         let mut dirty: Vec<u32> = Vec::new();
-        let mut keybuf: Vec<Value> = Vec::with_capacity(self.keep_idx.len());
+        let mut keybuf = vec![Value(0); self.keep_idx.len()];
         for i in 0..d.removed.len() {
             let s = self.slot_of(d.removed.key(i), d.removed.row(i), &mut keybuf);
             let slot = &mut self.slots[s as usize];
-            let pos = chunk_lower_bound(&slot.rows, self.ck.max(1), d.removed.key(i));
+            let pos = lower_bound(&slot.rows, self.ck, d.removed.key(i));
             slot.rows.drain(pos * self.ck..(pos + 1) * self.ck);
             slot.probs.remove(pos);
             if !std::mem::replace(&mut self.dirty_flag[s as usize], true) {
@@ -1215,7 +1082,7 @@ impl ProjectState {
         for i in 0..d.updated.len() {
             let s = self.slot_of(d.updated.key(i), d.updated.row(i), &mut keybuf);
             let slot = &mut self.slots[s as usize];
-            let pos = chunk_lower_bound(&slot.rows, self.ck.max(1), d.updated.key(i));
+            let pos = lower_bound(&slot.rows, self.ck, d.updated.key(i));
             slot.probs[pos] = d.updated.prob(i);
             if !std::mem::replace(&mut self.dirty_flag[s as usize], true) {
                 dirty.push(s);
@@ -1223,25 +1090,18 @@ impl ProjectState {
         }
         let added = d.added(self.child.out());
         for i in 0..added.len() {
-            extract_into(&mut keybuf, added.row(i), &self.keep_idx);
-            let s = match self.groups.get(keybuf.as_slice()) {
-                Some(&s) => s,
-                None => {
-                    let s = self.slots.len() as u32;
-                    self.groups.insert(keybuf.clone(), s);
-                    self.slots.push(GroupSlot {
-                        vals: keybuf.clone(),
-                        ..GroupSlot::default()
-                    });
-                    self.dirty_flag.push(false);
-                    s
-                }
-            };
+            gather_key(added.row(i), &self.keep_idx, &mut keybuf);
+            let (s, new) = self.groups.intern(&keybuf);
+            if new {
+                self.slots.push(GroupSlot::default());
+                self.dirty_flag.push(false);
+            }
+            let s = s as u32;
             if self.ck == 1 {
                 note_child_key(&mut self.slot_by_child_key, added.key(i)[0], s);
             }
             let slot = &mut self.slots[s as usize];
-            let pos = chunk_lower_bound(&slot.rows, self.ck.max(1), added.key(i));
+            let pos = lower_bound(&slot.rows, self.ck, added.key(i));
             let at = pos * self.ck;
             slot.rows.splice(at..at, added.key(i).iter().copied());
             slot.probs.insert(pos, added.prob(i));
@@ -1262,12 +1122,9 @@ impl ProjectState {
             let mut out = Vec::with_capacity(r.len());
             for di in r {
                 let s = dirty[di];
-                let slot = &slots[s as usize];
-                if slot.probs.is_empty() {
-                    out.push((s, None, 0));
-                } else {
-                    out.push((s, Some(fold_prob(&slot.probs)), slot.probs.len() as u64));
-                }
+                let probs = &slots[s as usize].probs;
+                let p = (!probs.is_empty()).then(|| f64::independent_or(probs));
+                out.push((s, p, probs.len() as u64));
             }
             out
         });
@@ -1348,7 +1205,8 @@ impl ProjectState {
         });
         for &s in &add {
             let slot = &self.slots[s as usize];
-            delta.added.push(&slot.out_key, &slot.vals, slot.prob);
+            let vals = self.groups.key(s as usize);
+            delta.added.push(&slot.out_key, vals, slot.prob);
         }
         counters.rows_retouched += delta.rows();
         delta.commit_added(&mut self.out);
@@ -1367,11 +1225,11 @@ impl ProjectState {
             if slot.present {
                 delta.removed.push(&slot.out_key.clone(), &[], slot.prob);
                 slot.present = false;
-                self.out = KeyedRel::new(self.keep.clone(), self.ck);
+                self.out = KeyedRel::new(Vec::new(), self.ck);
             }
             return;
         }
-        let p = fold_prob(&cin.probs);
+        let p = f64::independent_or(&cin.probs);
         let newmin = cin.key(0).to_vec();
         if !slot.present {
             slot.present = true;
@@ -1389,7 +1247,7 @@ impl ProjectState {
         } else {
             return;
         }
-        self.out = KeyedRel::new(self.keep.clone(), self.ck);
+        self.out = KeyedRel::new(Vec::new(), self.ck);
         self.out.push(&slot.out_key, &[], slot.prob);
     }
 }
@@ -1402,32 +1260,4 @@ fn note_child_key(index: &mut Vec<u32>, key: u64, slot: u32) {
         index.resize(i + 1, u32::MAX);
     }
     index[i] = slot;
-}
-
-/// Half an ulp of 1.0 (`2^-54`): once `Π(1−p)` is at or below this, the
-/// emitted probability `1 − Π` rounds to exactly `1.0` — and it can only
-/// shrink further (complements are in `[0, 1]`), so a cold execution that
-/// grinds the rest of the chain lands on the same bits.
-const HALF_ULP_OF_ONE: f64 = 5.551_115_123_125_783e-17;
-
-/// `1 − Π(1−p)` over `probs` in order — the group emission the executor
-/// computes — with the saturation short-circuit: the chain stops as soon
-/// as the running product can no longer affect the rounded complement.
-/// Bit-identical to the full fold (pinned by the agreement tests), and it
-/// skips the subnormal-arithmetic tail that costs tens of cycles per
-/// multiply on long saturated groups.
-fn fold_prob(probs: &[f64]) -> f64 {
-    match probs.split_first() {
-        None => 0.0,
-        Some((&p0, rest)) => {
-            let mut none = 1.0 - p0;
-            for &p in rest {
-                if none <= HALF_ULP_OF_ONE {
-                    return 1.0;
-                }
-                none *= 1.0 - p;
-            }
-            1.0 - none
-        }
-    }
 }

@@ -2,59 +2,9 @@
 //! per-operator materialized state, refreshed from the database delta log.
 
 use crate::state::{coalesce, DeltaDetail, NetDelta, Node, Pass, Unsupported};
-use exec_parallel::{ExecStats, Pool, DEFAULT_GRAIN};
+use exec_parallel::ExecStats;
 use pdb::{ProbDb, ShardMap};
-use safeplan::{PlanNode, ProbRelation, ShardStats};
-
-/// Tuning for one refresh.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RefreshOptions {
-    /// Worker threads for morsel-parallel delta application (join probes
-    /// and group refolds fan out; results stitch in morsel order, so the
-    /// refreshed state is bit-for-bit the serial refresh's). 1 = inline.
-    pub threads: usize,
-    /// Morsel grain; tests shrink it to force multi-morsel schedules.
-    pub grain: usize,
-    /// Shard fan-out for scan-delta matching: net-added, net-removed and
-    /// net-updated tuples are all hash-partitioned by tuple id
-    /// ([`pdb::ShardMap`]) and matched/looked-up per shard, then merged
-    /// back in id order — the same shard/merge stage as the DAG
-    /// executor's sharded scans, and still bit-for-bit the serial
-    /// refresh. 1 = one shard holding every tuple id.
-    pub shards: usize,
-}
-
-impl RefreshOptions {
-    pub fn serial() -> Self {
-        RefreshOptions {
-            threads: 1,
-            grain: DEFAULT_GRAIN,
-            shards: 1,
-        }
-    }
-
-    pub fn with_tuning(threads: usize, shards: usize) -> Self {
-        RefreshOptions {
-            threads: threads.max(1),
-            grain: DEFAULT_GRAIN,
-            shards: shards.max(1),
-        }
-    }
-
-    pub fn with_grain(threads: usize, grain: usize) -> Self {
-        RefreshOptions {
-            threads: threads.max(1),
-            grain: grain.max(1),
-            shards: 1,
-        }
-    }
-}
-
-impl Default for RefreshOptions {
-    fn default() -> Self {
-        RefreshOptions::serial()
-    }
-}
+use safeplan::{DagOptions, PlanNode, ProbRelation, ShardStats};
 
 /// What one refresh (or a lifetime of refreshes — the counters add) did:
 /// the work the delta propagation performed vs the work a full
@@ -141,7 +91,7 @@ impl IncrementalView {
     pub fn new(db: &ProbDb, plan: &PlanNode) -> Result<IncrementalView, Unsupported> {
         Ok(IncrementalView {
             plan: plan.clone(),
-            root: materialize(db, plan, RefreshOptions::serial())?,
+            root: materialize(db, plan, DagOptions::serial())?,
             synced: db.version(),
             cumulative: RefreshCounters::default(),
         })
@@ -180,15 +130,20 @@ impl IncrementalView {
 
     /// Bring the view to the database's version: replay the pending
     /// delta-log entries through the operator state, or rematerialize it
-    /// when the log cannot carry the view there. Returns this refresh's
-    /// counters (also folded into [`IncrementalView::counters`]).
-    pub fn refresh(&mut self, db: &ProbDb, opts: RefreshOptions) -> RefreshCounters {
+    /// when the log cannot carry the view there. `opts` tunes it as it
+    /// tunes an execution: join probes and group refolds fan out over
+    /// `threads` workers in morsels of `grain` rows, and scan-delta
+    /// matching hash-partitions tuple ids over `shards` — the refreshed
+    /// state is bit for bit the serial refresh's at every setting.
+    /// Returns this refresh's counters (also folded into
+    /// [`IncrementalView::counters`]).
+    pub fn refresh(&mut self, db: &ProbDb, opts: DagOptions) -> RefreshCounters {
         self.refresh_run(db, opts).counters
     }
 
     /// [`IncrementalView::refresh`], also reporting the refresh pool's
     /// per-worker timings and the scan-delta shard spread.
-    pub fn refresh_run(&mut self, db: &ProbDb, opts: RefreshOptions) -> RefreshRun {
+    pub fn refresh_run(&mut self, db: &ProbDb, opts: DagOptions) -> RefreshRun {
         let _span = telemetry::span("refresh");
         if db.version() == self.synced {
             return RefreshRun::default();
@@ -229,15 +184,15 @@ impl IncrementalView {
 
 /// The one fill path: `plan`'s empty operator state plus one seeding
 /// refresh ([`NetDelta::Seed`]: every live tuple is Δ⁺).
-fn materialize(db: &ProbDb, plan: &PlanNode, opts: RefreshOptions) -> Result<Node, Unsupported> {
+fn materialize(db: &ProbDb, plan: &PlanNode, opts: DagOptions) -> Result<Node, Unsupported> {
     let mut root = Node::new(plan)?;
     propagate(&mut root, db, &NetDelta::Seed, opts);
     Ok(root)
 }
 
 /// Run `net` through the state tree on a pool sized by `opts`.
-fn propagate(root: &mut Node, db: &ProbDb, net: &NetDelta, opts: RefreshOptions) -> RefreshRun {
-    let pool = Pool::with_grain(opts.threads, opts.grain);
+fn propagate(root: &mut Node, db: &ProbDb, net: &NetDelta, opts: DagOptions) -> RefreshRun {
+    let pool = opts.pool();
     let shards = opts.shards.max(1);
     let mut pass = Pass {
         db,

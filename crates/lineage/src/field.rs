@@ -24,7 +24,58 @@ pub trait ProbValue: Clone + PartialEq + Debug {
     fn is_one(&self) -> bool;
     /// Best-effort float view, for diagnostics and cross-checks.
     fn to_f64(&self) -> f64;
+
+    /// Whether a running product `none = Π(1−p)` of an independent-project
+    /// group is saturated: every further factor leaves `1 − none`
+    /// unchanged. Exact arithmetic saturates only at zero.
+    fn saturated(&self) -> bool {
+        self.is_zero()
+    }
+
+    /// One step of the independent-project group fold: `none` absorbs one
+    /// more row of probability `p`, `none ← none · (1 − p)`, skipped once
+    /// `none` is [saturated](ProbValue::saturated).
+    ///
+    /// For `f64` the rule is `none ≤ 2⁻⁵⁴`. Complements lie in `[0, 1]`,
+    /// so `none` only shrinks from there, and `fl(1 − x) = 1.0` for every
+    /// `0 ≤ x ≤ 2⁻⁵⁴` (at `x = 2⁻⁵⁴` exactly, `1 − x` is the midpoint of
+    /// `1 − 2⁻⁵³` and `1.0`, and ties go to the even `1.0`). The emitted
+    /// `1 − none` is therefore `1.0` with or without the remaining
+    /// factors: the short-circuit's absolute error is 0, and it skips the
+    /// subnormal tail that costs tens of cycles per multiply on long
+    /// saturated groups. For [`QRat`] the rule is `none == 0`, so exact
+    /// results are unchanged.
+    fn fold_complement(&mut self, p: &Self) {
+        if !self.saturated() {
+            *self = self.mul(&p.complement());
+        }
+    }
+
+    /// `1 − Π(1−p)` over `probs` in order (`0` when empty): the group value
+    /// of an independent project, folded with
+    /// [`fold_complement`](ProbValue::fold_complement).
+    fn independent_or<'a>(probs: impl IntoIterator<Item = &'a Self>) -> Self
+    where
+        Self: 'a,
+    {
+        let mut probs = probs.into_iter();
+        let Some(first) = probs.next() else {
+            return Self::zero();
+        };
+        let mut none = first.complement();
+        for p in probs {
+            if none.saturated() {
+                break;
+            }
+            none.fold_complement(p);
+        }
+        none.complement()
+    }
 }
+
+/// `2⁻⁵⁴`, half an ulp of `1.0`: the `f64` saturation threshold of
+/// [`ProbValue::fold_complement`].
+const HALF_ULP_OF_ONE: f64 = f64::EPSILON / 4.0;
 
 impl ProbValue for f64 {
     fn zero() -> Self {
@@ -50,6 +101,9 @@ impl ProbValue for f64 {
     }
     fn to_f64(&self) -> f64 {
         *self
+    }
+    fn saturated(&self) -> bool {
+        *self <= HALF_ULP_OF_ONE
     }
 }
 

@@ -85,14 +85,14 @@
 //! Parallelism changes wall time, not answers.
 
 use crate::exec::{
-    complement_rows, eval_pred, scan_column_keyed, scan_rows, scan_rows_keyed, ComplementSpec,
+    complement_rows, scan_column_keyed, scan_rows, scan_rows_keyed, CompiledPred, ComplementSpec,
     OpCounters, ScanSpec, ShardScanSpec,
 };
 use crate::node::PlanNode;
 use crate::relation::{
-    choose_build_side, emit_pairs, filter_rows, group_fold_rows, hash_row_key, join_spec,
-    pairs_by_left, probe_emit, probe_pairs, stitch_columnar, BuildSide, GroupFold, JoinIndex,
-    ProbRelation,
+    choose_build_side, emit_pairs, filter_rows, gather_key, group_fold_rows, hash_values,
+    join_spec, pairs_by_left, probe_emit, probe_pairs, stitch, stitch_columnar, BuildSide,
+    GroupFold, JoinIndex, ProbRelation,
 };
 use cq::{Pred, Value, Var};
 use exec_parallel::{run_dag_with_picker, DagSlots, DagStats, ExecStats, Pool, DEFAULT_GRAIN};
@@ -121,6 +121,11 @@ pub struct DagOptions {
 }
 
 impl DagOptions {
+    /// One thread, one shard: the serial configuration.
+    pub fn serial() -> Self {
+        DagOptions::new(1, 1)
+    }
+
     pub fn new(threads: usize, shards: usize) -> Self {
         DagOptions {
             threads,
@@ -145,7 +150,7 @@ impl DagOptions {
 
 impl Default for DagOptions {
     fn default() -> Self {
-        DagOptions::new(1, 1)
+        DagOptions::serial()
     }
 }
 
@@ -617,8 +622,9 @@ fn par_select<P: ProbValue + Send + Sync>(
     pool: &Pool,
 ) -> ProbRelation<P> {
     let cols = rel.cols().to_vec();
+    let pred = CompiledPred::new(pred, &cols);
     let chunks = pool.map_morsels(rel.len(), |rows| {
-        filter_rows(rel, rows, |row| eval_pred(pred, &cols, row))
+        filter_rows(rel, rows, |row| pred.eval(row))
     });
     let (data, probs) = stitch_columnar(chunks);
     ProbRelation::from_parts(cols, data, probs)
@@ -688,20 +694,14 @@ fn par_project_parts<P: ProbValue + Send + Sync>(
         .iter()
         .map(|&v| rel.col_index(v).expect("projection column missing"))
         .collect();
-    // Phase 1: group hashes, one pass in parallel stride-aligned morsels
-    // (order-stable). Each morsel walks its slice of the flat value buffer
-    // directly — the element range is row-aligned by construction.
-    let arity = rel.arity();
-    let hash_chunks = pool.map_morsels_strided(rel.len(), arity, |rows, elems| {
-        if arity == 0 {
-            // Zero-column relation: every row has the empty key.
-            vec![hash_row_key(&[], &key_idx); rows.len()]
-        } else {
-            rel.values()[elems]
-                .chunks_exact(arity)
-                .map(|row| hash_row_key(row, &key_idx))
-                .collect::<Vec<u64>>()
-        }
+    // Phase 1: group hashes, one pass in parallel morsels (order-stable).
+    let hash_chunks = pool.map_morsels(rel.len(), |rows| {
+        let mut key = vec![Value(0); key_idx.len()];
+        rows.map(|i| {
+            gather_key(rel.row(i), &key_idx, &mut key);
+            hash_values(&key)
+        })
+        .collect::<Vec<u64>>()
     });
     let owners = partition_rows(&stitch(hash_chunks), parts);
     // Phase 2: each worker owns the groups hashing to its partitions and
@@ -725,19 +725,6 @@ fn par_project_parts<P: ProbValue + Send + Sync>(
             partials[pi].grouper.key(s),
             partials[pi].none[s].complement(),
         );
-    }
-    out
-}
-
-/// Concatenate morsel outputs in morsel order; a lone chunk (every
-/// one-worker dispatch) is the output as it stands.
-fn stitch<T>(mut chunks: Vec<Vec<T>>) -> Vec<T> {
-    if chunks.len() == 1 {
-        return chunks.pop().expect("one chunk");
-    }
-    let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-    for c in chunks {
-        out.extend(c);
     }
     out
 }

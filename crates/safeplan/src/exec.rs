@@ -148,13 +148,15 @@ enum Slot {
     Check(usize),
 }
 
-/// A compiled scan: per-position slots plus the output arity.
-pub(crate) struct ScanPlan {
+/// A compiled scan: per-position slots plus the output arity. The cold
+/// scan kernels and the incremental scan delta both match tuples with it.
+pub struct ScanPlan {
     slots: Vec<Slot>,
     arity: usize,
 }
 
-pub(crate) fn scan_plan(atom: &Atom, cols: &[Var]) -> ScanPlan {
+/// Compile `atom`'s scan into the output schema `cols` (its variables).
+pub fn scan_plan(atom: &Atom, cols: &[Var]) -> ScanPlan {
     let mut seen = vec![false; cols.len()];
     let slots = atom
         .args
@@ -184,7 +186,7 @@ impl ScanPlan {
     /// does not match (the row is then partly written and must be
     /// discarded).
     #[inline]
-    fn bind(&self, args: &[Value], row: &mut [Value]) -> bool {
+    pub fn bind(&self, args: &[Value], row: &mut [Value]) -> bool {
         for (slot, &got) in self.slots.iter().zip(args) {
             match *slot {
                 Slot::Const(c) if got != c => return false,
@@ -405,10 +407,28 @@ pub(crate) struct ComplementSpec {
     arg_src: Vec<ArgSrc>,
 }
 
-#[derive(Clone, Copy)]
+/// Where a value comes from: a constant, or a column of the row at hand.
+#[derive(Clone, Copy, Debug)]
 enum ArgSrc {
     Const(Value),
     Col(usize),
+}
+
+impl ArgSrc {
+    fn of(t: &Term, cols: &[Var]) -> ArgSrc {
+        match t {
+            Term::Const(c) => ArgSrc::Const(*c),
+            Term::Var(v) => ArgSrc::Col(cols.iter().position(|c| c == v).expect("bound var")),
+        }
+    }
+
+    #[inline]
+    fn get(self, row: &[Value]) -> Value {
+        match self {
+            ArgSrc::Const(c) => c,
+            ArgSrc::Col(i) => row[i],
+        }
+    }
 }
 
 impl ComplementSpec {
@@ -418,14 +438,7 @@ impl ComplementSpec {
         let total = complement_row_count(cols.len(), domain.len());
         counters.complement_scans += 1;
         counters.complement_rows += total as u64;
-        let arg_src = atom
-            .args
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => ArgSrc::Const(*c),
-                Term::Var(v) => ArgSrc::Col(cols.iter().position(|c| c == v).expect("own var")),
-            })
-            .collect();
+        let arg_src = atom.args.iter().map(|t| ArgSrc::of(t, &cols)).collect();
         ComplementSpec {
             cols,
             domain,
@@ -484,10 +497,7 @@ pub(crate) fn complement_rows<P: ProbValue>(
             rem /= spec.domain.len();
         }
         for (a, src) in args.iter_mut().zip(&spec.arg_src) {
-            *a = match *src {
-                ArgSrc::Const(c) => c,
-                ArgSrc::Col(ci) => binding[ci],
-            };
+            *a = src.get(&binding);
         }
         let p = match db.find(spec.rel, &args) {
             Some(id) => probs[id.0 as usize].complement(),
@@ -499,21 +509,36 @@ pub(crate) fn complement_rows<P: ProbValue>(
     (data, out_probs)
 }
 
-pub(crate) fn eval_pred(pred: &Pred, cols: &[Var], row: &[Value]) -> bool {
-    let resolve = |t: &Term| -> Value {
-        match t {
-            Term::Const(c) => *c,
-            Term::Var(v) => {
-                let i = cols.iter().position(|c| c == v).expect("select var bound");
-                row[i]
-            }
+/// A select predicate compiled against its input schema once, so the
+/// per-row test is two array reads and a comparison. The cold select and
+/// the incremental select delta both filter with it.
+#[derive(Clone, Copy, Debug)]
+pub struct CompiledPred {
+    op: CompOp,
+    lhs: ArgSrc,
+    rhs: ArgSrc,
+}
+
+impl CompiledPred {
+    /// # Panics
+    /// If a variable of `pred` is not in `cols`.
+    pub fn new(pred: &Pred, cols: &[Var]) -> Self {
+        CompiledPred {
+            op: pred.op,
+            lhs: ArgSrc::of(&pred.lhs, cols),
+            rhs: ArgSrc::of(&pred.rhs, cols),
         }
-    };
-    let (l, r) = (resolve(&pred.lhs), resolve(&pred.rhs));
-    match pred.op {
-        CompOp::Lt => l < r,
-        CompOp::Eq => l == r,
-        CompOp::Ne => l != r,
+    }
+
+    /// Does `row`, laid out in the compiled schema, satisfy the predicate?
+    #[inline]
+    pub fn eval(&self, row: &[Value]) -> bool {
+        let (l, r) = (self.lhs.get(row), self.rhs.get(row));
+        match self.op {
+            CompOp::Lt => l < r,
+            CompOp::Eq => l == r,
+            CompOp::Ne => l != r,
+        }
     }
 }
 

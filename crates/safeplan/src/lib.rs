@@ -34,7 +34,9 @@
 //! columnar buffers and posting lists and resolve with zero global-index
 //! probes (counter-verified via [`OpCounters`]). The pre-columnar row
 //! executor is kept out of the library, as the test oracle in
-//! `tests/common/rowref.rs`.
+//! `tests/common/rowref.rs`. The row kernels ([`ScanPlan`],
+//! [`CompiledPred`], [`JoinSpec`], [`Grouper`], [`gather_key`]) are
+//! public: incremental view maintenance runs its delta rules on them.
 //!
 //! ```
 //! use cq::{parse_query, Vocabulary, Value};
@@ -65,13 +67,15 @@ pub use dag::{
     dag_ranked_probabilities_counted, execute, query_probability, query_probability_counted,
     query_probability_exact, ranked_probabilities, DagOptions, DagRun, ShardStats,
 };
-pub use exec::{OpCounters, OpTimes};
+pub use exec::{scan_plan, CompiledPred, OpCounters, OpTimes, ScanPlan};
 pub use node::PlanNode;
 pub use optimize::{
     columns, estimate_rows, optimize, optimize_with_stats, plan_shard_fanout, scan_estimate,
     SHARD_MIN_ROWS,
 };
 // Re-exported so downstream crates and tests can read the executor's
-// reports without a direct `exec-parallel` dependency.
+// reports, and fold in the kernels' number type, without a direct
+// `exec-parallel` or `lineage` dependency.
 pub use exec_parallel::{DagStats, ExecStats, Pool, ThreadStats};
-pub use relation::{FnvHasher, ProbRelation};
+pub use lineage::ProbValue;
+pub use relation::{gather_key, join_spec, Grouper, JoinSpec, ProbRelation};

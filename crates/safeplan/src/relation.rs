@@ -210,7 +210,7 @@ impl<P: ProbValue> ProbRelation<P> {
             .iter()
             .map(|&v| self.col_index(v).expect("projection column missing"))
             .collect();
-        let fold = group_fold(self, &key_idx, 0..self.len());
+        let fold = group_fold_rows(self, &key_idx, 0..self.len() as u32);
         let mut out = ProbRelation::with_capacity(keep.to_vec(), fold.grouper.len());
         for s in 0..fold.grouper.len() {
             out.push(fold.grouper.key(s), fold.none[s].complement());
@@ -248,31 +248,34 @@ pub(crate) fn filter_rows<P: ProbValue>(
 /// Concatenate columnar morsel outputs in morsel order. Because every chunk
 /// holds whole rows (the alignment invariant), plain concatenation of the
 /// value buffers and probability columns reproduces the serial output.
-pub(crate) fn stitch_columnar<P>(mut chunks: Vec<(Vec<Value>, Vec<P>)>) -> (Vec<Value>, Vec<P>) {
-    // A lone chunk (every one-worker dispatch) already is the output.
+pub(crate) fn stitch_columnar<P>(chunks: Vec<(Vec<Value>, Vec<P>)>) -> (Vec<Value>, Vec<P>) {
+    let (data, probs): (Vec<_>, Vec<_>) = chunks.into_iter().unzip();
+    (stitch(data), stitch(probs))
+}
+
+/// Concatenate morsel outputs in morsel order; a lone chunk (every
+/// one-worker dispatch) is the output as it stands.
+pub(crate) fn stitch<T>(mut chunks: Vec<Vec<T>>) -> Vec<T> {
     if chunks.len() == 1 {
         return chunks.pop().expect("one chunk");
     }
-    let mut data = Vec::with_capacity(chunks.iter().map(|(d, _)| d.len()).sum());
-    let mut probs = Vec::with_capacity(chunks.iter().map(|(_, p)| p.len()).sum());
-    for (d, p) in chunks {
-        data.extend(d);
-        probs.extend(p);
+    let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
+    for c in chunks {
+        out.extend(c);
     }
-    (data, probs)
+    out
 }
 
 // ---------------------------------------------------------------------------
 // Packed-key grouping
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over raw bytes — the workspace builds offline, so the `HashMap`s
-/// below swap SipHash for this cheap deterministic hasher (keys are
-/// machine-word packs of trusted in-process values, not attacker input).
-/// Public: the incremental view-maintenance crate keys its join-value
-/// indexes and group maps with the same hasher.
+/// FNV-1a over raw bytes — the workspace builds offline, so the
+/// [`Grouper`]'s `HashMap`s swap SipHash for this cheap deterministic
+/// hasher (keys are machine-word packs of trusted in-process values, not
+/// attacker input).
 #[derive(Default)]
-pub struct FnvHasher(u64);
+struct FnvHasher(u64);
 
 impl Hasher for FnvHasher {
     fn finish(&self) -> u64 {
@@ -311,21 +314,9 @@ fn pack2(key: &[Value]) -> u128 {
     (u128::from(key[0].0) << 64) | u128::from(key[1].0)
 }
 
-/// Row-key hash for the arity ≥ 3 fallback and for hash-partitioning rows
+/// Key hash for the arity ≥ 3 fallback and for hash-partitioning rows
 /// across workers (FNV-1a over the key values plus a mixing shift). Only
 /// ever used to spread keys over buckets/partitions; never reaches results.
-#[inline]
-pub(crate) fn hash_row_key(row: &[Value], idx: &[usize]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &i in idx {
-        h ^= row[i].0;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        h ^= h >> 29;
-    }
-    h
-}
-
-/// [`hash_row_key`] over a contiguous key slice (all positions).
 #[inline]
 pub(crate) fn hash_values(vals: &[Value]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -335,6 +326,15 @@ pub(crate) fn hash_values(vals: &[Value]) -> u64 {
         h ^= h >> 29;
     }
     h
+}
+
+/// Gather the `idx` columns of `row` into `key` (`key.len() == idx.len()`)
+/// — the one key builder of every grouping, index build and probe loop.
+#[inline]
+pub fn gather_key(row: &[Value], idx: &[usize], key: &mut [Value]) {
+    for (k, &i) in key.iter_mut().zip(idx) {
+        *k = row[i];
+    }
 }
 
 /// Interns group keys to dense slot ids in first-seen order, with the key
@@ -350,7 +350,7 @@ pub(crate) fn hash_values(vals: &[Value]) -> u64 {
 ///
 /// Slot ids are assigned 0, 1, 2, … in first-seen order, so iterating
 /// slots reproduces the first-seen group order of a whole-input fold.
-pub(crate) struct Grouper {
+pub struct Grouper {
     arity: usize,
     /// Flat interned keys, stride `arity`: slot `s` owns
     /// `keys[s*arity .. (s+1)*arity]`.
@@ -366,6 +366,7 @@ pub(crate) struct Grouper {
 }
 
 impl Grouper {
+    /// An empty grouper for keys of `arity` values.
     pub fn new(arity: usize) -> Self {
         Grouper {
             arity,
@@ -390,6 +391,10 @@ impl Grouper {
     /// Number of distinct keys interned so far.
     pub fn len(&self) -> usize {
         self.slots
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.slots == 0
     }
 
     /// The interned key of `slot`.
@@ -477,20 +482,12 @@ pub(crate) struct GroupFold<P> {
     pub first_row: Vec<u32>,
 }
 
-/// Fold `Π(1−p)` per group over a contiguous row range (visit order = row
-/// order — the serial multiplication order).
-pub(crate) fn group_fold<P: ProbValue>(
-    rel: &ProbRelation<P>,
-    key_idx: &[usize],
-    rows: Range<usize>,
-) -> GroupFold<P> {
-    group_fold_rows(rel, key_idx, rows.map(|i| i as u32))
-}
-
-/// Fold `Π(1−p)` per group over an explicit ascending row-id sequence —
-/// the per-partition kernel of the parallel aggregation (each partition
-/// owns whole groups, visiting its rows in ascending order preserves the
-/// serial fold order within every group).
+/// Fold `Π(1−p)` per group over an ascending row-id sequence with
+/// [`ProbValue::fold_complement`] — the whole input (visit order = row
+/// order, the serial multiplication order), or one partition of the
+/// parallel aggregation (each partition owns whole groups, so visiting its
+/// rows in ascending order preserves the serial fold order within every
+/// group).
 pub(crate) fn group_fold_rows<P: ProbValue>(
     rel: &ProbRelation<P>,
     key_idx: &[usize],
@@ -501,21 +498,13 @@ pub(crate) fn group_fold_rows<P: ProbValue>(
     let mut first_row: Vec<u32> = Vec::new();
     let mut keybuf = vec![Value(0); key_idx.len()];
     for i in rows {
-        let row = rel.row(i as usize);
-        for (slot, &k) in keybuf.iter_mut().zip(key_idx) {
-            *slot = row[k];
-        }
+        gather_key(rel.row(i as usize), key_idx, &mut keybuf);
         let (s, new) = grouper.intern(&keybuf);
-        let c = rel.prob(i as usize).complement();
         if new {
-            none.push(c);
+            none.push(rel.prob(i as usize).complement());
             first_row.push(i);
-        } else if !none[s].is_zero() {
-            // Zero short-circuit: once the running product is exactly
-            // zero it stays zero under every further complement multiply
-            // (complements are non-negative), so skipping changes no bits
-            // — and avoids the subnormal-arithmetic tail on long folds.
-            none[s] = none[s].mul(&c);
+        } else {
+            none[s].fold_complement(rel.prob(i as usize));
         }
     }
     GroupFold {
@@ -529,9 +518,10 @@ pub(crate) fn group_fold_rows<P: ProbValue>(
 // Join machinery
 // ---------------------------------------------------------------------------
 
-/// Column bookkeeping of a natural join, shared by every probe morsel and
-/// both build sides so they produce identical schemas and row layouts.
-pub(crate) struct JoinSpec {
+/// Column bookkeeping of a natural join, shared by every probe morsel,
+/// both build sides and the incremental join stages, so they produce
+/// identical schemas and row layouts.
+pub struct JoinSpec {
     /// Key positions of the join columns in the left side.
     pub left_key: Vec<usize>,
     /// Key positions of the join columns in the right side.
@@ -542,7 +532,8 @@ pub(crate) struct JoinSpec {
     pub out_cols: Vec<Var>,
 }
 
-pub(crate) fn join_spec(left: &[Var], right: &[Var]) -> JoinSpec {
+/// The [`JoinSpec`] of `left ⋈ right` on their common columns.
+pub fn join_spec(left: &[Var], right: &[Var]) -> JoinSpec {
     let common: Vec<Var> = left.iter().copied().filter(|c| right.contains(c)).collect();
     let left_key: Vec<usize> = common
         .iter()
@@ -596,10 +587,7 @@ impl JoinIndex {
         let mut postings: Vec<Vec<u32>> = Vec::new();
         let mut keybuf = vec![Value(0); key_idx.len()];
         for i in 0..rel.len() {
-            let row = rel.row(i);
-            for (slot, &k) in keybuf.iter_mut().zip(key_idx) {
-                *slot = row[k];
-            }
+            gather_key(rel.row(i), key_idx, &mut keybuf);
             let (s, new) = grouper.intern(&keybuf);
             if new {
                 postings.push(Vec::new());
@@ -633,9 +621,7 @@ pub(crate) fn probe_emit<P: ProbValue>(
     let mut keybuf = vec![Value(0); spec.left_key.len()];
     for i in range {
         let row = left.row(i);
-        for (slot, &k) in keybuf.iter_mut().zip(&spec.left_key) {
-            *slot = row[k];
-        }
+        gather_key(row, &spec.left_key, &mut keybuf);
         let Some(matches) = index.matches(&keybuf) else {
             continue;
         };
@@ -665,10 +651,7 @@ pub(crate) fn probe_pairs<P: ProbValue>(
     let mut out = Vec::new();
     let mut keybuf = vec![Value(0); right_key.len()];
     for j in range {
-        let row = right.row(j);
-        for (slot, &k) in keybuf.iter_mut().zip(right_key) {
-            *slot = row[k];
-        }
+        gather_key(right.row(j), right_key, &mut keybuf);
         if let Some(lefts) = index_on_left.matches(&keybuf) {
             for &i in lefts {
                 out.push((i, j as u32));
@@ -856,6 +839,32 @@ mod tests {
     fn project_of_empty_is_never() {
         let s = rel(&[0], &[]);
         assert_eq!(s.independent_project(&[]).scalar(), 0.0);
+    }
+
+    /// The project fold's saturation rule changes no bits: `f64` chains
+    /// falling through `2⁻⁵⁴`, the subnormals and exact zero emit what an
+    /// un-short-circuited fold emits, and `QRat` chains fold exactly.
+    #[test]
+    fn saturated_folds_emit_the_full_folds_bits() {
+        let tail = [0.3, 0.7, 1e-300];
+        let chains = [
+            [vec![0.5; 54], tail.to_vec()].concat(), // lands on 2⁻⁵⁴ exactly
+            [vec![0.5; 53], vec![0.25], tail.to_vec()].concat(), // just above
+            vec![0.9; 400],                          // subnormals, then 0
+            [vec![1.0], tail.to_vec()].concat(),     // exact 0 at once
+            vec![1e-3; 50],                          // never saturates
+        ];
+        for (g, chain) in chains.iter().enumerate() {
+            let full = (1.0 - chain.iter().fold(1.0f64, |none, p| none * (1.0 - p))).to_bits();
+            let rel = ProbRelation::from_parts(Vec::new(), Vec::new(), chain.clone());
+            assert_eq!(rel.independent_project(&[]).scalar().to_bits(), full, "{g}");
+            assert_eq!(f64::independent_or(chain).to_bits(), full, "{g}");
+        }
+        use numeric::QRat;
+        let chain = [vec![QRat::ratio(1, 2); 70], vec![QRat::ratio(1, 3)]].concat();
+        let none = QRat::ratio(1, 2).pow(70).mul(&QRat::ratio(2, 3)); // Π(1−p)
+        let rel = ProbRelation::from_parts(Vec::new(), Vec::new(), chain);
+        assert_eq!(rel.independent_project(&[]).scalar(), none.complement());
     }
 
     #[test]

@@ -173,20 +173,15 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             let data = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
             let mut voc = Vocabulary::new();
             if args.iter().any(|a| a == "--exact") {
-                // Exact rational path: Eq. 3 recurrence when safe, exact
-                // lineage compilation otherwise. Probabilities like `1/3`
-                // in the database file survive with no rounding at all.
+                // Exact rational path: the plan `probdb plan` prints, run by
+                // the engine in rationals. Probabilities like `1/3` in the
+                // database file survive with no rounding at all.
                 let (db, probs) = pdb::load_db_exact(&mut voc, &data).map_err(|e| e.to_string())?;
                 let q = parse_query(&mut voc, text).map_err(|e| e.to_string())?;
-                let (p, how) = match eval_recurrence_exact(&db, &probs, &q) {
-                    Ok(p) => (p, "eq3-recurrence"),
-                    Err(_) => (
-                        pdb::exact_query_probability(&db, &probs, &q),
-                        "exact-lineage",
-                    ),
-                };
+                let engine = Engine::with_samples_and_seed(samples, 0xDA151);
+                let (p, method) = engine.evaluate_exact(&db, &probs, &q);
                 println!("P(q) = {p}");
-                println!("     ≈ {:.12}   method={how}", p.to_f64());
+                println!("     ≈ {:.12}   method={method}", p.to_f64());
                 return Ok(());
             }
             let mut db = load_db(&mut voc, &data).map_err(|e| e.to_string())?;

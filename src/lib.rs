@@ -88,7 +88,7 @@ pub mod prelude {
         ranked_answers_counted, top_k, Classification, Complexity, Executor, MultiSimConfig,
         PhysicalPlan, Planner, PlannerStats, RankedAnswer, RankedPlan, RankedRun,
     };
-    pub use incremental::{IncrementalView, RefreshCounters, RefreshOptions};
+    pub use incremental::{IncrementalView, RefreshCounters};
     pub use lineage::{exact_probability, karp_luby, Dnf};
     pub use numeric::{BigInt, BigUint, QRat};
     pub use pdb::{
@@ -97,7 +97,7 @@ pub mod prelude {
     };
     pub use reductions::{count_via_hk, count_via_pattern, Bipartite2Dnf};
     pub use safeplan::{
-        build_plan, query_probability, query_probability_exact, OpCounters, PlanNode,
+        build_plan, query_probability, query_probability_exact, DagOptions, OpCounters, PlanNode,
     };
     pub use serve::{HttpClient, HttpResponse, ServeOptions, Server};
 }

@@ -10,7 +10,8 @@ mod common;
 
 use common::{random_batch, random_hierarchical_query, seed_batch, seed_db, THREADS};
 use probdb::prelude::{
-    parse_query, Engine, IncrementalView, ProbDb, RefreshOptions, Strategy, Vocabulary,
+    parse_query, DagOptions, DeltaBatch, Engine, IncrementalView, ProbDb, Strategy, Term, Value,
+    Vocabulary,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,7 +59,7 @@ fn refresh_is_bit_identical_to_cold_execution_on_random_deltas() {
                 if lag && *threads == 4 {
                     continue;
                 }
-                view.refresh(&db, RefreshOptions::with_grain(*threads, 2));
+                view.refresh(&db, DagOptions::with_grain(*threads, 1, 2));
                 assert_bit_identical(
                     &view.output(),
                     &cold,
@@ -72,7 +73,7 @@ fn refresh_is_bit_identical_to_cold_execution_on_random_deltas() {
         // Views that lagged catch up on the final state.
         let cold = execute(&db, &db.prob_vector(), &plan);
         for (threads, view) in &mut views {
-            view.refresh(&db, RefreshOptions::with_grain(*threads, 2));
+            view.refresh(&db, DagOptions::with_grain(*threads, 1, 2));
             assert_bit_identical(
                 &view.output(),
                 &cold,
@@ -117,14 +118,18 @@ fn subscribed_views_agree_with_cold_engine_evaluations() {
 
 /// Shapes the random hierarchical generator never draws, each a fixed
 /// query: a constant argument, a repeated variable, `<` and `!=` selects,
-/// and non-Boolean (ranked) templates. Every view is materialized three
-/// ways — on the seeded database, on the empty database before it is
-/// filled, and by the rebuild after a log gap longer than the delta log —
-/// and after every batch each one must be bit for bit the cold execution,
-/// at threads {1, 4} × shards {1, 3} (grain 2, so morsels split).
+/// non-Boolean (ranked) templates, a join on three columns (hashed keys
+/// with collision chains), a join on no column, and a template keeping
+/// three columns. Every view is materialized three ways — on the seeded
+/// database, on the empty database before it is filled, and by the
+/// rebuild after a log gap longer than the delta log — and after every
+/// batch each one must be bit for bit the cold execution, at threads
+/// {1, 4} × shards {1, 3} (grain 2, so morsels split). The last two
+/// batches delete every row holding one value of `x` and re-insert them,
+/// so emptied join-index and group slots are reused.
 #[test]
 fn fixed_shapes_agree_however_the_view_was_materialized() {
-    const SHAPES: [(&str, usize); 7] = [
+    const SHAPES: [(&str, usize); 10] = [
         ("R(x), S(x, 2)", 0),
         ("R(x), S(x, x)", 0),
         ("R(x), S(x, y), x < y", 0),
@@ -132,6 +137,9 @@ fn fixed_shapes_agree_however_the_view_was_materialized() {
         ("R(x), S(x, y), T(x, y, 3)", 1),
         ("R(x), S(x, y), x != 1", 1),
         ("R(x), S(x, y), T(y)", 2),
+        ("R(x, y, z), S(x, y, z, w)", 0),
+        ("R(x), T(y)", 0),
+        ("R(x), S(x, y), T(x, y, z)", 3),
     ];
     let mut rng = StdRng::seed_from_u64(0x5A9E5);
     for (text, heads) in SHAPES {
@@ -147,12 +155,9 @@ fn fixed_shapes_agree_however_the_view_was_materialized() {
         }
         let plan = optimize(&safeplan::build_ranked_plan(&q, &head).unwrap());
         assert!(!matches!(plan, PlanNode::Never), "{text}: plan is empty");
-        let configs: Vec<RefreshOptions> = [(1, 1), (1, 3), (4, 1), (4, 3)]
+        let configs: Vec<DagOptions> = [(1, 1), (1, 3), (4, 1), (4, 3)]
             .into_iter()
-            .map(|(threads, shards)| RefreshOptions {
-                grain: 2,
-                ..RefreshOptions::with_tuning(threads, shards)
-            })
+            .map(|(threads, shards)| DagOptions::with_grain(threads, shards, 2))
             .collect();
         let mut db = ProbDb::new(voc.clone());
         let new_views = |db: &ProbDb| -> Vec<IncrementalView> {
@@ -196,6 +201,34 @@ fn fixed_shapes_agree_however_the_view_was_materialized() {
             check(&mut seeded, &db, "seeded", &step);
             check(&mut refilled, &db, "refilled", &step);
             check(&mut gapped, &db, "gapped", &step);
+        }
+        // Every row holding one value of `x`, across all atoms.
+        let x = q.atoms[0].vars()[0];
+        let x_at = |i: usize| -> Vec<usize> {
+            let args = &q.atoms[i].args;
+            (0..args.len())
+                .filter(|&p| args[p] == Term::Var(x))
+                .collect()
+        };
+        let ids = db.tuples_of(q.atoms[0].rel);
+        let v = ids
+            .first()
+            .map_or(Value(1), |&id| db.tuple(id).args[x_at(0)[0]]);
+        let (mut wipe, mut refill) = (DeltaBatch::new(), DeltaBatch::new());
+        for (i, atom) in q.atoms.iter().enumerate() {
+            for &id in db.tuples_of(atom.rel) {
+                let args = &db.tuple(id).args;
+                if x_at(i).iter().any(|&p| args[p] == v) {
+                    wipe.delete(atom.rel, args.clone());
+                    refill.insert(atom.rel, args.clone(), 0.5);
+                }
+            }
+        }
+        for (batch, step) in [(wipe, "x wiped"), (refill, "x refilled")] {
+            db.apply(&batch);
+            check(&mut seeded, &db, "seeded", step);
+            check(&mut refilled, &db, "refilled", step);
+            check(&mut gapped, &db, "gapped", step);
         }
         for view in seeded.iter().chain(&refilled) {
             assert_eq!(view.counters().full_rebuilds, 0, "{text}: no gap");
