@@ -18,8 +18,7 @@
 //! | classification | plan |
 //! |---|---|
 //! | hierarchical, no self-joins | extensional safe plan ([`safeplan`]) |
-//! | — (negated self-join survivor) | Eq. 3 recurrence ([`crate::recurrence`]) |
-//! | inversion-free | root-recursion safe plan ([`crate::safe_eval`]) |
+//! | inversion-free; hierarchical shapes the extensional compiler declines | root-recursion safe plan ([`crate::safe_eval`]) |
 //! | erasable inversions | exact lineage compilation (documented §3.4 substitution) |
 //! | #P-hard | Karp–Luby FPRAS over the lineage (MystiQ's fallback) |
 //!
@@ -35,7 +34,8 @@ use crate::result_cache::ResultCache;
 use cq::Query;
 use exec_parallel::ExecStats;
 use incremental::{IncrementalView, RefreshCounters};
-use pdb::ProbDb;
+use numeric::{BigUint, QRat};
+use pdb::{ProbDb, RatProbs};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -528,16 +528,12 @@ impl Engine {
     }
 
     /// Evaluate `p(q)` in exact rational arithmetic, through the same
-    /// planner: the extensional plan or Eq. 3 recurrence when the query is
-    /// safe, exact lineage compilation otherwise. Always exact; the
-    /// lineage path is worst-case exponential (and must be, for #P-hard
-    /// queries).
-    pub fn evaluate_exact(
-        &self,
-        db: &ProbDb,
-        probs: &pdb::RatProbs,
-        q: &Query,
-    ) -> (numeric::QRat, Method) {
+    /// planner and the same evaluators as [`Engine::evaluate`]: the
+    /// extensional plan or the root-recursion safe plan when the query is
+    /// PTIME, exact lineage compilation otherwise (and as the safe plan's
+    /// runtime fallback). Always exact; the lineage path is worst-case
+    /// exponential (and must be, for #P-hard queries).
+    pub fn evaluate_exact(&self, db: &ProbDb, probs: &RatProbs, q: &Query) -> (QRat, Method) {
         match self.planner.plan(q) {
             Ok(planned) => self.executor().execute_exact(db, probs, &planned.plan),
             // Classification resource bounds: exact lineage is always sound.
@@ -546,6 +542,22 @@ impl Engine {
                 Method::ExactLineage,
             ),
         }
+    }
+
+    /// Count the substructures of `db` (its `2^n` possible worlds) that
+    /// satisfy `q`: [`Engine::evaluate_exact`] with every tuple at `1/2`,
+    /// times `2^n` — the specialization the paper's conclusions ask about.
+    /// Polynomial wherever the query is PTIME; exact lineage, worst-case
+    /// exponential, on the hard side. Returns the method that ran.
+    pub fn count_substructures(&self, db: &ProbDb, q: &Query) -> (BigUint, Method) {
+        let half = RatProbs::uniform(db, QRat::ratio(1, 2));
+        let (p, method) = self.evaluate_exact(db, &half, q);
+        let count = p.mul_ref(&QRat::from_int(2).pow(db.num_tuples() as u64));
+        assert!(
+            count.denominator().is_one(),
+            "substructure count must be integral, got {count}"
+        );
+        (count.numerator().magnitude().clone(), method)
     }
 }
 
@@ -804,6 +816,91 @@ mod tests {
                 assert_eq!(method, Method::ExactLineage);
             }
         }
+    }
+
+    #[test]
+    fn exact_inversion_free_runs_the_safe_plan() {
+        use pdb::brute_force_probability_exact;
+        for name in ["q_selfjoin_T_on_x", "example_2_14"] {
+            let entry = crate::catalog::CATALOG.iter().find(|e| e.name == name);
+            for seed in [20u64, 21] {
+                let (db, q) = setup(entry.unwrap().text, seed);
+                let probs = RatProbs::from_db(&db);
+                let (p, method) = Engine::new().evaluate_exact(&db, &probs, &q);
+                assert_eq!(method, Method::SafePlan, "{name} seed {seed}");
+                let bf = brute_force_probability_exact(&db, &probs, &q);
+                assert_eq!(p, bf, "{name} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn declined_hierarchical_shapes_evaluate() {
+        use pdb::brute_force_probability_exact;
+        // The extensional compiler declines a predicate spanning components
+        // and a negated self-join; the root-recursion plan (or its
+        // exact-lineage fallback) answers both, in f64 and in rationals.
+        for (text, seed) in [("R(x), S(y), x < y", 30u64), ("R(x), not R(y)", 31)] {
+            let (db, q) = setup(text, seed);
+            let ev = Engine::new().evaluate(&db, &q, Strategy::Auto).unwrap();
+            let bf = brute_force_probability(&db, &q);
+            assert!(
+                (ev.probability - bf).abs() < 1e-9,
+                "{text}: engine {} vs brute force {bf}",
+                ev.probability
+            );
+            let probs = RatProbs::from_db(&db);
+            let (p, _) = Engine::new().evaluate_exact(&db, &probs, &q);
+            assert_eq!(p, brute_force_probability_exact(&db, &probs, &q), "{text}");
+        }
+    }
+
+    #[test]
+    fn counting_matches_exact_lineage_counting() {
+        let mut voc = Vocabulary::new();
+        let q = parse_query(&mut voc, "R(x), S(x,y)").unwrap();
+        let r = voc.find_relation("R").unwrap();
+        let s = voc.find_relation("S").unwrap();
+        let mut db = ProbDb::new(voc);
+        for i in 0..3 {
+            db.insert(r, vec![Value(i)], 0.9);
+            for j in 0..3 {
+                db.insert(s, vec![Value(i), Value(10 + j)], 0.9);
+            }
+        }
+        let (count, method) = Engine::new().count_substructures(&db, &q);
+        assert_eq!(method, Method::Extensional);
+        assert_eq!(count, pdb::count_satisfying_worlds_exact(&db, &q));
+        // The self-join side of the PTIME class counts on the safe plan.
+        let (db, q) = setup("R(x), S(x,y), S(x2,y2), T(x2)", 12);
+        let (count, method) = Engine::new().count_substructures(&db, &q);
+        assert_eq!(method, Method::SafePlan);
+        assert_eq!(count, pdb::count_satisfying_worlds_exact(&db, &q));
+    }
+
+    #[test]
+    fn counting_scales_to_large_databases() {
+        // 120 tuples: 2^120 worlds — enumeration is unthinkable, the safe
+        // plan is instant and exact.
+        let mut voc = Vocabulary::new();
+        let q = parse_query(&mut voc, "R(x), S(x,y)").unwrap();
+        let r = voc.find_relation("R").unwrap();
+        let s = voc.find_relation("S").unwrap();
+        let mut db = ProbDb::new(voc);
+        for i in 0..30 {
+            db.insert(r, vec![Value(i)], 0.5);
+            for j in 0..3 {
+                db.insert(s, vec![Value(i), Value(100 + j)], 0.5);
+            }
+        }
+        assert_eq!(db.num_tuples(), 120);
+        let (count, _) = Engine::new().count_substructures(&db, &q);
+        // Per root value a block is satisfied with probability
+        // 1/2 · (1 − (1/2)^3) = 7/16, so p(q) = 1 − (9/16)^30 and
+        // count = 16^30 − 9^30.
+        let sixteen = BigUint::from_u64(16).pow(30);
+        let nine = BigUint::from_u64(9).pow(30);
+        assert_eq!(count, sixteen.sub_ref(&nine));
     }
 
     #[test]

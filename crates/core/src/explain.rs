@@ -164,7 +164,7 @@ pub fn explain(c: &Classification, voc: &Vocabulary) -> String {
             PTimeReason::HierarchicalNoSelfJoin => {
                 let _ = writeln!(
                     out,
-                    "  hierarchical without self-joins: evaluated by the Eq. 3 recurrence."
+                    "  hierarchical without self-joins (Thm 1.3): evaluated by the extensional safe plan."
                 );
             }
             PTimeReason::InversionFree => {
@@ -254,7 +254,7 @@ mod tests {
     #[test]
     fn explains_recurrence_case() {
         let s = explained("R(x), S(x,y)");
-        assert!(s.contains("Eq. 3 recurrence"), "{s}");
+        assert!(s.contains("extensional safe plan"), "{s}");
     }
 
     #[test]

@@ -30,9 +30,13 @@
 //! * [`plan`] — the typed `PhysicalPlan` IR and the [`plan::Executor`] that
 //!   runs it against any [`pdb::ProbDb`]: the `safeplan` set-at-a-time
 //!   extensional operators for hierarchical self-join-free queries (the
-//!   preferred backend), the Eq. 3 recurrence ([`recurrence`]), the §3.2
-//!   root recursion ([`safe_eval`]), exact lineage compilation, or
-//!   Karp–Luby sampling — with exact runtime fallbacks between them.
+//!   preferred backend), the §3.2 root recursion ([`safe_eval`]) for
+//!   inversion-free queries and the hierarchical shapes the extensional
+//!   compiler declines, exact lineage compilation, or Karp–Luby sampling —
+//!   with exact runtime fallbacks between them. Both PTIME evaluators run
+//!   in `f64` and in exact rationals
+//!   ([`Engine::evaluate_exact`](engine::Engine::evaluate_exact),
+//!   [`Engine::count_substructures`](engine::Engine::count_substructures)).
 //! * [`engine`] — the facade: plan (with caching), execute, report planning
 //!   and execution time separately. Extensional plans and batched ranked
 //!   plans run on `safeplan`'s one executor (`safeplan::dag`, an
@@ -52,9 +56,9 @@
 //!   interval Monte Carlo over per-candidate lineages, extracted in one
 //!   shared pass.
 //!
-//! The per-query evaluators ([`recurrence`], [`exact_recurrence`],
-//! [`safe_eval`]) remain directly callable; the planner is the policy that
-//! chooses among them.
+//! [`safe_eval`] remains directly callable; the planner is the policy that
+//! chooses it. [`recurrence`] is the paper's Eq. 3 as a test reference,
+//! not an engine path.
 
 pub mod catalog;
 pub mod classify;
@@ -62,7 +66,6 @@ pub mod closure;
 pub mod coverage;
 pub mod engine;
 pub mod eraser;
-pub mod exact_recurrence;
 pub mod explain;
 pub mod hierarchy;
 pub mod inversion;
@@ -83,7 +86,6 @@ pub use coverage::{
     CoverageOptions,
 };
 pub use engine::{Engine, Evaluation, ExecOptions, Method, ViewHandle, ViewReading};
-pub use exact_recurrence::{count_substructures_recurrence, eval_recurrence_exact};
 pub use exec_parallel::{ExecStats, ThreadStats};
 pub use explain::{explain, explain_evaluation};
 pub use hierarchy::{check_hierarchical, is_hierarchical};

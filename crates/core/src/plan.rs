@@ -13,13 +13,15 @@
 //! | variant | substrate | when |
 //! |---|---|---|
 //! | [`PhysicalPlan::Extensional`] | `safeplan` set-at-a-time operators | hierarchical, no self-joins; a constant (`certain` / `never`) when nothing is left after minimization |
-//! | [`PhysicalPlan::Recurrence`] | Eq. 3 tuple-at-a-time recurrence | extensional compile declined |
-//! | [`PhysicalPlan::RootRecursion`] | §3.2 coverage root recursion | inversion-free self-joins |
+//! | [`PhysicalPlan::RootRecursion`] | §3.2 coverage root recursion | inversion-free self-joins; hierarchical self-join-free queries the extensional compiler declines |
 //! | [`PhysicalPlan::ExactLineage`] | weighted model counting | erasable inversions (§3.4 substitution) |
 //! | [`PhysicalPlan::KarpLuby`] | FPRAS over the lineage | #P-hard queries |
+//!
+//! Both PTIME substrates run in `f64` ([`Executor::execute`]) and in exact
+//! rationals ([`Executor::execute_exact`]): one evaluator per class, generic
+//! over [`lineage::ProbValue`].
 
-use crate::recurrence::{eval_recurrence, RecurrenceError};
-use crate::safe_eval::{eval_inversion_free, SafeEvalError};
+use crate::safe_eval::eval_inversion_free;
 use cq::{Query, Vocabulary};
 use exec_parallel::ExecStats;
 use lineage::{exact_probability, karp_luby, karp_luby_par};
@@ -34,8 +36,6 @@ use std::fmt;
 /// substrate actually ran (runtime fallbacks may differ from the plan).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Method {
-    /// Eq. 3 recurrence, tuple-at-a-time (Theorem 1.3(1)).
-    Recurrence,
     /// Extensional set-at-a-time safe plan (`safeplan` operators).
     Extensional,
     /// Inversion-free coverage safe plan, root-recursion form (§3.2).
@@ -49,7 +49,6 @@ pub enum Method {
 impl fmt::Display for Method {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Method::Recurrence => write!(f, "recurrence"),
             Method::Extensional => write!(f, "extensional-plan"),
             Method::SafePlan => write!(f, "safe-plan"),
             Method::ExactLineage => write!(f, "exact-lineage"),
@@ -65,10 +64,9 @@ pub enum PhysicalPlan {
     /// Extensional safe plan run by the `safeplan` set-at-a-time executor —
     /// the preferred backend for hierarchical self-join-free queries.
     Extensional { plan: safeplan::PlanNode },
-    /// Tuple-at-a-time Eq. 3 recurrence; kept for negated self-joins the
-    /// extensional compiler declines, with runtime fallbacks below it.
-    Recurrence { query: Query },
-    /// Root-recursion safe evaluation for inversion-free queries.
+    /// Root-recursion safe evaluation for inversion-free queries, and for
+    /// hierarchical self-join-free ones the extensional compiler declines
+    /// (a negated self-join, a predicate spanning components).
     RootRecursion { query: Query },
     /// Exact lineage compilation (worst-case exponential, always exact).
     ExactLineage { query: Query },
@@ -81,7 +79,6 @@ impl PhysicalPlan {
     pub fn method(&self) -> Method {
         match self {
             PhysicalPlan::Extensional { .. } => Method::Extensional,
-            PhysicalPlan::Recurrence { .. } => Method::Recurrence,
             PhysicalPlan::RootRecursion { .. } => Method::SafePlan,
             PhysicalPlan::ExactLineage { .. } => Method::ExactLineage,
             PhysicalPlan::KarpLuby { .. } => Method::KarpLuby,
@@ -93,9 +90,6 @@ impl PhysicalPlan {
         match self {
             PhysicalPlan::Extensional { plan } => {
                 format!("extensional plan:\n{}", plan.display(voc))
-            }
-            PhysicalPlan::Recurrence { query } => {
-                format!("eq-3 recurrence over {}\n", query.display(voc))
             }
             PhysicalPlan::RootRecursion { query } => {
                 format!("root-recursion safe plan over {}\n", query.display(voc))
@@ -190,11 +184,11 @@ impl Executor {
 
     /// Run `plan` against `db` in `f64` arithmetic.
     ///
-    /// Exact-method plans degrade gracefully at runtime: the recurrence
-    /// falls back to root recursion and then exact lineage when a (negated)
-    /// self-join survives classification, and root recursion falls back to
-    /// exact lineage when its inclusion–exclusion budget trips. Both
-    /// fallbacks stay exact — only the reported [`Method`] changes.
+    /// Root recursion degrades gracefully at runtime: whenever it refuses
+    /// (its inclusion–exclusion budget trips, no consistent root choice
+    /// exists, the coverage cannot be built), the plan falls back to exact
+    /// lineage. The fallback stays exact — only the reported [`Method`]
+    /// changes — so no PTIME verdict ends in an evaluation error.
     pub fn execute(&self, db: &ProbDb, plan: &PhysicalPlan) -> Result<ExecOutcome, String> {
         match plan {
             PhysicalPlan::Extensional { plan } => {
@@ -216,28 +210,18 @@ impl Executor {
                     sharding: Some(run.shards),
                 })
             }
-            PhysicalPlan::Recurrence { query } => match eval_recurrence(db, query) {
-                Ok(p) => Ok(exact(p, Method::Recurrence)),
-                Err(RecurrenceError::SelfJoin) => match eval_inversion_free(db, query) {
+            PhysicalPlan::RootRecursion { query } => {
+                match eval_inversion_free(db, db.probs(), query) {
                     Ok(p) => Ok(exact(p, Method::SafePlan)),
+                    // The safe plan's inclusion-exclusion budget is an
+                    // engineering bound, a per-binding residual can carry
+                    // constants that create unifications the planned
+                    // template did not have, and a predicate spanning
+                    // components leaves no root; exact lineage stays correct
+                    // in every such case (if not worst-case polynomial).
                     Err(_) => Ok(exact(self.exact_lineage(db, query), Method::ExactLineage)),
-                },
-                Err(e) => Err(e.to_string()),
-            },
-            PhysicalPlan::RootRecursion { query } => match eval_inversion_free(db, query) {
-                Ok(p) => Ok(exact(p, Method::SafePlan)),
-                // The safe plan's inclusion-exclusion budget is an
-                // engineering bound, and a per-binding residual can carry
-                // constants that create unifications the planned template
-                // did not have; exact lineage stays correct in every such
-                // case (if not worst-case polynomial).
-                Err(SafeEvalError::TooComplex)
-                | Err(SafeEvalError::RootSelectionFailed)
-                | Err(SafeEvalError::DepthExceeded) => {
-                    Ok(exact(self.exact_lineage(db, query), Method::ExactLineage))
                 }
-                Err(e) => Err(e.to_string()),
-            },
+            }
             PhysicalPlan::ExactLineage { query } => {
                 Ok(exact(self.exact_lineage(db, query), Method::ExactLineage))
             }
@@ -256,9 +240,10 @@ impl Executor {
         }
     }
 
-    /// Run `plan` against `db` in exact rational arithmetic. Sampling plans
-    /// and runtime fallbacks route to exact lineage compilation — always
-    /// exact, worst-case exponential (necessarily, for #P-hard queries).
+    /// Run `plan` against `db` in exact rational arithmetic, on the same
+    /// evaluators as [`Executor::execute`]. Sampling plans and the same
+    /// runtime fallbacks route to exact lineage compilation — always exact,
+    /// worst-case exponential (necessarily, for #P-hard queries).
     pub fn execute_exact(
         &self,
         db: &ProbDb,
@@ -270,18 +255,16 @@ impl Executor {
                 safeplan::query_probability_exact(db, probs, plan),
                 Method::Extensional,
             ),
-            PhysicalPlan::Recurrence { query } => {
-                match crate::exact_recurrence::eval_recurrence_exact(db, probs, query) {
-                    Ok(p) => (p, Method::Recurrence),
+            PhysicalPlan::RootRecursion { query } => {
+                match eval_inversion_free(db, probs.as_slice(), query) {
+                    Ok(p) => (p, Method::SafePlan),
                     Err(_) => (
                         pdb::exact_query_probability(db, probs, query),
                         Method::ExactLineage,
                     ),
                 }
             }
-            PhysicalPlan::RootRecursion { query }
-            | PhysicalPlan::ExactLineage { query }
-            | PhysicalPlan::KarpLuby { query, .. } => (
+            PhysicalPlan::ExactLineage { query } | PhysicalPlan::KarpLuby { query, .. } => (
                 pdb::exact_query_probability(db, probs, query),
                 Method::ExactLineage,
             ),
@@ -359,7 +342,7 @@ mod tests {
             PhysicalPlan::Extensional {
                 plan: safeplan::build_plan(&q).unwrap(),
             },
-            PhysicalPlan::Recurrence { query: q.clone() },
+            PhysicalPlan::RootRecursion { query: q.clone() },
             PhysicalPlan::ExactLineage { query: q.clone() },
         ];
         for plan in &plans {

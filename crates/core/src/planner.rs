@@ -54,7 +54,6 @@ pub enum RankedPlan {
 /// Which evaluator a per-binding residual runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ResidualKind {
-    Recurrence,
     RootRecursion,
     ExactLineage,
     KarpLuby { samples: u64 },
@@ -64,7 +63,6 @@ impl ResidualKind {
     /// Instantiate the template for one candidate's residual query.
     pub fn instantiate(self, residual: Query) -> PhysicalPlan {
         match self {
-            ResidualKind::Recurrence => PhysicalPlan::Recurrence { query: residual },
             ResidualKind::RootRecursion => PhysicalPlan::RootRecursion { query: residual },
             ResidualKind::ExactLineage => PhysicalPlan::ExactLineage { query: residual },
             ResidualKind::KarpLuby { samples } => PhysicalPlan::KarpLuby {
@@ -227,18 +225,19 @@ impl Planner {
                 }
             }
             Complexity::PTime(PTimeReason::HierarchicalNoSelfJoin) => {
-                // Preferred backend: the set-at-a-time extensional plan. A
-                // negated self-join can survive the positive-only
-                // classification (e.g. `R(x), not R(y)`); the compiler
-                // declines it and the recurrence plan (with its runtime
-                // fallbacks) takes over.
+                // Preferred backend: the set-at-a-time extensional plan. The
+                // compiler declines a negated self-join that survived the
+                // positive-only classification (e.g. `R(x), not R(y)`) and
+                // a predicate spanning components (`R(x), S(y), x < y`);
+                // root recursion (with its exact-lineage fallback) takes
+                // those.
                 match safeplan::build_plan(&eval_q) {
                     // Plan once, optimize once, execute many: the algebraic
                     // rewrites pay for themselves on the first cache hit.
                     Ok(plan) => PhysicalPlan::Extensional {
                         plan: safeplan::optimize(&plan),
                     },
-                    Err(_) => PhysicalPlan::Recurrence { query: eval_q },
+                    Err(_) => PhysicalPlan::RootRecursion { query: eval_q },
                 }
             }
             Complexity::PTime(PTimeReason::InversionFree) => {
@@ -287,10 +286,9 @@ impl Planner {
                 plan: safeplan::PlanNode::Certain | safeplan::PlanNode::Never,
             }
             | PhysicalPlan::ExactLineage { .. } => ResidualKind::ExactLineage,
-            PhysicalPlan::Extensional { .. } | PhysicalPlan::Recurrence { .. } => {
-                ResidualKind::Recurrence
+            PhysicalPlan::Extensional { .. } | PhysicalPlan::RootRecursion { .. } => {
+                ResidualKind::RootRecursion
             }
-            PhysicalPlan::RootRecursion { .. } => ResidualKind::RootRecursion,
             PhysicalPlan::KarpLuby { samples, .. } => ResidualKind::KarpLuby { samples: *samples },
         };
         Ok(RankedPlan::PerBinding {

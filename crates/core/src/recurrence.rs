@@ -12,6 +12,13 @@
 //! without self-joins components use disjoint relation symbols and the
 //! maximal variable of a connected hierarchical component occurs in every
 //! sub-goal (so different `a` pin disjoint tuples).
+//!
+//! This is a *reference*, not an engine path: the planner runs
+//! hierarchical self-join-free queries on the extensional plan
+//! (`safeplan`) and the shapes that compiler declines on the root
+//! recursion ([`crate::safe_eval`]). Tests compare both against it (E9,
+//! `safeplan::exec::tests::plans_match_recurrence_and_brute_force`, and the
+//! cross-engine suites).
 
 use crate::hierarchy::{is_hierarchical, root_candidates};
 use cq::{Query, Term, Value};

@@ -18,10 +18,15 @@
 //! factor, so the recursion depth is bounded by `V(q)` and the total cost by
 //! `O(N^{V(q)})` — Corollary 3.7. Sub-results are memoized on the
 //! canonicalized query plus the conditioning context.
+//!
+//! The evaluator is generic over [`ProbValue`], like `safeplan`: the same
+//! circuit runs on `f64` and on exact [`numeric::QRat`] rationals, the
+//! number type the paper states its complexity in (§1).
 
 use crate::coverage::{rooted_coverage, CoverageError};
 use crate::hierarchy::root_candidates;
 use cq::{contains, mgu_atoms, Pred, PredTheory, Query, Term, Value, Var};
+use lineage::ProbValue;
 use pdb::ProbDb;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -71,13 +76,19 @@ impl From<CoverageError> for SafeEvalError {
 type Ctx = BTreeMap<(cq::RelId, Vec<Value>), bool>;
 
 /// Evaluate `p(q)` for an inversion-free query `q` in polynomial time in
-/// the size of `db`.
-pub fn eval_inversion_free(db: &ProbDb, q: &Query) -> Result<f64, SafeEvalError> {
+/// the size of `db`, over the tuple probabilities `probs` in
+/// [`pdb::TupleId`] order: `db.probs()` for `f64`,
+/// [`pdb::RatProbs::as_slice`] for exact rationals.
+pub fn eval_inversion_free<P: ProbValue>(
+    db: &ProbDb,
+    probs: &[P],
+    q: &Query,
+) -> Result<P, SafeEvalError> {
     let Some(qn) = q.normalize() else {
-        return Ok(0.0);
+        return Ok(P::zero());
     };
     if qn.atoms.is_empty() {
-        return Ok(1.0);
+        return Ok(P::one());
     }
     let cov = rooted_coverage(&qn)?;
     let covers = cov.cover_queries();
@@ -92,6 +103,7 @@ pub fn eval_inversion_free(db: &ProbDb, q: &Query) -> Result<f64, SafeEvalError>
     domain.sort();
     let mut ev = Evaluator {
         db,
+        probs,
         domain,
         memo: HashMap::new(),
         depth_limit: 4 * (qn.max_vars_per_subgoal() + 2),
@@ -99,19 +111,23 @@ pub fn eval_inversion_free(db: &ProbDb, q: &Query) -> Result<f64, SafeEvalError>
     ev.ucq(&covers, &Ctx::new(), 0)
 }
 
-struct Evaluator<'a> {
+struct Evaluator<'a, P> {
     db: &'a ProbDb,
+    probs: &'a [P],
     domain: Vec<Value>,
-    memo: HashMap<String, f64>,
+    memo: HashMap<String, P>,
     depth_limit: usize,
 }
 
-impl Evaluator<'_> {
-    fn prob_of(&self, rel: cq::RelId, args: &[Value], ctx: &Ctx) -> f64 {
+impl<P: ProbValue> Evaluator<'_, P> {
+    fn prob_of(&self, rel: cq::RelId, args: &[Value], ctx: &Ctx) -> P {
         match ctx.get(&(rel, args.to_vec())) {
-            Some(true) => 1.0,
-            Some(false) => 0.0,
-            None => self.db.prob_of(rel, args),
+            Some(true) => P::one(),
+            Some(false) => P::zero(),
+            None => self
+                .db
+                .find(rel, args)
+                .map_or_else(P::zero, |id| self.probs[id.0 as usize].clone()),
         }
     }
 
@@ -124,7 +140,7 @@ impl Evaluator<'_> {
     }
 
     /// `P(⋁ disjuncts)`.
-    fn ucq(&mut self, disjuncts: &[Query], ctx: &Ctx, depth: usize) -> Result<f64, SafeEvalError> {
+    fn ucq(&mut self, disjuncts: &[Query], ctx: &Ctx, depth: usize) -> Result<P, SafeEvalError> {
         if depth > self.depth_limit {
             return Err(SafeEvalError::DepthExceeded);
         }
@@ -133,7 +149,7 @@ impl Evaluator<'_> {
         for d in disjuncts {
             if let Some(n) = d.normalize() {
                 if n.atoms.is_empty() {
-                    return Ok(1.0); // a disjunct became `true`
+                    return Ok(P::one()); // a disjunct became `true`
                 }
                 qs.push(n.compact_vars());
             }
@@ -158,14 +174,14 @@ impl Evaluator<'_> {
             kept.push(q.clone());
         }
         if kept.is_empty() {
-            return Ok(0.0);
+            return Ok(P::zero());
         }
 
         let mut keys: Vec<String> = kept.iter().map(|q| q.cache_key()).collect();
         keys.sort();
         let memo_key = format!("U|{}|{}", keys.join("&"), Self::ctx_key(ctx));
-        if let Some(&p) = self.memo.get(&memo_key) {
-            return Ok(p);
+        if let Some(p) = self.memo.get(&memo_key) {
+            return Ok(p.clone());
         }
 
         // Inclusion–exclusion over nonempty subsets of the disjuncts.
@@ -173,7 +189,7 @@ impl Evaluator<'_> {
         if n >= 16 {
             return Err(SafeEvalError::TooComplex);
         }
-        let mut total = 0.0;
+        let mut total = P::zero();
         for mask in 1u32..(1 << n) {
             // Conjoin the selected disjuncts with variables renamed apart.
             let mut factors: Vec<Query> = Vec::new();
@@ -185,30 +201,30 @@ impl Evaluator<'_> {
                     factors.extend(r.connected_components());
                 }
             }
-            let sign = if mask.count_ones() % 2 == 1 {
-                1.0
+            let term = self.conj(&factors, ctx, depth + 1)?;
+            total = if mask.count_ones() % 2 == 1 {
+                total.add(&term)
             } else {
-                -1.0
+                total.sub(&term)
             };
-            total += sign * self.conj(&factors, ctx, depth + 1)?;
         }
-        self.memo.insert(memo_key, total);
+        self.memo.insert(memo_key, total.clone());
         Ok(total)
     }
 
     /// `P(⋀ factors)` for connected factors (variables pairwise disjoint).
-    fn conj(&mut self, factors: &[Query], ctx: &Ctx, depth: usize) -> Result<f64, SafeEvalError> {
+    fn conj(&mut self, factors: &[Query], ctx: &Ctx, depth: usize) -> Result<P, SafeEvalError> {
         if depth > self.depth_limit {
             return Err(SafeEvalError::DepthExceeded);
         }
         // Split ground factors from variable factors; ground sub-goals
         // contribute their probability and condition the context.
         let mut ctx = ctx.clone();
-        let mut multiplier = 1.0;
+        let mut multiplier = P::one();
         let mut var_factors: Vec<Query> = Vec::new();
         for f in factors {
             let Some(f) = f.normalize() else {
-                return Ok(0.0);
+                return Ok(P::zero());
             };
             if f.atoms.is_empty() {
                 continue;
@@ -224,14 +240,15 @@ impl Evaluator<'_> {
                     match ctx.get(&(atom.rel, args.clone())) {
                         Some(&p) => {
                             if p != want_present {
-                                return Ok(0.0);
+                                return Ok(P::zero());
                             }
                         }
                         None => {
                             let pt = self.prob_of(atom.rel, &args, &ctx);
-                            multiplier *= if want_present { pt } else { 1.0 - pt };
-                            if multiplier == 0.0 {
-                                return Ok(0.0);
+                            multiplier =
+                                multiplier.mul(&if want_present { pt } else { pt.complement() });
+                            if multiplier.is_zero() {
+                                return Ok(P::zero());
                             }
                             ctx.insert((atom.rel, args), want_present);
                         }
@@ -267,8 +284,8 @@ impl Evaluator<'_> {
         let mut keys: Vec<String> = comps.iter().map(|q| q.cache_key()).collect();
         keys.sort();
         let memo_key = format!("C|{}|{}", keys.join("&"), Self::ctx_key(&ctx));
-        if let Some(&p) = self.memo.get(&memo_key) {
-            return Ok(multiplier * p);
+        if let Some(p) = self.memo.get(&memo_key) {
+            return Ok(multiplier.mul(p));
         }
 
         let roots = self
@@ -280,19 +297,12 @@ impl Evaluator<'_> {
         if k >= 16 {
             return Err(SafeEvalError::TooComplex);
         }
-        let mut total = 0.0;
-        for mask in 0u32..(1 << k) {
-            let sign = if mask.count_ones() % 2 == 0 {
-                1.0
-            } else {
-                -1.0
-            };
-            if mask == 0 {
-                total += sign;
-                continue;
-            }
-            let mut prod = 1.0;
-            for &a in &self.domain.clone() {
+        // τ = ∅ contributes `+1`.
+        let mut total = P::one();
+        for mask in 1u32..(1 << k) {
+            let mut prod = P::one();
+            for i in 0..self.domain.len() {
+                let a = self.domain[i];
                 let disjuncts: Vec<Query> = comps
                     .iter()
                     .zip(&roots)
@@ -301,15 +311,19 @@ impl Evaluator<'_> {
                     .map(|(_, (f, &r))| f.substitute(r, a))
                     .collect();
                 let p = self.ucq(&disjuncts, &ctx, depth + 1)?;
-                prod *= 1.0 - p;
-                if prod == 0.0 {
+                prod = prod.mul(&p.complement());
+                if prod.is_zero() {
                     break;
                 }
             }
-            total += sign * prod;
+            total = if mask.count_ones() % 2 == 0 {
+                total.add(&prod)
+            } else {
+                total.sub(&prod)
+            };
         }
-        self.memo.insert(memo_key, total);
-        Ok(multiplier * total)
+        self.memo.insert(memo_key, total.clone());
+        Ok(multiplier.mul(&total))
     }
 
     /// Choose one root per factor such that every consistent unification of
@@ -412,11 +426,14 @@ fn roots_consistent(f: &Query, rf: Var, g: &Query, rg: Var) -> bool {
 mod tests {
     use super::*;
     use cq::{parse_query, Vocabulary};
-    use pdb::brute_force_probability;
+    use numeric::QRat;
     use pdb::generators::{random_db_for_query, RandomDbOptions};
+    use pdb::{brute_force_probability, brute_force_probability_exact, RatProbs};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The `f64` run matches world enumeration to `1e-8`, and the rational
+    /// run on the same database equals exact enumeration with `==`.
     fn check(query_text: &str, seed: u64, rounds: usize) {
         let mut voc = Vocabulary::new();
         let q = parse_query(&mut voc, query_text).unwrap();
@@ -428,14 +445,44 @@ mod tests {
         };
         for round in 0..rounds {
             let db = random_db_for_query(&q, &voc, opts, &mut rng);
-            let safe = eval_inversion_free(&db, &q)
+            let safe = eval_inversion_free(&db, db.probs(), &q)
                 .unwrap_or_else(|e| panic!("round {round}: {e} for {query_text}"));
             let bf = brute_force_probability(&db, &q);
             assert!(
                 (safe - bf).abs() < 1e-8,
                 "round {round}: safe {safe} vs brute force {bf} for {query_text}"
             );
+            let probs = RatProbs::from_db(&db);
+            let exact = eval_inversion_free(&db, probs.as_slice(), &q)
+                .unwrap_or_else(|e| panic!("round {round}: {e} for {query_text}"));
+            let bf = brute_force_probability_exact(&db, &probs, &q);
+            assert_eq!(exact, bf, "round {round}: {query_text}");
         }
+    }
+
+    #[test]
+    fn exact_matches_float_and_enumeration() {
+        // The hierarchical self-join-free shapes Eq. 3 covers, incl. a
+        // predicate and a negated sub-goal (Theorem 3.11).
+        check("R(x), S(x,y)", 1, 4);
+        check("R(x), S(x,y), U(x,y,z)", 2, 4);
+        check("R(x), T(z,w)", 3, 4);
+        check("S(x,y), x < y", 4, 4);
+        check("R(x), not T(x)", 5, 4);
+    }
+
+    #[test]
+    fn exact_closed_form() {
+        let mut voc = Vocabulary::new();
+        let q = parse_query(&mut voc, "R(x), S(x,y)").unwrap();
+        let r = voc.find_relation("R").unwrap();
+        let s = voc.find_relation("S").unwrap();
+        let mut db = ProbDb::new(voc);
+        db.insert(r, vec![Value(1)], 0.5);
+        db.insert(s, vec![Value(1), Value(2)], 0.25);
+        let probs = RatProbs::from_db(&db);
+        let p = eval_inversion_free(&db, probs.as_slice(), &q).unwrap();
+        assert_eq!(p, QRat::ratio(1, 8));
     }
 
     #[test]
@@ -509,9 +556,12 @@ mod tests {
         let mut voc = Vocabulary::new();
         let q = parse_query(&mut voc, "R(x), x < x").unwrap();
         let db = ProbDb::new(voc);
-        assert_eq!(eval_inversion_free(&db, &q).unwrap(), 0.0);
+        assert_eq!(eval_inversion_free(&db, db.probs(), &q).unwrap(), 0.0);
         let db2 = ProbDb::new(Vocabulary::new());
-        assert_eq!(eval_inversion_free(&db2, &Query::truth()).unwrap(), 1.0);
+        assert_eq!(
+            eval_inversion_free(&db2, db2.probs(), &Query::truth()).unwrap(),
+            1.0
+        );
     }
 
     #[test]
@@ -527,7 +577,21 @@ mod tests {
         db.insert(s, vec![Value(1), Value(2)], 0.5);
         db.insert(t, vec![Value(2)], 0.5);
         assert_eq!(
-            eval_inversion_free(&db, &q).unwrap_err(),
+            eval_inversion_free(&db, db.probs(), &q).unwrap_err(),
+            SafeEvalError::RootSelectionFailed
+        );
+    }
+
+    #[test]
+    fn rejects_unsafe_queries() {
+        // The non-hierarchical H_0 without self-joins: refused in exact
+        // arithmetic too, before any data is read.
+        let mut voc = Vocabulary::new();
+        let q = parse_query(&mut voc, "R(x), S(x,y), T(y)").unwrap();
+        let db = ProbDb::new(voc);
+        let probs = RatProbs::from_db(&db);
+        assert_eq!(
+            eval_inversion_free(&db, probs.as_slice(), &q).unwrap_err(),
             SafeEvalError::RootSelectionFailed
         );
     }

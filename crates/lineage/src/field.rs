@@ -1,7 +1,7 @@
 //! The number-type abstraction for probability computation.
 //!
 //! Every algorithm in this crate is an arithmetic circuit over `(+, ·, 1−x)`
-//! applied to tuple probabilities. [`ProbValue`] captures exactly the
+//! applied to tuple probabilities (inclusion–exclusion adds `−`). [`ProbValue`] captures exactly the
 //! operations those circuits need, so the same evaluator runs on fast `f64`
 //! and on exact [`numeric::QRat`] rationals — the number type the paper's
 //! problem statement is actually about (complexity is measured in the
@@ -17,6 +17,8 @@ pub trait ProbValue: Clone + PartialEq + Debug {
     fn zero() -> Self;
     fn one() -> Self;
     fn add(&self, other: &Self) -> Self;
+    /// `self − other`; the signed terms of inclusion–exclusion.
+    fn sub(&self, other: &Self) -> Self;
     fn mul(&self, other: &Self) -> Self;
     /// `1 − self`.
     fn complement(&self) -> Self;
@@ -87,6 +89,9 @@ impl ProbValue for f64 {
     fn add(&self, other: &Self) -> Self {
         self + other
     }
+    fn sub(&self, other: &Self) -> Self {
+        self - other
+    }
     fn mul(&self, other: &Self) -> Self {
         self * other
     }
@@ -117,6 +122,9 @@ impl ProbValue for QRat {
     fn add(&self, other: &Self) -> Self {
         self.add_ref(other)
     }
+    fn sub(&self, other: &Self) -> Self {
+        self.sub_ref(other)
+    }
     fn mul(&self, other: &Self) -> Self {
         self.mul_ref(other)
     }
@@ -142,6 +150,8 @@ mod tests {
         assert!(P::zero().is_zero());
         assert!(P::one().is_one());
         assert_eq!(half.add(&P::zero()), half);
+        assert!(half.sub(&half).is_zero());
+        assert_eq!(P::one().sub(&third), third.complement());
         assert_eq!(half.mul(&P::one()), half);
         assert_eq!(half.complement().complement(), half);
         let s = half.add(&third);

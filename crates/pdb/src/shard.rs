@@ -39,8 +39,8 @@
 //! oracle guarantee.
 //!
 //! Databases without a resident layout still shard at execution time:
-//! [`ShardMap::split`]/[`ShardMap::split_positions`] derive per-shard
-//! lists from the global ascending lists on the fly. The resident layout
+//! [`ShardMap::split_positions`] derives per-shard positions from the
+//! global ascending lists on the fly. The resident layout
 //! removes that split step (and the global-index probe in front of it)
 //! from the hot path; NUMA pinning and multi-process placement of whole
 //! slabs are the follow-up this layout enables.
@@ -88,21 +88,11 @@ impl ShardMap {
         ((x ^ (x >> 31)) % self.shards as u64) as usize
     }
 
-    /// Split an ascending tuple-id list (a relation's id list or a posting
-    /// list) into per-shard lists, each ascending — the shard-local
-    /// posting lists.
-    pub fn split(&self, ids: &[TupleId]) -> Vec<Vec<TupleId>> {
-        let mut out: Vec<Vec<TupleId>> = vec![Vec::new(); self.shards];
-        for &id in ids {
-            out[self.shard_of(id)].push(id);
-        }
-        out
-    }
-
-    /// As [`ShardMap::split`], but returning per-shard **positions into
-    /// `ids`** (ascending within each shard). Scan kernels that must
-    /// report which original rows survived filtering use positions so a
-    /// k-way merge by position restores the exact unsharded row order.
+    /// Split a tuple-id list (a relation's id list or a posting list) into
+    /// per-shard **positions into `ids`**, ascending within each shard.
+    /// Scan kernels that must report which original rows survived
+    /// filtering use positions so a k-way merge by position restores the
+    /// exact unsharded row order.
     pub fn split_positions(&self, ids: &[TupleId]) -> Vec<Vec<u32>> {
         let mut out: Vec<Vec<u32>> = vec![Vec::new(); self.shards];
         for (i, &id) in ids.iter().enumerate() {
@@ -143,7 +133,7 @@ mod tests {
         let ids: Vec<TupleId> = (0..200u32).map(TupleId).collect();
         for shards in [1usize, 2, 3, 4, 8] {
             let map = ShardMap::new(shards);
-            let parts = map.split(&ids);
+            let parts = map.split_positions(&ids);
             assert_eq!(parts.len(), shards);
             let total: usize = parts.iter().map(Vec::len).sum();
             assert_eq!(total, ids.len(), "{shards} shards lose/duplicate ids");
@@ -152,7 +142,7 @@ mod tests {
                     part.windows(2).all(|w| w[0] < w[1]),
                     "shard {s} not ascending"
                 );
-                assert!(part.iter().all(|&id| map.shard_of(id) == s));
+                assert!(part.iter().all(|&p| map.shard_of(ids[p as usize]) == s));
             }
         }
     }
@@ -160,7 +150,7 @@ mod tests {
     #[test]
     fn sequential_ids_spread_roughly_uniformly() {
         let ids: Vec<TupleId> = (0..10_000u32).map(TupleId).collect();
-        let parts = ShardMap::new(4).split(&ids);
+        let parts = ShardMap::new(4).split_positions(&ids);
         for (s, part) in parts.iter().enumerate() {
             assert!(
                 (2_000..=3_000).contains(&part.len()),
@@ -175,12 +165,18 @@ mod tests {
         // A sparse, non-contiguous list (posting lists look like this).
         let ids: Vec<TupleId> = (0..300u32).filter(|i| i % 3 == 0).map(TupleId).collect();
         let map = ShardMap::new(4);
-        let by_id = map.split(&ids);
         let by_pos = map.split_positions(&ids);
-        for s in 0..4 {
-            let resolved: Vec<TupleId> = by_pos[s].iter().map(|&p| ids[p as usize]).collect();
-            assert_eq!(resolved, by_id[s], "shard {s}");
-            assert!(by_pos[s].windows(2).all(|w| w[0] < w[1]));
+        let mut seen: Vec<TupleId> = Vec::new();
+        for (s, part) in by_pos.iter().enumerate() {
+            let resolved: Vec<TupleId> = part.iter().map(|&p| ids[p as usize]).collect();
+            assert!(
+                resolved.iter().all(|&id| map.shard_of(id) == s),
+                "shard {s}"
+            );
+            assert!(resolved.windows(2).all(|w| w[0] < w[1]), "shard {s}");
+            seen.extend(resolved);
         }
+        seen.sort();
+        assert_eq!(seen, ids, "positions lose or duplicate ids");
     }
 }

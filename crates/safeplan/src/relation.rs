@@ -217,17 +217,11 @@ impl<P: ProbValue> ProbRelation<P> {
         }
         out
     }
-
-    /// Filter rows by a predicate over the bound values.
-    pub fn select(&self, pred: impl Fn(&[Value]) -> bool) -> ProbRelation<P> {
-        let (data, probs) = filter_rows(self, 0..self.len(), |row| pred(row));
-        ProbRelation::from_parts(self.cols.clone(), data, probs)
-    }
 }
 
 /// The filter kernel over a row range: copies matching rows slice-to-slice
-/// into fresh columnar buffers. Shared by the serial `select` and the
-/// morsel-parallel filter.
+/// into fresh columnar buffers — `dag`'s select, with a
+/// [`CompiledPred`](crate::CompiledPred), per morsel.
 pub(crate) fn filter_rows<P: ProbValue>(
     rel: &ProbRelation<P>,
     rows: Range<usize>,
@@ -865,14 +859,6 @@ mod tests {
         let none = QRat::ratio(1, 2).pow(70).mul(&QRat::ratio(2, 3)); // Π(1−p)
         let rel = ProbRelation::from_parts(Vec::new(), Vec::new(), chain);
         assert_eq!(rel.independent_project(&[]).scalar(), none.complement());
-    }
-
-    #[test]
-    fn select_filters_rows() {
-        let s = rel(&[0, 1], &[(&[1, 7], 0.5), (&[2, 1], 0.5)]);
-        let f = s.select(|row| row[0] < row[1]);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f.row(0)[0], Value(1));
     }
 
     // --- Grouper: packed keys and collision handling at arity 1, 2, 3 ---

@@ -6,11 +6,14 @@
 //! 1/2)". This example shows both directions of that question made
 //! executable:
 //!
-//! * safe queries: the Eq. 3 recurrence run in exact rational arithmetic
-//!   counts the satisfying substructures of a 160-tuple database — a
-//!   2^160-world space — instantly and exactly,
-//! * hard queries: counting falls back to exact lineage compilation, which
-//!   is exponential in the worst case (as it must be, unless FP = #P).
+//! * safe queries: the engine's PTIME plan, run in exact rational
+//!   arithmetic at `p ≡ 1/2`, counts the satisfying substructures of a
+//!   160-tuple database — a 2^160-world space — instantly and exactly;
+//!   the extensional plan does it for a self-join-free query and the
+//!   root-recursion safe plan (§3.2) for the self-join query of §1.1,
+//! * hard queries: the same engine call runs exact lineage compilation,
+//!   which is exponential in the worst case (as it must be, unless
+//!   FP = #P).
 //!
 //! Run with: `cargo run --example exact_counting`
 
@@ -32,8 +35,10 @@ fn main() {
     let n = db.num_tuples();
     println!("database: {n} independent tuples → 2^{n} substructures");
 
-    let count = count_substructures_recurrence(&db, &q).unwrap();
-    println!("substructures satisfying q (exact, via Eq. 3 at p = 1/2):");
+    let engine = Engine::new();
+    let (count, method) = engine.count_substructures(&db, &q);
+    assert_eq!(method, Method::Extensional);
+    println!("substructures satisfying q (exact, {method} at p = 1/2):");
     println!("  {count}");
     // Closed form: per account block (1 Account + 3 Flagged tuples) the
     // satisfying fraction is 1/2 · (1 − (1/2)^3) = 7/16; over 40 blocks
@@ -46,13 +51,38 @@ fn main() {
 
     // --- 2. Exact rational probability, arbitrary p ----------------------
     let probs = RatProbs::uniform(&db, QRat::ratio(1, 3));
-    let p = eval_recurrence_exact(&db, &probs, &q).unwrap();
+    let (p, _) = engine.evaluate_exact(&db, &probs, &q);
     println!("\nP(q) with every tuple at 1/3, exactly:");
     let digits = p.denominator().to_string().len();
     println!("  a rational with a {digits}-digit denominator");
     println!("  ≈ {:.12}", p.to_f64());
 
-    // --- 3. The hard side stays hard --------------------------------------
+    // --- 3. A self-join query on the safe side ---------------------------
+    // R(x), S(x,y), S(x2,y2), T(x2) (§1.1) is inversion-free: it counts on
+    // the root-recursion safe plan, still in polynomial time.
+    let mut voc3 = Vocabulary::new();
+    let q_sj = parse_query(&mut voc3, "R(x), S(x,y), S(x2,y2), T(x2)").unwrap();
+    let (r, s, t) = (
+        voc3.find_relation("R").unwrap(),
+        voc3.find_relation("S").unwrap(),
+        voc3.find_relation("T").unwrap(),
+    );
+    let mut db3 = ProbDb::new(voc3);
+    for a in 0..6u64 {
+        db3.insert(r, vec![Value(a)], 0.5);
+        db3.insert(t, vec![Value(a + 3)], 0.5);
+        db3.insert(s, vec![Value(a), Value(a + 1)], 0.5);
+    }
+    let (sj_count, method) = engine.count_substructures(&db3, &q_sj);
+    assert_eq!(method, Method::SafePlan);
+    assert_eq!(sj_count, count_satisfying_worlds_exact(&db3, &q_sj));
+    println!(
+        "\nself-join query on {} tuples: {sj_count} of 2^{} substructures ({method})",
+        db3.num_tuples(),
+        db3.num_tuples()
+    );
+
+    // --- 4. The hard side stays hard --------------------------------------
     // H_0 on a small instance: counting must go through the lineage.
     let mut voc2 = Vocabulary::new();
     let q_hard = parse_query(&mut voc2, "R(x), S(x,y), S(x2,y2), T(y2)").unwrap();
@@ -73,7 +103,9 @@ fn main() {
         hard_count,
         db2.num_tuples()
     );
-    // The recurrence refuses (self-join), as it must:
-    assert!(count_substructures_recurrence(&db2, &q_hard).is_err());
-    println!("(Eq. 3 recurrence correctly refuses the self-join; exact lineage was used)");
+    // No PTIME plan exists: the engine counts through exact lineage.
+    let (engine_count, method) = engine.count_substructures(&db2, &q_hard);
+    assert_eq!(method, Method::ExactLineage);
+    assert_eq!(engine_count, hard_count);
+    println!("(no PTIME plan for H_0: the engine counted through {method})");
 }

@@ -57,8 +57,8 @@
 //! Every setting is a flag: the tool reads no environment variable.
 
 use dichotomy::engine::{Engine, ExecOptions, Strategy};
-use dichotomy::{classify, count_substructures_recurrence, explain, ranked_answers_counted};
-use pdb::{count_satisfying_worlds_exact, load_db};
+use dichotomy::{classify, explain, ranked_answers_counted};
+use pdb::load_db;
 use probdb::prelude::*;
 use std::process::ExitCode;
 
@@ -218,13 +218,10 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             let db = load_db(&mut voc, &data).map_err(|e| e.to_string())?;
             let q = parse_query(&mut voc, text).map_err(|e| e.to_string())?;
             let n = db.num_tuples();
-            // Safe queries count in PTIME via the exact rational recurrence;
-            // everything else goes through exact lineage compilation.
-            let (count, how) = match count_substructures_recurrence(&db, &q) {
-                Ok(c) => (c, "eq3-recurrence"),
-                Err(_) => (count_satisfying_worlds_exact(&db, &q), "exact-lineage"),
-            };
-            println!("{count} of 2^{n} substructures satisfy q   method={how}");
+            // The planner's plan in rationals at p ≡ 1/2: PTIME queries
+            // count in polynomial time, the rest through exact lineage.
+            let (count, method) = Engine::new().count_substructures(&db, &q);
+            println!("{count} of 2^{n} substructures satisfy q   method={method}");
             Ok(())
         }
         "plan" => {

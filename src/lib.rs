@@ -83,10 +83,9 @@ pub mod prelude {
         Engine, Evaluation, ExecOptions, Method, Strategy, ViewHandle, ViewReading,
     };
     pub use dichotomy::{
-        classify, count_substructures_recurrence, eval_inversion_free, eval_recurrence,
-        eval_recurrence_exact, explain_evaluation, multisim_top_k, ranked_answers,
-        ranked_answers_counted, top_k, Classification, Complexity, Executor, MultiSimConfig,
-        PhysicalPlan, Planner, PlannerStats, RankedAnswer, RankedPlan, RankedRun,
+        classify, eval_inversion_free, eval_recurrence, explain_evaluation, multisim_top_k,
+        ranked_answers, ranked_answers_counted, top_k, Classification, Complexity, Executor,
+        MultiSimConfig, PhysicalPlan, Planner, PlannerStats, RankedAnswer, RankedPlan, RankedRun,
     };
     pub use incremental::{IncrementalView, RefreshCounters};
     pub use lineage::{exact_probability, karp_luby, Dnf};

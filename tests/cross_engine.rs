@@ -71,10 +71,7 @@ fn engine_auto_matches_brute_force_on_ptime_queries() {
             assert!(
                 matches!(
                     ev.method,
-                    Method::Extensional
-                        | Method::Recurrence
-                        | Method::SafePlan
-                        | Method::ExactLineage
+                    Method::Extensional | Method::SafePlan | Method::ExactLineage
                 ),
                 "{text} picked {}",
                 ev.method
@@ -114,7 +111,7 @@ fn recurrence_and_safe_eval_agree_on_no_self_join_queries() {
         for round in 0..4 {
             let (db, q) = random_instance(text, 300 + si as u64, round);
             let p_rec = eval_recurrence(&db, &q).unwrap();
-            let p_safe = eval_inversion_free(&db, &q).unwrap();
+            let p_safe = eval_inversion_free(&db, db.probs(), &q).unwrap();
             assert!(
                 (p_rec - p_safe).abs() < 1e-9,
                 "{text}: recurrence {p_rec} vs safe {p_safe}"

@@ -28,7 +28,7 @@ fn check(text: &str, seed: u64) {
                 "{text}: recurrence {p_rec} vs {p_bf}"
             );
         }
-        let p_safe = eval_inversion_free(&db, &q).unwrap();
+        let p_safe = eval_inversion_free(&db, db.probs(), &q).unwrap();
         assert!(
             (p_safe - p_bf).abs() < 1e-8,
             "{text}: safe {p_safe} vs {p_bf}"

@@ -12,7 +12,7 @@
 //! | E7 (App. B) | [`e7_exact_compilation_blows_up_on_h0_but_not_on_the_star`] |
 //! | Fig. 1 ablation | `coverage::ablation_tests::simplification_passes_are_load_bearing` |
 //! | E9 (plans vs Eq. 3) | `safeplan::exec::tests::plans_match_recurrence_and_brute_force` |
-//! | E10 safe side | `exact_recurrence::tests::counting_matches_exact_lineage_counting` |
+//! | E10 safe side | `engine::tests::counting_matches_exact_lineage_counting` |
 //! | E10 hard side | [`e10_counting_on_h0_is_exact_lineage_not_the_recurrence`] |
 //! | E11 (multisimulation) | `multisim::tests::{converges_to_exact_top_k, non_critical_candidates_stop_early}` |
 //!
@@ -200,15 +200,17 @@ fn e7_exact_compilation_blows_up_on_h0_but_not_on_the_star() {
 }
 
 /// E10, hard side (the conclusions' p = 1/2 question): counting the
-/// substructures that satisfy `H_0` inherits the dichotomy — the PTIME
-/// recurrence refuses the query, and exact lineage compilation returns
-/// the count that world enumeration gives.
+/// substructures that satisfy `H_0` inherits the dichotomy — the engine
+/// plans no PTIME evaluator for the query, so its count runs on exact
+/// lineage compilation, which returns the count world enumeration gives.
 #[test]
 fn e10_counting_on_h0_is_exact_lineage_not_the_recurrence() {
     let (mut db, q) = h0(4, 5);
-    assert!(count_substructures_recurrence(&db, &q).is_err());
+    let (by_engine, method) = Engine::new().count_substructures(&db, &q);
+    assert_eq!(method, Method::ExactLineage);
     let n = db.num_tuples();
     let by_lineage = count_satisfying_worlds_exact(&db, &q);
+    assert_eq!(by_engine, by_lineage);
     for i in 0..n {
         let t = db.tuple(TupleId(i as u32)).clone();
         db.insert(t.rel, t.args, 0.5);

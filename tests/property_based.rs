@@ -53,7 +53,7 @@ proptest! {
         // same inversion-free shape with an extra self-join on R.
         let q = parse_query(&mut voc, "R(x), S(x,y), S(x2,y2), R(x2)").unwrap();
         let db = build_db(&voc, &r_rows, &s_rows);
-        let p_safe = eval_inversion_free(&db, &q).unwrap();
+        let p_safe = eval_inversion_free(&db, db.probs(), &q).unwrap();
         let p_bf = brute_force_probability(&db, &q);
         prop_assert!((p_safe - p_bf).abs() < 1e-8, "{p_safe} vs {p_bf}");
     }

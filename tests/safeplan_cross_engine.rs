@@ -116,8 +116,8 @@ fn random_queries_compile_or_reject_consistently() {
     assert!(rejected >= 5, "only {rejected} rejections exercised");
 }
 
-/// Exact recurrence, exact plan, and exact lineage agree as rationals (no
-/// epsilon anywhere).
+/// The exact plan, the exact root-recursion safe plan, and exact lineage
+/// agree as rationals (no epsilon anywhere).
 #[test]
 fn exact_paths_agree_as_rationals() {
     let mut rng = StdRng::seed_from_u64(0xE8AC7);
@@ -133,15 +133,15 @@ fn exact_paths_agree_as_rationals() {
         let db = random_db_for_query(&q, &voc, opts, &mut rng);
         let probs = RatProbs::from_db(&db);
         let by_plan = query_probability_exact(&db, &probs, &plan);
-        let by_rec = eval_recurrence_exact(&db, &probs, &q).unwrap();
+        let by_rec = eval_inversion_free(&db, probs.as_slice(), &q).unwrap();
         let by_lineage = pdb::exact_query_probability(&db, &probs, &q);
         assert_eq!(by_plan, by_rec);
         assert_eq!(by_rec, by_lineage);
     }
 }
 
-/// Substructure counting agrees across the recurrence, lineage, and world
-/// enumeration.
+/// Substructure counting agrees across the engine's plan, lineage, and
+/// world enumeration.
 #[test]
 fn counting_agrees_across_methods() {
     let mut voc = Vocabulary::new();
@@ -153,7 +153,7 @@ fn counting_agrees_across_methods() {
         db.insert(r, vec![Value(i)], 0.7);
         db.insert(s, vec![Value(i), Value(10 + i % 2)], 0.7);
     }
-    let by_rec = count_substructures_recurrence(&db, &q).unwrap();
+    let (by_rec, _) = Engine::new().count_substructures(&db, &q);
     let by_lineage = count_satisfying_worlds_exact(&db, &q);
     let by_enum = pdb::count_satisfying_worlds(&db, &q);
     assert_eq!(by_rec, by_lineage);
