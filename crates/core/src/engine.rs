@@ -52,7 +52,10 @@ pub struct ExecOptions {
     pub threads: usize,
     /// Requested shard fan-out for the hash-partitioned extensional data
     /// plane; 1 = monolithic. The executor's cost model collapses the
-    /// request per plan when every scan is too small to split. Sharded
+    /// request per plan when every scan is too small to split, and a
+    /// fan-out above 1 needs a database laid out at it by
+    /// [`pdb::ProbDb::set_shard_layout`] (the CLI and `probdb serve` do
+    /// that for `--shards`); scans stay monolithic otherwise. Sharded
     /// execution is bit-for-bit identical to monolithic serial.
     pub shards: usize,
 }
@@ -138,7 +141,8 @@ pub struct Evaluation {
     /// (`max_running == 1` at one thread); `None` for other methods.
     pub scheduler: Option<safeplan::DagStats>,
     /// Per-shard scan row counts when an extensional plan ran (one shard
-    /// unless a fan-out survived the cost model); `None` otherwise.
+    /// unless a fan-out survived the cost model on a database laid out at
+    /// it); `None` otherwise.
     pub sharding: Option<safeplan::ShardStats>,
 }
 

@@ -109,7 +109,7 @@ pub fn explain_evaluation(ev: &Evaluation) -> String {
                     .join("/")
             );
         } else {
-            let _ = writeln!(out, "shards    : 1 (cost model kept scans monolithic)");
+            let _ = writeln!(out, "shards    : 1 (monolithic scans)");
         }
     }
     if let Some(inc) = &ev.incremental {
@@ -347,11 +347,8 @@ mod tests {
         assert!(text.contains("scheduler :"), "{text}");
         assert!(text.contains("task(s), peak"), "{text}");
         assert!(text.contains("built left"), "{text}");
-        // Tiny scans: the requested fan-out collapses to monolithic.
-        assert!(
-            text.contains("shards    : 1 (cost model kept scans monolithic)"),
-            "{text}"
-        );
+        // Tiny scans on an unlaid database: the scans stay monolithic.
+        assert!(text.contains("shards    : 1 (monolithic scans)"), "{text}");
     }
 
     #[test]

@@ -69,7 +69,6 @@ pub mod eraser;
 pub mod explain;
 pub mod hierarchy;
 pub mod inversion;
-pub mod lru;
 pub mod multisim;
 pub mod plan;
 pub mod planner;

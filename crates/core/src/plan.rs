@@ -128,8 +128,10 @@ pub struct ExecOutcome {
     /// overlapped (`max_running == 1` and no overlap at one thread).
     pub scheduler: Option<DagStats>,
     /// Per-shard scan row counts of an extensional run. `shards == 1`
-    /// means one shard was asked for or the cost model collapsed the
-    /// requested fan-out (inputs below [`safeplan::SHARD_MIN_ROWS`]).
+    /// means one shard was asked for, the cost model collapsed the
+    /// requested fan-out (inputs below [`safeplan::SHARD_MIN_ROWS`]), or
+    /// the database was not laid out at that fan-out
+    /// ([`pdb::ProbDb::set_shard_layout`]).
     pub sharding: Option<ShardStats>,
 }
 
@@ -148,7 +150,9 @@ pub struct Executor {
     /// Requested shard fan-out for the hash-partitioned extensional data
     /// plane; 1 = monolithic. The cost model collapses the request per
     /// plan when every scan is too small to be worth splitting
-    /// ([`safeplan::plan_shard_fanout`]).
+    /// ([`safeplan::plan_shard_fanout`]), and a fan-out above 1 runs only
+    /// on a database laid out at it ([`pdb::ProbDb::set_shard_layout`]);
+    /// scans stay monolithic otherwise.
     pub shards: usize,
 }
 

@@ -85,13 +85,6 @@ pub struct PlannerStats {
     pub classifications: u64,
 }
 
-#[derive(Default)]
-struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    classifications: AtomicU64,
-}
-
 /// The planner. Cheap to share: clones of an [`crate::engine::Engine`]
 /// hold the same `Arc<Planner>`, so a fleet of workers shares one cache.
 ///
@@ -109,7 +102,8 @@ pub struct Planner {
     /// exact global LRU order.
     cache: ShardedCache<Arc<PlannedQuery>>,
     ranked_cache: ShardedCache<Arc<RankedPlan>>,
-    counters: Counters,
+    /// Invocations of the dichotomy classifier.
+    classifications: AtomicU64,
 }
 
 /// Default capacity of each plan cache (Boolean and ranked).
@@ -123,18 +117,19 @@ impl Planner {
     pub fn with_capacity(mc_samples: u64, capacity: usize) -> Self {
         Planner {
             mc_samples,
-            cache: ShardedCache::new(capacity, "planner.cache.contended"),
-            ranked_cache: ShardedCache::new(capacity, "planner.ranked_cache.contended"),
-            counters: Counters::default(),
+            cache: ShardedCache::new(capacity, "planner.cache"),
+            ranked_cache: ShardedCache::new(capacity, "planner.ranked_cache"),
+            classifications: AtomicU64::new(0),
         }
     }
 
-    /// Cumulative cache counters.
+    /// Cumulative cache counters: hits and misses summed over the Boolean
+    /// and ranked caches.
     pub fn stats(&self) -> PlannerStats {
         PlannerStats {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            classifications: self.counters.classifications.load(Ordering::Relaxed),
+            hits: self.cache.hits() + self.ranked_cache.hits(),
+            misses: self.cache.misses() + self.ranked_cache.misses(),
+            classifications: self.classifications.load(Ordering::Relaxed),
         }
     }
 
@@ -143,14 +138,15 @@ impl Planner {
         self.cache.len()
     }
 
-    /// Contended lock acquisitions on the Boolean plan cache (mirrors the
-    /// `planner.cache.contended` registry counter).
+    /// Contended lock acquisitions on this planner's Boolean plan cache
+    /// (the `planner.cache.contended` registry counter sums every planner).
     pub fn cache_contention(&self) -> u64 {
         self.cache.contended()
     }
 
-    /// Contended lock acquisitions on the ranked-template cache (mirrors
-    /// the `planner.ranked_cache.contended` registry counter).
+    /// Contended lock acquisitions on this planner's ranked-template cache
+    /// (the `planner.ranked_cache.contended` registry counter sums every
+    /// planner).
     pub fn ranked_cache_contention(&self) -> u64 {
         self.ranked_cache.contended()
     }
@@ -168,10 +164,8 @@ impl Planner {
     pub fn plan_tracked(&self, q: &Query) -> Result<(Arc<PlannedQuery>, bool), ClassifyError> {
         let key = q.cache_key();
         if let Some(hit) = self.cache.get(&key) {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((hit, true));
         }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
         let planned = Arc::new(self.plan_uncached(q)?);
         self.cache.insert(key, Arc::clone(&planned));
         Ok((planned, false))
@@ -181,10 +175,8 @@ impl Planner {
     pub fn plan_ranked(&self, q: &Query, head: &[Var]) -> Result<Arc<RankedPlan>, ClassifyError> {
         let key = ranked_cache_key(q, head);
         if let Some(hit) = self.ranked_cache.get(&key) {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit);
         }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(self.plan_ranked_uncached(q, head)?);
         self.ranked_cache.insert(key, Arc::clone(&plan));
         Ok(plan)
@@ -192,9 +184,7 @@ impl Planner {
 
     fn plan_uncached(&self, q: &Query) -> Result<PlannedQuery, ClassifyError> {
         let _span = telemetry::span("plan-compile");
-        self.counters
-            .classifications
-            .fetch_add(1, Ordering::Relaxed);
+        self.classifications.fetch_add(1, Ordering::Relaxed);
         let classification = {
             let _span = telemetry::span("classify");
             classify(q)?

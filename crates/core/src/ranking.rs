@@ -47,7 +47,8 @@ pub struct RankedRun {
     /// DAG scheduler counters when the batched extensional plan ran.
     pub scheduler: Option<safeplan::DagStats>,
     /// Per-shard scan rows when the batched extensional plan ran (one
-    /// shard unless a fan-out survived the cost model).
+    /// shard unless a fan-out survived the cost model on a database laid
+    /// out at it).
     pub sharding: Option<safeplan::ShardStats>,
 }
 

@@ -38,24 +38,16 @@
 
 use crate::plan::ExecOutcome;
 use crate::shared_cache::ShardedCache;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use telemetry::Counter;
 
 /// Default capacity (entries, across shards).
 pub const DEFAULT_RESULT_CACHE_CAPACITY: usize = 4096;
 
 /// A shared, concurrent memo of execution outcomes. Cheap to share
 /// (engines hold it behind an `Arc`); probes are sharded-lock reads.
+/// Hits, misses and contention are the store's own counters, registered
+/// as `engine.result_cache.{hits,misses,contended}`.
 pub struct ResultCache {
     cache: ShardedCache<ExecOutcome>,
-    // Instance-local stats (this cache only) alongside the process-wide
-    // registry counters — the registry aggregates every cache in the
-    // process, which is the wrong denominator for one engine's hit rate.
-    local_hits: AtomicU64,
-    local_misses: AtomicU64,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
 }
 
 impl ResultCache {
@@ -64,31 +56,15 @@ impl ResultCache {
     }
 
     pub fn with_capacity(capacity: usize) -> Self {
-        let reg = telemetry::registry();
         ResultCache {
-            cache: ShardedCache::new(capacity, "engine.result_cache.contended"),
-            local_hits: AtomicU64::new(0),
-            local_misses: AtomicU64::new(0),
-            hits: reg.counter("engine.result_cache.hits"),
-            misses: reg.counter("engine.result_cache.misses"),
+            cache: ShardedCache::new(capacity, "engine.result_cache"),
         }
     }
 
     /// Probe for a memoized outcome under `key` (built by the engine via
     /// [`ResultCache::key`]).
     pub fn get(&self, key: &str) -> Option<ExecOutcome> {
-        let out = self.cache.get(key);
-        match out {
-            Some(_) => {
-                self.local_hits.fetch_add(1, Ordering::Relaxed);
-                self.hits.incr();
-            }
-            None => {
-                self.local_misses.fetch_add(1, Ordering::Relaxed);
-                self.misses.incr();
-            }
-        }
-        out
+        self.cache.get(key)
     }
 
     /// Memoize `outcome` under `key`.
@@ -116,12 +92,12 @@ impl ResultCache {
 
     /// Lifetime hits of *this* cache instance.
     pub fn hits(&self) -> u64 {
-        self.local_hits.load(Ordering::Relaxed)
+        self.cache.hits()
     }
 
     /// Lifetime misses of *this* cache instance.
     pub fn misses(&self) -> u64 {
-        self.local_misses.load(Ordering::Relaxed)
+        self.cache.misses()
     }
 
     /// Contended lock acquisitions observed by the underlying sharded

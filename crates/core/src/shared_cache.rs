@@ -1,5 +1,5 @@
-//! A sharded concurrent LRU: the [`crate::lru::LruMap`] scaled out for
-//! many-threaded access.
+//! A sharded concurrent LRU: the plan and result caches' one store and
+//! their one set of hit / miss / contention counters.
 //!
 //! One global mutex around an LRU serializes every cache probe — under a
 //! serving workload where *every* request probes the plan cache (and hits
@@ -10,17 +10,21 @@
 //! shard-local (rather than one global) LRU orders.
 //!
 //! Contention is *measured*, not assumed: every probe first tries the
-//! shard lock without blocking and bumps a caller-named counter in the
-//! telemetry registry when it would have had to wait (then waits — the
-//! counter observes, it does not change behavior). The query service's
-//! `/stats` surfaces those counters as `plan_cache.contended` and
-//! `result_cache.contended`; `/metrics` exports the registry counters.
+//! shard lock without blocking and counts a contended acquisition when it
+//! would have had to wait (then waits — the counter observes, it does not
+//! change behavior). Every lookup also counts a hit or a miss, once, in
+//! [`ShardedCache::get`]. Each of the three counters is kept per cache
+//! ([`ShardedCache::hits`], [`ShardedCache::misses`],
+//! [`ShardedCache::contended`]) and under `{name}.hits`, `{name}.misses`
+//! and `{name}.contended` in the telemetry registry, which sums every
+//! cache of that name in the process. The query service's `/stats`
+//! surfaces the per-cache counts; `/metrics` exports the registry.
 //!
 //! Sharding is engaged only at [`SHARDING_THRESHOLD`] capacity and above:
 //! small caches keep one shard so eviction order stays the exact global
 //! LRU the planner's unit tests (and any capacity-2 doubting Thomas) pin.
 
-use crate::lru::LruMap;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use telemetry::Counter;
 
@@ -34,12 +38,41 @@ pub const SHARDING_THRESHOLD: usize = 64;
 /// mask; 8 is plenty for the worker-pool sizes the serving layer runs.
 const SHARDS: usize = 8;
 
-/// A concurrent LRU map sharded by key hash, with lock-contention
-/// counters in the telemetry registry.
+/// A concurrent LRU map sharded by key hash, with hit, miss and
+/// lock-contention counters.
 pub struct ShardedCache<V: Clone> {
     shards: Vec<Mutex<LruMap<V>>>,
+    /// Probes that found their key.
+    hits: Count,
+    /// Probes that did not.
+    misses: Count,
     /// Probes that found their shard lock held and had to wait.
-    contended: Arc<Counter>,
+    contended: Count,
+}
+
+/// One cache counter: this cache's own count, and the registry counter
+/// that sums it over every cache of the same name in the process.
+struct Count {
+    mine: Counter,
+    registry: Arc<Counter>,
+}
+
+impl Count {
+    fn new(metric: &str) -> Self {
+        Count {
+            mine: Counter::default(),
+            registry: telemetry::registry().counter(metric),
+        }
+    }
+
+    fn incr(&self) {
+        self.mine.incr();
+        self.registry.incr();
+    }
+
+    fn get(&self) -> u64 {
+        self.mine.get()
+    }
 }
 
 /// FNV-1a over the key bytes — stable, dependency-free, and good enough
@@ -54,10 +87,10 @@ fn shard_hash(key: &str) -> u64 {
 }
 
 impl<V: Clone> ShardedCache<V> {
-    /// A cache holding `capacity` entries in total, contention-counted
-    /// under `metric` (e.g. `"planner.cache.contended"`) in the global
-    /// telemetry registry.
-    pub fn new(capacity: usize, metric: &str) -> Self {
+    /// A cache holding `capacity` entries in total, counted under
+    /// `{name}.hits`, `{name}.misses` and `{name}.contended` (e.g.
+    /// `"planner.cache"`) in the global telemetry registry.
+    pub fn new(capacity: usize, name: &str) -> Self {
         let shards = if capacity >= SHARDING_THRESHOLD {
             SHARDS
         } else {
@@ -68,7 +101,9 @@ impl<V: Clone> ShardedCache<V> {
             shards: (0..shards)
                 .map(|_| Mutex::new(LruMap::new(per_shard)))
                 .collect(),
-            contended: telemetry::registry().counter(metric),
+            hits: Count::new(&format!("{name}.hits")),
+            misses: Count::new(&format!("{name}.misses")),
+            contended: Count::new(&format!("{name}.contended")),
         }
     }
 
@@ -89,9 +124,15 @@ impl<V: Clone> ShardedCache<V> {
         (shard_hash(key) as usize) & (self.shards.len() - 1)
     }
 
-    /// Look `key` up, cloning the value and refreshing its recency.
+    /// Look `key` up, cloning the value and refreshing its recency, and
+    /// count the probe as a hit or a miss.
     pub fn get(&self, key: &str) -> Option<V> {
-        self.lock_shard(self.shard_of(key)).get(key)
+        let out = self.lock_shard(self.shard_of(key)).get(key);
+        match out {
+            Some(_) => self.hits.incr(),
+            None => self.misses.incr(),
+        }
+        out
     }
 
     /// Insert (or refresh) `key`, evicting the shard's stalest entry at
@@ -112,10 +153,147 @@ impl<V: Clone> ShardedCache<V> {
         self.len() == 0
     }
 
-    /// Contended lock acquisitions so far (from the shared registry
-    /// counter, so it survives across clones of whoever owns the cache).
+    /// Lifetime hits of *this* cache.
+    pub fn hits(&self) -> u64 {
+        self.hits.get()
+    }
+
+    /// Lifetime misses of *this* cache.
+    pub fn misses(&self) -> u64 {
+        self.misses.get()
+    }
+
+    /// Lifetime contended lock acquisitions of *this* cache.
     pub fn contended(&self) -> u64 {
         self.contended.get()
+    }
+}
+
+const NIL: usize = usize::MAX;
+
+struct Slot<V> {
+    key: String,
+    value: V,
+    prev: usize,
+    next: usize,
+}
+
+/// A fixed-capacity map evicting the least-recently-used entry in O(1):
+/// a `HashMap` from key to slot index plus an intrusive doubly-linked
+/// recency list over an arena of slots. Slots of evicted entries are
+/// recycled through a free list, so the arena never exceeds `capacity`.
+/// `get` and `insert` both count as a use.
+struct LruMap<V> {
+    map: HashMap<String, usize>,
+    slots: Vec<Slot<V>>,
+    /// Most recently used slot, or `NIL` when empty.
+    head: usize,
+    /// Least recently used slot, or `NIL` when empty.
+    tail: usize,
+    free: Vec<usize>,
+    capacity: usize,
+}
+
+impl<V: Clone> LruMap<V> {
+    fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        LruMap {
+            map: HashMap::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
+            head: NIL,
+            tail: NIL,
+            free: Vec::new(),
+            capacity,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Look up `key`, marking it most recently used on a hit.
+    fn get(&mut self, key: &str) -> Option<V> {
+        let &slot = self.map.get(key)?;
+        self.touch(slot);
+        Some(self.slots[slot].value.clone())
+    }
+
+    /// Insert or overwrite `key`, marking it most recently used; at
+    /// capacity, the least-recently-used entry is evicted first.
+    fn insert(&mut self, key: String, value: V) {
+        if let Some(&slot) = self.map.get(&key) {
+            self.slots[slot].value = value;
+            self.touch(slot);
+            return;
+        }
+        if self.map.len() >= self.capacity {
+            self.evict_tail();
+        }
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.slots[s] = Slot {
+                    key: key.clone(),
+                    value,
+                    prev: NIL,
+                    next: NIL,
+                };
+                s
+            }
+            None => {
+                self.slots.push(Slot {
+                    key: key.clone(),
+                    value,
+                    prev: NIL,
+                    next: NIL,
+                });
+                self.slots.len() - 1
+            }
+        };
+        self.map.insert(key, slot);
+        self.push_front(slot);
+    }
+
+    /// Unlink `slot` and relink it at the head (most recently used).
+    fn touch(&mut self, slot: usize) {
+        if self.head == slot {
+            return;
+        }
+        self.unlink(slot);
+        self.push_front(slot);
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let (prev, next) = (self.slots[slot].prev, self.slots[slot].next);
+        if prev != NIL {
+            self.slots[prev].next = next;
+        } else {
+            self.head = next;
+        }
+        if next != NIL {
+            self.slots[next].prev = prev;
+        } else {
+            self.tail = prev;
+        }
+    }
+
+    fn push_front(&mut self, slot: usize) {
+        self.slots[slot].prev = NIL;
+        self.slots[slot].next = self.head;
+        if self.head != NIL {
+            self.slots[self.head].prev = slot;
+        }
+        self.head = slot;
+        if self.tail == NIL {
+            self.tail = slot;
+        }
+    }
+
+    fn evict_tail(&mut self) {
+        let victim = self.tail;
+        debug_assert_ne!(victim, NIL, "evicting from an empty LRU");
+        self.unlink(victim);
+        self.map.remove(&self.slots[victim].key);
+        self.free.push(victim);
     }
 }
 
@@ -135,6 +313,11 @@ mod tests {
         assert_eq!(cache.get("b"), None);
         assert_eq!(cache.get("c"), Some(3));
         assert_eq!(cache.len(), 2);
+        assert_eq!(
+            (cache.hits(), cache.misses()),
+            (3, 1),
+            "one count per probe"
+        );
     }
 
     #[test]
@@ -180,5 +363,103 @@ mod tests {
             cache.get("k0").map(|v| v % 10),
             Some(cache.get("k0").unwrap() % 10)
         );
+    }
+
+    #[test]
+    fn get_and_insert_round_trip() {
+        let mut lru = LruMap::new(4);
+        assert_eq!(lru.len(), 0);
+        lru.insert("a".into(), 1);
+        lru.insert("b".into(), 2);
+        assert_eq!(lru.get("a"), Some(1));
+        assert_eq!(lru.get("b"), Some(2));
+        assert_eq!(lru.get("c"), None);
+        assert_eq!(lru.len(), 2);
+    }
+
+    #[test]
+    fn overwrite_keeps_one_entry() {
+        let mut lru = LruMap::new(4);
+        lru.insert("a".into(), 1);
+        lru.insert("a".into(), 2);
+        assert_eq!(lru.len(), 1);
+        assert_eq!(lru.get("a"), Some(2));
+    }
+
+    #[test]
+    fn eviction_removes_least_recently_used() {
+        let mut lru = LruMap::new(2);
+        lru.insert("a".into(), 1);
+        lru.insert("b".into(), 2);
+        lru.get("a"); // refresh a; b is now LRU
+        lru.insert("c".into(), 3); // evicts b
+        assert_eq!(lru.len(), 2);
+        assert_eq!(lru.get("a"), Some(1));
+        assert_eq!(lru.get("b"), None);
+        assert_eq!(lru.get("c"), Some(3));
+    }
+
+    #[test]
+    fn inserts_refresh_recency_too() {
+        let mut lru = LruMap::new(2);
+        lru.insert("a".into(), 1);
+        lru.insert("b".into(), 2);
+        lru.insert("a".into(), 10); // overwrite refreshes a; b is LRU
+        lru.insert("c".into(), 3); // evicts b
+        assert_eq!(lru.get("b"), None);
+        assert_eq!(lru.get("a"), Some(10));
+    }
+
+    #[test]
+    fn slots_are_recycled_not_grown() {
+        let mut lru = LruMap::new(3);
+        for i in 0..100 {
+            lru.insert(format!("k{i}"), i);
+        }
+        assert_eq!(lru.len(), 3);
+        assert!(lru.slots.len() <= 3, "arena grew to {}", lru.slots.len());
+        // The three newest survive.
+        assert_eq!(lru.get("k99"), Some(99));
+        assert_eq!(lru.get("k97"), Some(97));
+        assert_eq!(lru.get("k0"), None);
+    }
+
+    #[test]
+    fn capacity_one_works() {
+        let mut lru = LruMap::new(0); // clamped to 1
+        lru.insert("a".into(), 1);
+        lru.insert("b".into(), 2);
+        assert_eq!(lru.len(), 1);
+        assert_eq!(lru.get("a"), None);
+        assert_eq!(lru.get("b"), Some(2));
+    }
+
+    #[test]
+    fn long_interleaving_matches_reference_model() {
+        // Cross-check against a naive recency-vector model.
+        let mut lru = LruMap::new(4);
+        let mut model: Vec<(String, u32)> = Vec::new(); // front = MRU
+        let keys = ["a", "b", "c", "d", "e", "f"];
+        for step in 0..500u32 {
+            let k = keys[(step as usize * 7 + step as usize / 3) % keys.len()];
+            if step % 3 == 0 {
+                let got = lru.get(k);
+                let want = model.iter().find(|(mk, _)| mk == k).map(|&(_, v)| v);
+                assert_eq!(got, want, "step {step} get {k}");
+                if let Some(pos) = model.iter().position(|(mk, _)| mk == k) {
+                    let e = model.remove(pos);
+                    model.insert(0, e);
+                }
+            } else {
+                lru.insert(k.into(), step);
+                if let Some(pos) = model.iter().position(|(mk, _)| mk == k) {
+                    model.remove(pos);
+                } else if model.len() == 4 {
+                    model.pop();
+                }
+                model.insert(0, (k.into(), step));
+            }
+            assert_eq!(lru.len(), model.len(), "step {step}");
+        }
     }
 }

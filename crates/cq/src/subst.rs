@@ -2,7 +2,7 @@
 
 use crate::atom::Atom;
 use crate::predicate::Pred;
-use crate::term::{Term, Value, Var};
+use crate::term::{Term, Var};
 use std::collections::BTreeMap;
 
 /// A substitution `θ`. Variables not in the map are fixed by `θ`.
@@ -113,16 +113,6 @@ impl Subst {
         }
         true
     }
-
-    /// Ground every unbound variable of `vars` to `value` — convenience for
-    /// tests and reductions.
-    pub fn ground_all(vars: &[Var], value: Value) -> Subst {
-        let mut s = Subst::new();
-        for &v in vars {
-            s.bind(v, value);
-        }
-        s
-    }
 }
 
 impl FromIterator<(Var, Term)> for Subst {
@@ -136,6 +126,7 @@ impl FromIterator<(Var, Term)> for Subst {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::Value;
     use crate::vocab::RelId;
 
     #[test]

@@ -560,15 +560,6 @@ impl ProbDb {
         })
     }
 
-    /// Convenience: insert resolving the relation by name.
-    pub fn insert_named(&mut self, rel: &str, args: Vec<Value>, prob: f64) -> TupleId {
-        let id = self
-            .voc
-            .relation(rel, args.len())
-            .expect("relation arity clash");
-        self.insert(id, args, prob)
-    }
-
     /// Number of tuple *slots* (including tombstones left by deletions —
     /// a tombstone has probability 0 and is invisible to every index, so
     /// probability computations are unaffected). [`TupleId`]s index this
@@ -662,9 +653,17 @@ impl ProbDb {
         self.layout.shards()
     }
 
-    /// The shard map fixing tuple ownership under the current layout.
-    pub fn shard_map(&self) -> ShardMap {
-        self.layout
+    /// The shard map a scan asking for `requested` shards runs over: the
+    /// layout's map when `requested` equals [`ProbDb::shard_layout`], the
+    /// monolithic map otherwise. Scans fan out only over per-shard storage
+    /// the database already keeps, so a fan-out above 1 needs a matching
+    /// [`ProbDb::set_shard_layout`].
+    pub fn shard_map_for(&self, requested: usize) -> ShardMap {
+        if requested.max(1) == self.layout.shards() {
+            self.layout
+        } else {
+            ShardMap::default()
+        }
     }
 
     /// The database version at which `shard` last changed (the version at
@@ -1025,7 +1024,7 @@ mod tests {
             db.set_shard_layout(shards);
             assert_eq!(db.shard_layout(), shards);
             let check = |db: &ProbDb| {
-                let map = db.shard_map();
+                let map = db.shard_map_for(shards);
                 for s in 0..shards {
                     let want: Vec<TupleId> = db
                         .tuples_of(r)
@@ -1093,7 +1092,7 @@ mod tests {
         }
         // Update one existing tuple: exactly its owner re-stamps.
         let id = db.find(r, &[Value(3), Value(3)]).expect("present");
-        let owner = db.shard_map().shard_of(id);
+        let owner = db.shard_map_for(4).shard_of(id);
         let mut b2 = DeltaBatch::new();
         b2.update(r, vec![Value(3), Value(3)], 0.25);
         let v1 = db.apply(&b2);

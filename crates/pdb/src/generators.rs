@@ -83,25 +83,6 @@ pub fn star_instance<R: Rng>(n: u64, m: u64, rng: &mut R) -> (ProbDb, Query) {
     (db, q)
 }
 
-/// A random directed graph in a binary relation, for self-join queries such
-/// as `q_2path = R(x,y), R(y,z)`.
-pub fn random_graph<R: Rng>(
-    voc: &mut Vocabulary,
-    rel: &str,
-    nodes: u64,
-    edges: usize,
-    rng: &mut R,
-) -> ProbDb {
-    let r = voc.relation(rel, 2).unwrap();
-    let mut db = ProbDb::new(voc.clone());
-    for _ in 0..edges {
-        let a = Value(rng.gen_range(0..nodes));
-        let b = Value(rng.gen_range(0..nodes));
-        db.insert(r, vec![a, b], rng.gen_range(0.05..0.95));
-    }
-    db
-}
-
 /// The 4-partite layered graph of Proposition B.3: layers `u → X → Y → v`,
 /// with an edge `(x_i, y_j)` per clause of a bipartite 2DNF. Returned as an
 /// edge relation `E`; tuple probabilities follow the proposition (variable

@@ -32,18 +32,16 @@
 //! # Merge discipline
 //!
 //! Because per-shard lists ascend and partition the global list, a k-way
-//! min-merge of per-shard scan outputs keyed by tuple id (or by position
-//! into a global list, for the split-derived path below) reproduces the
+//! min-merge of per-shard scan outputs keyed by tuple id reproduces the
 //! unsharded scan **exactly** — same rows, same order, same bits. This is
-//! the invariant every sharded executor leans on for the bit-for-bit
+//! the invariant the sharded executor leans on for the bit-for-bit
 //! oracle guarantee.
 //!
-//! Databases without a resident layout still shard at execution time:
-//! [`ShardMap::split_positions`] derives per-shard positions from the
-//! global ascending lists on the fly. The resident layout
-//! removes that split step (and the global-index probe in front of it)
-//! from the hot path; NUMA pinning and multi-process placement of whole
-//! slabs are the follow-up this layout enables.
+//! A scan shards only over the layout the database already has:
+//! [`ProbDb::shard_map_for`](crate::ProbDb::shard_map_for) grants a
+//! requested fan-out only when it equals `shard_layout()`, and the
+//! monolithic map otherwise. NUMA pinning and multi-process placement of
+//! whole slabs are the follow-up this layout enables.
 
 use crate::database::TupleId;
 
@@ -87,20 +85,6 @@ impl ShardMap {
         x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         ((x ^ (x >> 31)) % self.shards as u64) as usize
     }
-
-    /// Split a tuple-id list (a relation's id list or a posting list) into
-    /// per-shard **positions into `ids`**, ascending within each shard.
-    /// Scan kernels that must report which original rows survived
-    /// filtering use positions so a k-way merge by position restores the
-    /// exact unsharded row order.
-    pub fn split_positions(&self, ids: &[TupleId]) -> Vec<Vec<u32>> {
-        let mut out: Vec<Vec<u32>> = vec![Vec::new(); self.shards];
-        for (i, &id) in ids.iter().enumerate() {
-            let i = u32::try_from(i).expect("sharded id list exceeds u32 positions");
-            out[self.shard_of(id)].push(i);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -128,21 +112,35 @@ mod tests {
         assert_eq!(ShardMap::new(0).shards(), 1);
     }
 
+    /// `ids` bucketed by owning shard, each bucket in `ids` order — the
+    /// ownership filter the resident layout applies to every global list.
+    fn owners(map: ShardMap, ids: &[TupleId]) -> Vec<Vec<TupleId>> {
+        let mut out = vec![Vec::new(); map.shards()];
+        for &id in ids {
+            out[map.shard_of(id)].push(id);
+        }
+        out
+    }
+
     #[test]
     fn split_partitions_and_preserves_ascending_order() {
-        let ids: Vec<TupleId> = (0..200u32).map(TupleId).collect();
-        for shards in [1usize, 2, 3, 4, 8] {
-            let map = ShardMap::new(shards);
-            let parts = map.split_positions(&ids);
-            assert_eq!(parts.len(), shards);
-            let total: usize = parts.iter().map(Vec::len).sum();
-            assert_eq!(total, ids.len(), "{shards} shards lose/duplicate ids");
-            for (s, part) in parts.iter().enumerate() {
-                assert!(
-                    part.windows(2).all(|w| w[0] < w[1]),
-                    "shard {s} not ascending"
-                );
-                assert!(part.iter().all(|&p| map.shard_of(ids[p as usize]) == s));
+        let dense: Vec<TupleId> = (0..200u32).map(TupleId).collect();
+        // A sparse, non-contiguous list (posting lists look like this).
+        let sparse: Vec<TupleId> = (0..300u32).filter(|i| i % 3 == 0).map(TupleId).collect();
+        for ids in [&dense, &sparse] {
+            for shards in [1usize, 2, 3, 4, 8] {
+                let parts = owners(ShardMap::new(shards), ids);
+                assert_eq!(parts.len(), shards);
+                let mut seen: Vec<TupleId> = parts.concat();
+                seen.sort();
+                assert_eq!(&seen, ids, "{shards} shards lose/duplicate ids");
+                for (s, part) in parts.iter().enumerate() {
+                    assert!(
+                        part.windows(2).all(|w| w[0] < w[1]),
+                        "shard {s} not ascending"
+                    );
+                    assert!(!part.is_empty(), "{shards} shards: shard {s} owns nothing");
+                }
             }
         }
     }
@@ -150,7 +148,7 @@ mod tests {
     #[test]
     fn sequential_ids_spread_roughly_uniformly() {
         let ids: Vec<TupleId> = (0..10_000u32).map(TupleId).collect();
-        let parts = ShardMap::new(4).split_positions(&ids);
+        let parts = owners(ShardMap::new(4), &ids);
         for (s, part) in parts.iter().enumerate() {
             assert!(
                 (2_000..=3_000).contains(&part.len()),
@@ -158,25 +156,5 @@ mod tests {
                 part.len()
             );
         }
-    }
-
-    #[test]
-    fn positions_mirror_the_id_split() {
-        // A sparse, non-contiguous list (posting lists look like this).
-        let ids: Vec<TupleId> = (0..300u32).filter(|i| i % 3 == 0).map(TupleId).collect();
-        let map = ShardMap::new(4);
-        let by_pos = map.split_positions(&ids);
-        let mut seen: Vec<TupleId> = Vec::new();
-        for (s, part) in by_pos.iter().enumerate() {
-            let resolved: Vec<TupleId> = part.iter().map(|&p| ids[p as usize]).collect();
-            assert!(
-                resolved.iter().all(|&id| map.shard_of(id) == s),
-                "shard {s}"
-            );
-            assert!(resolved.windows(2).all(|w| w[0] < w[1]), "shard {s}");
-            seen.extend(resolved);
-        }
-        seen.sort();
-        assert_eq!(seen, ids, "positions lose or duplicate ids");
     }
 }

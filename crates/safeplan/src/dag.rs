@@ -54,20 +54,17 @@
 //!
 //! ## Sharded scans
 //!
-//! With [`DagOptions::shards`] `> 1`, scan tasks run one kernel per shard
-//! and k-way-merge the per-shard outputs back into the exact monolithic
-//! row order — same rows, same order, same bits. Two data planes feed
-//! that merge:
-//!
-//! * **Shard-resident** (`db.shard_layout() == shards`): the scan
-//!   resolves against per-shard posting lists and reads rows off each
-//!   shard's resident columnar buffer (`scan_column_keyed`) — zero
-//!   global-index probes, no split step — and the merge keys are tuple
-//!   ids (global scan order *is* ascending-id order).
-//! * **Split-derived** (no matching layout): the global id list is
-//!   hash-partitioned through [`pdb::ShardMap`] on the fly and the keyed
-//!   scan kernel reports which original positions survived; the merge
-//!   keys are those positions.
+//! A scan shards only over the layout the database already has:
+//! [`ProbDb::shard_map_for`] grants [`DagOptions::shards`] when it equals
+//! `db.shard_layout()` and hands back the monolithic map otherwise, so a
+//! fan-out above 1 needs a matching [`ProbDb::set_shard_layout`]. On a
+//! matching layout, scan tasks run one kernel per shard: the scan resolves
+//! against per-shard posting lists and reads rows off each shard's
+//! resident columnar buffer (`scan_column_keyed`) — zero global-index
+//! probes — and the per-shard outputs k-way-merge by tuple id back into
+//! the exact monolithic row order (global scan order *is* ascending-id
+//! order): same rows, same order, same bits. Without one, the run is
+//! monolithic and [`ShardStats::shards`] reports 1.
 //!
 //! Complement scans stay monolithic (their rows are generated bindings
 //! with no tuple ids). Independent projects fan groups out over
@@ -98,7 +95,7 @@ use cq::{Pred, Value, Var};
 use exec_parallel::{run_dag_with_picker, DagSlots, DagStats, ExecStats, Pool, DEFAULT_GRAIN};
 use lineage::ProbValue;
 use numeric::QRat;
-use pdb::{ProbDb, RatProbs, ShardMap};
+use pdb::{ProbDb, RatProbs, ShardMap, TupleId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -113,10 +110,12 @@ pub struct DagOptions {
     /// Morsel size in rows for the nested intra-operator dispatches of a
     /// multi-thread pool.
     pub grain: usize,
-    /// Shard fan-out of the data plane (1 = monolithic). Callers wanting
-    /// the cost model's opinion gate their request through
-    /// [`crate::optimize::plan_shard_fanout`] first; the executor runs
-    /// whatever fan-out it is handed.
+    /// Shard fan-out of the data plane (1 = monolithic). A fan-out above
+    /// 1 runs only on a database laid out at that count by
+    /// [`ProbDb::set_shard_layout`]; any other layout runs monolithic
+    /// ([`ProbDb::shard_map_for`]). Callers wanting the cost model's
+    /// opinion gate their request through
+    /// [`crate::optimize::plan_shard_fanout`] first.
     pub shards: usize,
 }
 
@@ -157,7 +156,8 @@ impl Default for DagOptions {
 /// How the sharded data plane spread one execution's scan output.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Fan-out the execution ran with (1 = monolithic plane).
+    /// Fan-out the execution ran with (1 = monolithic plane, also when
+    /// the database was not laid out at the requested fan-out).
     pub shards: usize,
     /// Scan-output rows per shard, summed over every sharded scan. All in
     /// shard 0 when the plane is monolithic.
@@ -305,56 +305,36 @@ fn leaf_rel<P: ProbValue + Send + Sync>(
     match node {
         PlanNode::Certain => ProbRelation::certain(),
         PlanNode::Never => ProbRelation::never(),
-        PlanNode::Scan { atom } => {
-            if map.shards() > 1 && db.shard_layout() == map.shards() {
-                // Shard-resident path: the scan resolves against the
-                // per-shard posting lists (zero global-index probes) and
-                // full scans read straight off each shard's resident
-                // columnar buffer. Keys are tuple ids — global scan order
-                // *is* ascending-id order, so the id merge reproduces the
-                // monolithic output exactly.
-                let scan = ShardScanSpec::new(db, atom, map.shards(), counters);
-                let outs = pool.map_partitions(map.shards(), |s| {
-                    if scan.pushdown {
-                        let ids = scan.shard_ids[s].iter().map(|&t| (t, t.0));
-                        scan_rows_keyed(db, probs, &scan.plan, ids)
-                    } else {
-                        match db.shard_resident(s, atom.rel) {
-                            Some(col) => scan_column_keyed(col, probs, &scan.plan),
-                            None => Default::default(),
-                        }
-                    }
-                });
-                for (s, o) in outs.iter().enumerate() {
-                    tally(s, o.1.len());
-                }
-                merge_shard_scans(scan.cols, outs)
-            } else {
-                let scan = ScanSpec::new(db, atom, counters);
-                if map.shards() <= 1 {
-                    let chunks = pool.map_morsels(scan.ids.len(), |r| {
-                        scan_rows(db, probs, &scan.plan, &scan.ids[r])
-                    });
-                    let (data, out) = stitch_columnar(chunks);
-                    tally(0, out.len());
-                    ProbRelation::from_parts(scan.cols, data, out)
+        PlanNode::Scan { atom } if map.shards() > 1 => {
+            // `map` came from `ProbDb::shard_map_for`, so the database is
+            // laid out at this fan-out: the scan resolves against the
+            // per-shard posting lists (zero global-index probes) and full
+            // scans read straight off each shard's resident columnar
+            // buffer.
+            let scan = ShardScanSpec::new(db, atom, counters);
+            let outs = pool.map_partitions(map.shards(), |s| {
+                if scan.pushdown {
+                    scan_rows_keyed(db, probs, &scan.plan, scan.shard_ids[s])
                 } else {
-                    // No resident layout: hash-partition the global id
-                    // list on the fly. One kernel per shard over that
-                    // shard's (ascending) positions into the id list; the
-                    // k-way merge by original position restores the
-                    // monolithic row order exactly.
-                    let parts = map.split_positions(scan.ids);
-                    let outs = pool.map_partitions(map.shards(), |s| {
-                        let at = parts[s].iter().map(|&pos| (scan.ids[pos as usize], pos));
-                        scan_rows_keyed(db, probs, &scan.plan, at)
-                    });
-                    for (s, o) in outs.iter().enumerate() {
-                        tally(s, o.1.len());
+                    match db.shard_resident(s, atom.rel) {
+                        Some(col) => scan_column_keyed(col, probs, &scan.plan),
+                        None => Default::default(),
                     }
-                    merge_shard_scans(scan.cols, outs)
                 }
+            });
+            for (s, o) in outs.iter().enumerate() {
+                tally(s, o.1.len());
             }
+            merge_shard_scans(scan.cols, outs)
+        }
+        PlanNode::Scan { atom } => {
+            let scan = ScanSpec::new(db, atom, counters);
+            let chunks = pool.map_morsels(scan.ids.len(), |r| {
+                scan_rows(db, probs, &scan.plan, &scan.ids[r])
+            });
+            let (data, out) = stitch_columnar(chunks);
+            tally(0, out.len());
+            ProbRelation::from_parts(scan.cols, data, out)
         }
         PlanNode::ComplementScan { atom } => {
             // Complement rows are generated bindings with no tuple ids —
@@ -368,17 +348,17 @@ fn leaf_rel<P: ProbValue + Send + Sync>(
     }
 }
 
-/// Merge per-shard scan outputs by ascending original position — the
-/// selection merge over at most `shards` cursors that makes sharding
-/// invisible in the output.
+/// Merge per-shard scan outputs by ascending tuple id — the selection
+/// merge over at most `shards` cursors that makes sharding invisible in
+/// the output, since the monolithic scan emits rows in id order.
 fn merge_shard_scans<P: ProbValue>(
     cols: Vec<Var>,
-    outs: Vec<(Vec<Value>, Vec<P>, Vec<u32>)>,
+    outs: Vec<(Vec<Value>, Vec<P>, Vec<TupleId>)>,
 ) -> ProbRelation<P> {
     let _span = telemetry::span("merge");
-    // Fast path: at most one shard produced rows (fan-out 1, or all
-    // survivors hashed to one shard) — its buffer already *is* the merged
-    // output, so adopt it wholesale instead of walking cursors.
+    // Fast path: at most one shard produced rows (all survivors hashed to
+    // one shard) — its buffer already *is* the merged output, so adopt it
+    // wholesale instead of walking cursors.
     if outs.iter().filter(|o| !o.1.is_empty()).count() <= 1 {
         return match outs.into_iter().find(|o| !o.1.is_empty()) {
             Some((data, probs, _)) => ProbRelation::from_parts(cols, data, probs),
@@ -390,11 +370,11 @@ fn merge_shard_scans<P: ProbValue>(
     let mut out = ProbRelation::with_capacity(cols, total);
     let mut cur = vec![0usize; outs.len()];
     loop {
-        let mut best: Option<(u32, usize)> = None;
+        let mut best: Option<(TupleId, usize)> = None;
         for (s, o) in outs.iter().enumerate() {
-            if let Some(&pos) = o.2.get(cur[s]) {
-                if best.is_none_or(|(b, _)| pos < b) {
-                    best = Some((pos, s));
+            if let Some(&id) = o.2.get(cur[s]) {
+                if best.is_none_or(|(b, _)| id < b) {
+                    best = Some((id, s));
                 }
             }
         }
@@ -408,11 +388,12 @@ fn merge_shard_scans<P: ProbValue>(
 }
 
 /// Execute `plan` over the (possibly sharded) data plane, accumulating
-/// [`OpCounters`] and reporting the schedule and shard shape. Returns the
-/// same rows in the same order with the same bits for every thread
-/// count, shard count, and schedule. Per-task counters are absorbed in
-/// task order after the schedule drains, so the totals are
-/// deterministic.
+/// [`OpCounters`] and reporting the schedule and shard shape. Scans shard
+/// only when `db` is laid out at `opts.shards` (see
+/// [`ProbDb::shard_map_for`]). Returns the same rows in the same order
+/// with the same bits for every thread count, shard count, layout and
+/// schedule. Per-task counters are absorbed in task order after the
+/// schedule drains, so the totals are deterministic.
 pub fn dag_execute_counted<P: ProbValue + Send + Sync>(
     db: &ProbDb,
     probs: &[P],
@@ -440,8 +421,8 @@ where
     PK: Fn(&[usize]) -> usize + Sync,
 {
     assert_eq!(probs.len(), db.num_tuples(), "probability vector length");
-    let fanout = opts.shards.max(1);
-    let map = ShardMap::new(fanout);
+    let map = db.shard_map_for(opts.shards);
+    let fanout = map.shards();
     let pool = opts.pool();
     let Tasks {
         tasks,
@@ -778,11 +759,12 @@ mod tests {
                 tuples_per_relation: 12,
                 prob_range: (0.1, 0.9),
             };
-            let db = random_db_for_query(&q, &voc, opts, &mut rng);
+            let mut db = random_db_for_query(&q, &voc, opts, &mut rng);
             let probs = db.prob_vector();
             let serial = execute(&db, &probs, &plan);
-            for threads in [1, 2, 4] {
-                for shards in [1, 2, 4] {
+            for shards in [1, 2, 4] {
+                db.set_shard_layout(shards);
+                for threads in [1, 2, 4] {
                     // grain 2: force multi-morsel schedules inside tasks.
                     let opts = DagOptions::with_grain(threads, shards, 2);
                     let (got, run) =
@@ -814,9 +796,10 @@ mod tests {
                 tuples_per_relation: 12,
                 prob_range: (0.1, 0.9),
             };
-            let db = random_db_for_query(&q, &voc, opts, &mut rng);
+            let mut db = random_db_for_query(&q, &voc, opts, &mut rng);
             let probs = db.prob_vector();
             let serial = execute(&db, &probs, &plan);
+            db.set_shard_layout(2);
             for seed in 0..8u64 {
                 for threads in [1, 3] {
                     let picker_rng = Mutex::new(StdRng::seed_from_u64(seed));
@@ -848,12 +831,13 @@ mod tests {
             tuples_per_relation: 12,
             prob_range: (0.1, 0.9),
         };
-        let db = random_db_for_query(&q, &voc, opts, &mut rng);
+        let mut db = random_db_for_query(&q, &voc, opts, &mut rng);
         let probs = db.prob_vector();
         let mut serial = OpCounters::default();
         let _ = dag_execute_counted(&db, &probs, &plan, &DagOptions::default(), &mut serial);
         assert!(serial.index_scans > 0, "{serial:?}");
         assert_eq!(serial.shard_fanout, 1, "one thread runs one shard");
+        db.set_shard_layout(2);
         for threads in [1, 2, 4] {
             let mut dag = OpCounters::default();
             let _ = dag_execute_counted(
@@ -949,16 +933,20 @@ mod tests {
                     assert_eq!(c.rows_pruned, serial_c.rows_pruned, "{text}");
                 }
             }
-            // Fan-out ≠ layout: the executor must fall back to the
-            // split-derived path (global probes again) and still agree.
-            let mut c = OpCounters::default();
-            let (got, _) =
-                dag_execute_counted(&db, &probs, &plan, &DagOptions::with_grain(2, 2, 2), &mut c);
-            assert_eq!(serial, got, "{text}: split fallback diverged");
-            assert_eq!(
-                c.global_index_probes, serial_c.global_index_probes,
-                "{text}"
-            );
+            // Fan-out ≠ layout: the scans stay monolithic — the serial
+            // bits, the serial global probes, a reported fan-out of 1.
+            for layout in [1usize, 3] {
+                db.set_shard_layout(layout);
+                let mut c = OpCounters::default();
+                let opts = DagOptions::with_grain(2, 2, 2);
+                let (got, run) = dag_execute_counted(&db, &probs, &plan, &opts, &mut c);
+                assert_eq!(serial, got, "{text}: layout {layout}");
+                assert_eq!(run.shards.shards, 1, "{text}: layout {layout}");
+                assert_eq!(
+                    c.global_index_probes, serial_c.global_index_probes,
+                    "{text}: layout {layout}"
+                );
+            }
         }
     }
 
@@ -976,6 +964,7 @@ mod tests {
         let plan = build_plan(&q).unwrap();
         let probs = db.prob_vector();
         let serial = execute(&db, &probs, &plan);
+        db.set_shard_layout(4);
         let opts = DagOptions::with_grain(4, 4, 16);
         let (got, run) = dag_execute_counted(&db, &probs, &plan, &opts, &mut OpCounters::default());
         assert_eq!(serial, got);
@@ -999,9 +988,10 @@ mod tests {
             tuples_per_relation: 8,
             prob_range: (0.1, 0.9),
         };
-        let db = random_db_for_query(&q, &voc, opts, &mut rng);
+        let mut db = random_db_for_query(&q, &voc, opts, &mut rng);
         let probs = RatProbs::from_db(&db);
         let serial = execute(&db, probs.as_slice(), &plan);
+        db.set_shard_layout(2);
         let (got, _) = dag_execute_counted(
             &db,
             probs.as_slice(),
@@ -1028,8 +1018,9 @@ mod tests {
         }
         let probs = db.prob_vector();
         let serial = ranked_probabilities(&db, &probs, &plan, &[d]);
-        for threads in [1, 2, 4] {
-            for shards in [1, 3] {
+        for shards in [1, 3] {
+            db.set_shard_layout(shards);
+            for threads in [1, 2, 4] {
                 let (got, _) = dag_ranked_probabilities_counted(
                     &db,
                     &probs,
@@ -1079,9 +1070,11 @@ mod tests {
     fn empty_database_scalar_is_zero() {
         let mut voc = Vocabulary::new();
         let q = parse_query(&mut voc, "R(x), S(x,y)").unwrap();
-        let db = ProbDb::new(voc);
+        let mut db = ProbDb::new(voc);
+        db.set_shard_layout(4);
         let plan = build_plan(&q).unwrap();
-        let (p, _) = dag_query_probability(&db, &plan, &DagOptions::new(4, 4));
+        let (p, run) = dag_query_probability(&db, &plan, &DagOptions::new(4, 4));
         assert_eq!(p, 0.0);
+        assert_eq!(run.shards.shards, 4);
     }
 }

@@ -267,28 +267,26 @@ pub(crate) fn scan_rows<P: ProbValue>(
     (data, out_probs)
 }
 
-/// The keyed scan kernel behind the k-way shard merge: visits
-/// `(tuple id, merge key)` pairs in ascending key order and returns the
-/// surviving rows as columnar buffers **plus each row's key**, so a merge
-/// of shard outputs by key reproduces the unsharded [`scan_rows`] output
-/// bit for bit (filtering can drop rows, so keys — not counts — are what
-/// the merge stitches by). The split-derived plane keys rows by their
-/// position in the global id list, shard-local posting lists by tuple id.
+/// The keyed scan kernel behind the k-way shard merge: visits one shard's
+/// ascending tuple ids and returns the surviving rows as columnar buffers
+/// **plus each row's tuple id**, so merging shard outputs by id reproduces
+/// the unsharded [`scan_rows`] output bit for bit (filtering can drop rows,
+/// so ids — not counts — are what the merge stitches by).
 pub(crate) fn scan_rows_keyed<P: ProbValue>(
     db: &ProbDb,
     probs: &[P],
     plan: &ScanPlan,
-    rows: impl Iterator<Item = (TupleId, u32)>,
-) -> (Vec<Value>, Vec<P>, Vec<u32>) {
+    ids: &[TupleId],
+) -> (Vec<Value>, Vec<P>, Vec<TupleId>) {
     let mut data: Vec<Value> = Vec::new();
     let mut out_probs: Vec<P> = Vec::new();
-    let mut keys: Vec<u32> = Vec::new();
+    let mut keys: Vec<TupleId> = Vec::new();
     let mut rowbuf = vec![Value(0); plan.arity];
-    for (tid, key) in rows {
+    for &tid in ids {
         if plan.bind(&db.tuple(tid).args, &mut rowbuf) {
             data.extend_from_slice(&rowbuf);
             out_probs.push(probs[tid.0 as usize].clone());
-            keys.push(key);
+            keys.push(tid);
         }
     }
     (data, out_probs, keys)
@@ -312,16 +310,16 @@ pub(crate) struct ShardScanSpec<'a> {
 
 impl<'a> ShardScanSpec<'a> {
     /// Resolve `atom` against the resident layout of `db` (the caller
-    /// guarantees `db.shard_layout() == shards`). Replicates the
-    /// smallest-posting-list choice of [`ScanSpec::new`] exactly: the
+    /// checked that `db` is laid out in more than one shard). Replicates
+    /// the smallest-posting-list choice of [`ScanSpec::new`] exactly: the
     /// per-shard lists partition the global lists, so the summed lengths
     /// equal the global lengths and the same column wins under the same
     /// strict `<` tie-break in argument order. Scan counters
     /// (`rows_scanned`, `rows_pruned`) therefore also match the
     /// monolithic figures; only `shard_index_probes` accrue.
-    pub fn new(db: &'a ProbDb, atom: &Atom, shards: usize, counters: &mut OpCounters) -> Self {
+    pub fn new(db: &'a ProbDb, atom: &Atom, counters: &mut OpCounters) -> Self {
         assert!(!atom.negated, "plans scan positive atoms only");
-        debug_assert_eq!(db.shard_layout(), shards, "resident layout mismatch");
+        let shards = db.shard_layout();
         let cols = atom.vars();
         let plan = scan_plan(atom, &cols);
         let all: Vec<&[TupleId]> = (0..shards)
@@ -373,17 +371,17 @@ pub(crate) fn scan_column_keyed<P: ProbValue>(
     col: &pdb::ShardColumn,
     probs: &[P],
     plan: &ScanPlan,
-) -> (Vec<Value>, Vec<P>, Vec<u32>) {
+) -> (Vec<Value>, Vec<P>, Vec<TupleId>) {
     let stride = plan.slots.len();
     let mut data: Vec<Value> = Vec::new();
     let mut out_probs: Vec<P> = Vec::new();
-    let mut keys: Vec<u32> = Vec::new();
+    let mut keys: Vec<TupleId> = Vec::new();
     let mut rowbuf = vec![Value(0); plan.arity];
     for (i, &tid) in col.ids.iter().enumerate() {
         if plan.bind(&col.data[i * stride..(i + 1) * stride], &mut rowbuf) {
             data.extend_from_slice(&rowbuf);
             out_probs.push(probs[tid.0 as usize].clone());
-            keys.push(tid.0);
+            keys.push(tid);
         }
     }
     (data, out_probs, keys)

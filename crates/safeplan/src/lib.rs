@@ -28,11 +28,12 @@
 //! shard count, and schedule. One thread and one shard
 //! ([`DagOptions::default`]) is the serial configuration, and the
 //! serial entry points ([`execute`], [`query_probability`],
-//! [`ranked_probabilities`]) are that configuration. When the database
-//! carries a matching **shard-resident layout**
-//! ([`pdb::ProbDb::set_shard_layout`]), sharded scans read per-shard
-//! columnar buffers and posting lists and resolve with zero global-index
-//! probes (counter-verified via [`OpCounters`]). The pre-columnar row
+//! [`ranked_probabilities`]) are that configuration. Scans shard only
+//! over the database's own **shard-resident layout**
+//! ([`pdb::ProbDb::set_shard_layout`]): at a matching fan-out they read
+//! per-shard columnar buffers and posting lists and resolve with zero
+//! global-index probes (counter-verified via [`OpCounters`]); at any
+//! other they stay monolithic. The pre-columnar row
 //! executor is kept out of the library, as the test oracle in
 //! `tests/common/rowref.rs`. The row kernels ([`ScanPlan`],
 //! [`CompiledPred`], [`JoinSpec`], [`Grouper`], [`gather_key`]) are

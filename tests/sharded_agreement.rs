@@ -1,19 +1,19 @@
 //! Sharded/DAG agreement: the executor must return at every
 //! (threads × shards) tuning **bit-for-bit** what it returns at one
 //! thread and one shard (its serial configuration) — same rows, same
-//! order, same `f64` values — including non-power-of-two fan-outs, on
-//! both the split-derived and the shard-resident scan plane, on random
-//! hierarchical self-join-free queries over random databases, through
-//! ranked (top-k) retrieval, and through engine-level evaluation and
-//! incremental view refresh.
+//! order, same `f64` values — including non-power-of-two fan-outs, each
+//! on a database laid out at that fan-out (the shard-resident scan
+//! plane), on random hierarchical self-join-free queries over random
+//! databases, through ranked (top-k) retrieval, and through engine-level
+//! evaluation and incremental view refresh.
 //!
 //! The multi-thread cases use a morsel grain of 2, so even 20-tuple
 //! inputs split into many morsels and the multi-chunk filter, the
 //! left-build pair re-sort and the hash-partitioned project fold all run.
-//! With the resident layout on, sharded scans must also resolve without a
-//! single global-index probe. The serial configuration is itself held to
-//! the row oracle in `columnar_agreement.rs`; the fixed-shape test here
-//! runs the whole chain.
+//! Sharded scans must also resolve without a single global-index probe.
+//! The serial configuration is itself held to the row oracle in
+//! `columnar_agreement.rs`; the fixed-shape test here runs the whole
+//! chain.
 
 mod common;
 
@@ -36,9 +36,9 @@ const SHARDS: [usize; 5] = [1, 2, 3, 4, 7];
 const GRAIN: usize = 2;
 
 /// Run `plan` through the executor at every (threads × shards) tuning
-/// with the split-derived plane, then again with the matching resident
-/// layout, asserting each result equals `serial`. Resident runs must probe
-/// only the per-shard posting lists. Leaves `db` monolithic.
+/// on the matching resident layout, asserting each result equals
+/// `serial`. Resident runs must probe only the per-shard posting lists.
+/// Leaves `db` monolithic.
 fn assert_dag_matches_serial(
     db: &mut ProbDb,
     plan: &PlanNode,
@@ -47,36 +47,32 @@ fn assert_dag_matches_serial(
     ctx: &str,
 ) {
     for shards in SHARDS {
-        for resident in [false, true] {
-            if resident && shards == 1 {
-                continue;
-            }
-            db.set_shard_layout(if resident { shards } else { 1 });
-            for threads in THREADS {
-                let ctx = format!("{ctx} t={threads} s={shards} resident={resident}");
-                let mut counters = OpCounters::default();
-                let (got, run) = dag_execute_counted(
-                    db,
-                    db.probs(),
-                    plan,
-                    &DagOptions::with_grain(threads, shards, GRAIN),
-                    &mut counters,
+        let resident = shards > 1;
+        db.set_shard_layout(shards);
+        for threads in THREADS {
+            let ctx = format!("{ctx} t={threads} s={shards} resident={resident}");
+            let mut counters = OpCounters::default();
+            let (got, run) = dag_execute_counted(
+                db,
+                db.probs(),
+                plan,
+                &DagOptions::with_grain(threads, shards, GRAIN),
+                &mut counters,
+            );
+            assert_eq!(serial, &got, "{ctx}");
+            assert!(run.sched.tasks >= 1, "{ctx}: no tasks scheduled");
+            assert_eq!(run.shards.shards, shards, "{ctx}: shard stats fan-out");
+            assert_eq!(counters.joins, serial_counters.joins, "{ctx}: joins");
+            assert_eq!(counters.groups, serial_counters.groups, "{ctx}: groups");
+            if resident {
+                assert_eq!(
+                    counters.global_index_probes, 0,
+                    "{ctx}: resident scans probed the global index"
                 );
-                assert_eq!(serial, &got, "{ctx}");
-                assert!(run.sched.tasks >= 1, "{ctx}: no tasks scheduled");
-                assert_eq!(run.shards.shards, shards, "{ctx}: shard stats fan-out");
-                assert_eq!(counters.joins, serial_counters.joins, "{ctx}: joins");
-                assert_eq!(counters.groups, serial_counters.groups, "{ctx}: groups");
-                if resident {
-                    assert_eq!(
-                        counters.global_index_probes, 0,
-                        "{ctx}: resident scans probed the global index"
-                    );
-                    assert!(
-                        counters.shard_index_probes > 0,
-                        "{ctx}: no shard-local probes recorded"
-                    );
-                }
+                assert!(
+                    counters.shard_index_probes > 0,
+                    "{ctx}: no shard-local probes recorded"
+                );
             }
         }
     }
@@ -85,7 +81,7 @@ fn assert_dag_matches_serial(
 
 /// Every tuning against the serial configuration on random hierarchical
 /// SJF queries and databases, for the compiler's plan and the optimizer's
-/// rewrite of it (join order and build sides differ), at every scan plane.
+/// rewrite of it (join order and build sides differ).
 #[test]
 fn dag_matches_serial_on_random_hierarchical_queries() {
     let mut rng = StdRng::seed_from_u64(0x5AA2D);
@@ -167,10 +163,11 @@ fn dag_ranked_top_k_matches_serial() {
         let Ok(plan) = safeplan::build_ranked_plan(&q, &head) else {
             continue;
         };
-        let db = random_db(&q, &voc, &mut rng);
+        let mut db = random_db(&q, &voc, &mut rng);
         let serial = ranked_probabilities(&db, db.probs(), &plan, &head);
-        for threads in THREADS {
-            for shards in SHARDS {
+        for shards in SHARDS {
+            db.set_shard_layout(shards);
+            for threads in THREADS {
                 let (ranked, _run) = dag_ranked_probabilities_counted(
                     &db,
                     db.probs(),
@@ -283,8 +280,9 @@ proptest! {
         }
         let plan = safeplan::optimize(&build_plan(&q).unwrap());
         let serial = execute(&db, db.probs(), &plan).scalar();
-        for threads in THREADS {
-            for shards in SHARDS {
+        for shards in SHARDS {
+            db.set_shard_layout(shards);
+            for threads in THREADS {
                 let opts = DagOptions::with_grain(threads, shards, GRAIN);
                 let mut counters = OpCounters::default();
                 let (rel, _) = dag_execute_counted(&db, db.probs(), &plan, &opts, &mut counters);

@@ -14,7 +14,8 @@ static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 /// A hierarchical star: `R(x), S(x,y), T(x,z)` is safe (extensional), so
 /// traced runs exercise the planner, the DAG scheduler, and the operator
-/// kernels rather than falling back to sampling.
+/// kernels rather than falling back to sampling. Laid out at the 4 shards
+/// the traced engines ask for, so their scans run sharded.
 fn star_db(rels: u64, fanout: u64) -> (ProbDb, Query) {
     let mut voc = Vocabulary::new();
     let q = parse_query(&mut voc, "R(x), S(x,y), T(x,z)").unwrap();
@@ -34,6 +35,7 @@ fn star_db(rels: u64, fanout: u64) -> (ProbDb, Query) {
             );
         }
     }
+    db.set_shard_layout(4);
     (db, q)
 }
 
