@@ -122,71 +122,6 @@ pub fn root_candidates(q: &Query) -> Option<Vec<Var>> {
     }
 }
 
-/// One node of the hierarchy tree (§3.4): an `≡`-equivalence class of
-/// variables, its children refining it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HierarchyNode {
-    /// The equivalence class `[x]`.
-    pub class: Vec<Var>,
-    pub children: Vec<HierarchyNode>,
-}
-
-/// Build the hierarchy tree of a *connected hierarchical* query: nodes are
-/// `≡`-classes, edges the covering relation of `⊑`. Returns `None` when the
-/// query has no variables or is not connected-hierarchical.
-pub fn hierarchy_tree(q: &Query) -> Option<HierarchyNode> {
-    let vars = q.vars();
-    if vars.is_empty() || !is_hierarchical(q) {
-        return None;
-    }
-    // Group into ≡-classes.
-    let mut classes: Vec<Vec<Var>> = Vec::new();
-    'outer: for &v in &vars {
-        for class in &mut classes {
-            if var_rel(q, class[0], v) == VarRel::Equivalent {
-                class.push(v);
-                continue 'outer;
-            }
-        }
-        classes.push(vec![v]);
-    }
-    // The root class must be above or equal to every other class.
-    let root_idx = (0..classes.len()).find(|&i| {
-        classes
-            .iter()
-            .enumerate()
-            .all(|(j, c)| i == j || matches!(var_rel(q, classes[i][0], c[0]), VarRel::Above))
-    })?;
-    Some(build_node(q, root_idx, &classes))
-}
-
-fn build_node(q: &Query, idx: usize, classes: &[Vec<Var>]) -> HierarchyNode {
-    // Children: classes strictly below `idx` with no class in between.
-    let below: Vec<usize> = (0..classes.len())
-        .filter(|&j| j != idx && var_rel(q, classes[j][0], classes[idx][0]) == VarRel::Below)
-        .collect();
-    let children: Vec<usize> = below
-        .iter()
-        .copied()
-        .filter(|&j| {
-            !below
-                .iter()
-                .any(|&k| k != j && var_rel(q, classes[j][0], classes[k][0]) == VarRel::Below)
-        })
-        .collect();
-    HierarchyNode {
-        class: classes[idx].clone(),
-        children: children
-            .into_iter()
-            .map(|j| build_subtree(q, j, classes, idx))
-            .collect(),
-    }
-}
-
-fn build_subtree(q: &Query, idx: usize, classes: &[Vec<Var>], _parent: usize) -> HierarchyNode {
-    build_node(q, idx, classes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,31 +181,6 @@ mod tests {
         // Disconnected: no variable in every sub-goal.
         let q3 = q("R(x), T(z)");
         assert!(root_candidates(&q3).is_none());
-    }
-
-    #[test]
-    fn hierarchy_tree_shape() {
-        // R1(x,y), R2(y,z) from Example 3.14 — wait, that is non-hierarchical.
-        // Use S(r,x,y), R(r,x), U(r,z): root {r}, children {x}, {z}, and {y}
-        // below {x}.
-        let query = q("S(r,x,y), R(r,x), U(r,z)");
-        let t = hierarchy_tree(&query).unwrap();
-        assert_eq!(t.class.len(), 1); // r
-        assert_eq!(t.children.len(), 2); // x, z
-        let x_child = t
-            .children
-            .iter()
-            .find(|c| !c.children.is_empty())
-            .expect("x has child y");
-        assert_eq!(x_child.children.len(), 1);
-    }
-
-    #[test]
-    fn hierarchy_tree_equivalence_classes() {
-        let query = q("S(u,v), T(u,v)");
-        let t = hierarchy_tree(&query).unwrap();
-        assert_eq!(t.class.len(), 2); // u ≡ v
-        assert!(t.children.is_empty());
     }
 
     #[test]

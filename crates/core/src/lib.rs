@@ -7,7 +7,7 @@
 //! ## The analysis layer (the paper's machinery)
 //!
 //! * [`hierarchy`] — hierarchical queries (Definition 1.2), the `⊑` variable
-//!   hierarchy, hierarchy trees.
+//!   hierarchy.
 //! * [`coverage`] — strict coverages (§2.1) by lazy `<`/`=`/`>` refinement,
 //!   plus the rooted refinement behind Theorem 3.4.
 //! * [`inversion`] — the unification graph and inversion detection (§2.2).

@@ -71,15 +71,6 @@ impl Atom {
         self.args.contains(&Term::Var(v))
     }
 
-    /// The positions (0-based) at which `v` occurs.
-    pub fn positions_of(&self, v: Var) -> Vec<usize> {
-        self.args
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| (*t == Term::Var(v)).then_some(i))
-            .collect()
-    }
-
     /// Render with relation/constant names resolved through `voc`.
     pub fn display(&self, voc: &Vocabulary) -> String {
         let args: Vec<String> = self
@@ -142,11 +133,9 @@ mod tests {
     }
 
     #[test]
-    fn positions_of_variable() {
+    fn contains_variable() {
         let a = Atom::new(RelId(0), vec![v(3), v(1), v(3)]);
-        assert_eq!(a.positions_of(Var(3)), vec![0, 2]);
-        assert_eq!(a.positions_of(Var(1)), vec![1]);
-        assert!(a.positions_of(Var(9)).is_empty());
+        assert!(a.contains_var(Var(3)));
         assert!(a.contains_var(Var(1)));
         assert!(!a.contains_var(Var(9)));
     }

@@ -301,14 +301,6 @@ impl PredTheory {
         }
     }
 
-    /// Is the conjunction of this theory's predicates with `extra` still
-    /// satisfiable? (Rebuilds the theory; predicate sets are tiny.)
-    pub fn consistent_with(preds: &[Pred], extra: &[Pred]) -> bool {
-        let mut all = preds.to_vec();
-        all.extend_from_slice(extra);
-        PredTheory::new(std::iter::empty(), &all).is_some()
-    }
-
     /// Are `preds` satisfiable at all?
     pub fn satisfiable(preds: &[Pred]) -> bool {
         PredTheory::new(std::iter::empty(), preds).is_some()
@@ -396,14 +388,14 @@ mod tests {
     fn satisfiable_helpers() {
         assert!(PredTheory::satisfiable(&[Pred::lt(x(), y())]));
         assert!(!PredTheory::satisfiable(&[Pred::lt(x(), x())]));
-        assert!(PredTheory::consistent_with(
-            &[Pred::lt(x(), y())],
-            &[Pred::ne(x(), y())]
-        ));
-        assert!(!PredTheory::consistent_with(
-            &[Pred::lt(x(), y())],
-            &[Pred::eq(x(), y())]
-        ));
+        assert!(PredTheory::satisfiable(&[
+            Pred::lt(x(), y()),
+            Pred::ne(x(), y())
+        ]));
+        assert!(!PredTheory::satisfiable(&[
+            Pred::lt(x(), y()),
+            Pred::eq(x(), y())
+        ]));
     }
 
     #[test]

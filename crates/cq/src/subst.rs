@@ -95,24 +95,6 @@ impl Subst {
         }
         out
     }
-
-    /// Is this substitution 1-1 on variables and constant-free on its range
-    /// restricted to `vars`? This is the paper's *strictness* condition for
-    /// unifiers (Definition 2.2), checked by [`crate::unify`].
-    pub fn is_one_to_one_on(&self, vars: &[Var]) -> bool {
-        let mut seen: Vec<Term> = Vec::new();
-        for &v in vars {
-            let img = self.apply_term(Term::Var(v));
-            if img.is_const() {
-                return false;
-            }
-            if seen.contains(&img) {
-                return false;
-            }
-            seen.push(img);
-        }
-        true
-    }
 }
 
 impl FromIterator<(Var, Term)> for Subst {
@@ -160,17 +142,5 @@ mod tests {
         let c = s1.then(&s2);
         assert_eq!(c.apply_term(Term::Var(Var(0))), Term::Const(Value(4)));
         assert_eq!(c.apply_term(Term::Var(Var(1))), Term::Const(Value(4)));
-    }
-
-    #[test]
-    fn one_to_one_check() {
-        let mut s = Subst::new();
-        s.bind(Var(0), Var(5));
-        s.bind(Var(1), Var(6));
-        assert!(s.is_one_to_one_on(&[Var(0), Var(1)]));
-        s.bind(Var(2), Var(5));
-        assert!(!s.is_one_to_one_on(&[Var(0), Var(1), Var(2)]));
-        let s2 = Subst::singleton(Var(0), Value(1));
-        assert!(!s2.is_one_to_one_on(&[Var(0)]));
     }
 }

@@ -33,22 +33,11 @@ pub enum Term {
 }
 
 impl Term {
-    pub fn as_var(self) -> Option<Var> {
-        match self {
-            Term::Var(v) => Some(v),
-            Term::Const(_) => None,
-        }
-    }
-
     pub fn as_const(self) -> Option<Value> {
         match self {
             Term::Var(_) => None,
             Term::Const(c) => Some(c),
         }
-    }
-
-    pub fn is_var(self) -> bool {
-        matches!(self, Term::Var(_))
     }
 
     pub fn is_const(self) -> bool {
@@ -125,9 +114,9 @@ mod tests {
     #[test]
     fn term_accessors() {
         let t: Term = Var(3).into();
-        assert_eq!(t.as_var(), Some(Var(3)));
+        assert_eq!(t, Term::Var(Var(3)));
         assert_eq!(t.as_const(), None);
-        assert!(t.is_var() && !t.is_const());
+        assert!(!t.is_const());
         let c: Term = Value(7).into();
         assert_eq!(c.as_const(), Some(Value(7)));
         assert!(c.is_const());

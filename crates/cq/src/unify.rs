@@ -2,7 +2,7 @@
 //! (Definitions 2.2 and 2.3).
 
 use crate::atom::Atom;
-use crate::predicate::{Pred, PredTheory};
+use crate::predicate::Pred;
 use crate::query::Query;
 use crate::subst::Subst;
 use crate::term::{Term, Var};
@@ -18,22 +18,6 @@ pub struct Mgu {
 }
 
 impl Mgu {
-    /// The *set representation* of the unifier (§2.1): pairs `(x, y)` with
-    /// `x ∈ vars1`, `y ∈ vars2` and `θ(x) = θ(y)`.
-    pub fn set_representation(&self, vars1: &[Var], vars2: &[Var]) -> Vec<(Var, Var)> {
-        let mut out = Vec::new();
-        for &x in vars1 {
-            let ix = self.subst.apply_term_deep(Term::Var(x));
-            for &y in vars2 {
-                let iy = self.subst.apply_term_deep(Term::Var(y));
-                if ix == iy {
-                    out.push((x, y));
-                }
-            }
-        }
-        out
-    }
-
     /// Definition 2.2: the MGU is *strict* iff it is a 1-1 substitution for
     /// `q q'` — it maps no variable to a constant, and no two distinct
     /// variables of the same query to the same term.
@@ -139,21 +123,6 @@ pub fn mgu_atoms(g1: &Atom, g2: &Atom) -> Option<Mgu> {
     Some(Mgu { subst })
 }
 
-/// Unify sub-goal `i1` of `q1` with sub-goal `i2` of `q2` (already renamed
-/// apart) and return the unified conjunction `θ(q1 q2)` together with the
-/// MGU, provided the combined predicates stay satisfiable. This is the
-/// elementary step behind both the unification graph (§2.2) and
-/// hierarchical joins (§2.6).
-pub fn unify_queries(q1: &Query, i1: usize, q2: &Query, i2: usize) -> Option<(Query, Mgu)> {
-    let mgu = mgu_atoms(&q1.atoms[i1], &q2.atoms[i2])?;
-    let joined = mgu.apply(&q1.conjoin(q2));
-    let joined = joined.normalize()?;
-    // The unified query must keep its predicates satisfiable; `normalize`
-    // already checked that via `PredTheory`.
-    debug_assert!(PredTheory::satisfiable(&joined.preds));
-    Some((joined, mgu))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,8 +160,6 @@ mod tests {
         let q2 = q(&mut voc, "S(u,v)").rename_apart(10);
         let mgu = mgu_atoms(&q1.atoms[0], &q2.atoms[0]).unwrap();
         assert!(mgu.is_strict(&q1.vars(), &q2.vars()));
-        let sr = mgu.set_representation(&q1.vars(), &q2.vars());
-        assert_eq!(sr.len(), 2);
     }
 
     #[test]
@@ -223,27 +190,5 @@ mod tests {
             Term::Const(Value(5))
         );
         assert!(!mgu.is_strict(&q1.vars(), &q2.vars()));
-    }
-
-    #[test]
-    fn unify_queries_respects_predicates() {
-        let mut voc = Vocabulary::new();
-        // Unifying S(x,y) [x<y] with S(v,u) [u<v] forces x<y and y<x: unsat.
-        let q1 = q(&mut voc, "S(x,y), x < y");
-        let q2 = q(&mut voc, "S(v,u), u < v").rename_apart(10);
-        assert!(unify_queries(&q1, 0, &q2, 0).is_none());
-        // Without the clash the join succeeds.
-        let q3 = q(&mut voc, "S(v,u), v < u").rename_apart(20);
-        assert!(unify_queries(&q1, 0, &q3, 0).is_some());
-    }
-
-    #[test]
-    fn unify_queries_merges_subgoals() {
-        let mut voc = Vocabulary::new();
-        let q1 = q(&mut voc, "R(x), S(x,y)");
-        let q2 = q(&mut voc, "S(u,v), T(v)").rename_apart(10);
-        let (joined, _) = unify_queries(&q1, 1, &q2, 0).unwrap();
-        // R(x), S(x,y), T(y) — the two S sub-goals collapsed into one.
-        assert_eq!(joined.atoms.len(), 3);
     }
 }

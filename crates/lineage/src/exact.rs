@@ -15,8 +15,10 @@
 //! which experiment E7 (`tests/paper_claims.rs`) asserts.
 //!
 //! The engine is generic over [`ProbValue`], so it runs both on `f64` and on
-//! exact rationals ([`numeric::QRat`]); [`model_count_exact`] uses the
-//! latter to count satisfying assignments without any precision ceiling.
+//! exact rationals ([`numeric::QRat`]); [`exact_probability_generic`] also
+//! returns the work counters ([`ExactStats`]), and [`model_count_exact`] —
+//! the crate's only model counter — uses rationals to count satisfying
+//! assignments without any precision ceiling.
 
 use crate::dnf::{Clause, Dnf};
 use crate::field::ProbValue;
@@ -37,12 +39,7 @@ pub struct ExactStats {
 /// Exact probability of `dnf` under independent event probabilities
 /// `probs[v]`.
 pub fn exact_probability(dnf: &Dnf, probs: &[f64]) -> f64 {
-    exact_probability_with_stats(dnf, probs).0
-}
-
-/// As [`exact_probability`], also returning work counters.
-pub fn exact_probability_with_stats(dnf: &Dnf, probs: &[f64]) -> (f64, ExactStats) {
-    exact_probability_generic(dnf, probs)
+    exact_probability_generic(dnf, probs).0
 }
 
 /// The generic engine: exact probability over any [`ProbValue`] number type.
@@ -56,18 +53,6 @@ pub fn exact_probability_generic<P: ProbValue>(dnf: &Dnf, probs: &[P]) -> (P, Ex
     d.absorb();
     let p = ev.eval(&d);
     (p, ev.stats)
-}
-
-/// Number of satisfying assignments of `dnf` over `num_vars` variables.
-/// Computed as `2^num_vars · P(dnf)` with all probabilities `1/2`; exact as
-/// long as the count fits in the 53-bit mantissa, which the callers
-/// (hardness-reduction tests) guarantee. For larger instances use
-/// [`model_count_exact`].
-pub fn model_count(dnf: &Dnf, num_vars: usize) -> u64 {
-    assert!(num_vars < 53, "model_count supports < 53 variables");
-    let probs = vec![0.5; num_vars.max(dnf.num_vars())];
-    let p = exact_probability(&dnf.clone(), &probs);
-    (p * (1u64 << num_vars) as f64).round() as u64
 }
 
 /// Exact model count over `num_vars` variables with no precision ceiling:
@@ -325,9 +310,9 @@ mod tests {
         let mut d = Dnf::new();
         d.add_clause(vec![Lit::pos(0)]);
         d.add_clause(vec![Lit::pos(1)]);
-        assert_eq!(model_count(&d, 2), 3);
+        assert_eq!(model_count_exact(&d, 2).to_u64(), Some(3));
         // Over 3 vars: 6 models.
-        assert_eq!(model_count(&d, 3), 6);
+        assert_eq!(model_count_exact(&d, 3).to_u64(), Some(6));
     }
 
     #[test]
@@ -336,7 +321,7 @@ mod tests {
         d.add_clause(vec![Lit::pos(0), Lit::pos(1)]);
         d.add_clause(vec![Lit::pos(0), Lit::pos(2)]);
         d.add_clause(vec![Lit::pos(3)]);
-        let (_, stats) = exact_probability_with_stats(&d, &[0.5; 4]);
+        let (_, stats) = exact_probability_generic(&d, &[0.5; 4]);
         assert!(stats.decompositions >= 1);
         assert!(stats.decisions >= 1);
     }
@@ -359,14 +344,13 @@ mod tests {
 
     #[test]
     fn model_count_exact_matches_f64_count() {
+        // The rational count against `2^n · P` from the f64 engine at 1/2.
         let mut d = Dnf::new();
         d.add_clause(vec![Lit::pos(0)]);
         d.add_clause(vec![Lit::pos(1), Lit::pos(2)]);
         for n in [3usize, 5, 10] {
-            assert_eq!(
-                model_count_exact(&d, n).to_u64().unwrap(),
-                model_count(&d, n)
-            );
+            let f64_count = exact_probability(&d, &vec![0.5; n]) * (1u64 << n) as f64;
+            assert_eq!(model_count_exact(&d, n).to_u64(), Some(f64_count as u64));
         }
     }
 

@@ -11,7 +11,9 @@
 //!   evaluation (independent-component decomposition + Shannon expansion +
 //!   memoization). Exponential in the worst case — the paper proves it must
 //!   be, for #P-hard queries — but effective at laptop scale and the
-//!   ground-truth oracle for every other evaluator in the workspace,
+//!   ground-truth oracle for every other evaluator in the workspace. Its
+//!   one model counter, [`model_count_exact`], runs the same engine in
+//!   rationals at `p = 1/2`, with no precision ceiling,
 //! * [`mc`] — the Karp–Luby FPRAS for DNF probability, the "MystiQ
 //!   fallback" baseline the paper's introduction compares safe plans
 //!   against.
@@ -22,8 +24,6 @@ pub mod field;
 pub mod mc;
 
 pub use dnf::{Clause, Dnf, Lit};
-pub use exact::{
-    exact_probability, exact_probability_generic, model_count, model_count_exact, ExactStats,
-};
+pub use exact::{exact_probability, exact_probability_generic, model_count_exact, ExactStats};
 pub use field::ProbValue;
 pub use mc::{karp_luby, karp_luby_par, karp_luby_with_scratch, McEstimate, McScratch};

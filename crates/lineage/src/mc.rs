@@ -56,13 +56,6 @@ impl McScratch {
     }
 }
 
-impl McEstimate {
-    /// Half-width of the 95% normal confidence interval.
-    pub fn ci95(&self) -> f64 {
-        1.96 * self.std_error
-    }
-}
-
 /// Split `samples` over `threads` seed-split RNG streams, run `kernel` on
 /// each worker's share, and pool the hit counts. The split is by worker
 /// index (worker `w` gets `samples/threads` plus one of the remainder), so
@@ -355,6 +348,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let est = karp_luby(&d, &probs, 1000, &mut rng);
         assert_eq!(est.samples, 1000);
-        assert!(est.ci95() >= est.std_error);
+        assert!(est.std_error > 0.0);
     }
 }

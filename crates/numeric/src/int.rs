@@ -64,21 +64,6 @@ impl BigInt {
         self.sign == Sign::Zero
     }
 
-    pub fn to_i64(&self) -> Option<i64> {
-        let m = self.mag.to_u64()?;
-        match self.sign {
-            Sign::Zero => Some(0),
-            Sign::Positive => (m <= i64::MAX as u64).then_some(m as i64),
-            Sign::Negative => {
-                if m <= i64::MAX as u64 + 1 {
-                    Some((m as i128).wrapping_neg() as i64)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
     pub fn to_f64(&self) -> f64 {
         let m = self.mag.to_f64();
         match self.sign {
@@ -213,8 +198,8 @@ mod tests {
         assert!(bi(0).is_zero());
         assert_eq!(bi(5).sign(), Sign::Positive);
         assert_eq!(bi(-5).sign(), Sign::Negative);
-        assert_eq!(bi(i64::MIN).to_i64(), Some(i64::MIN));
-        assert_eq!(bi(i64::MAX).to_i64(), Some(i64::MAX));
+        assert_eq!(bi(i64::MIN).magnitude().to_u64(), Some(1 << 63));
+        assert_eq!(bi(i64::MAX).magnitude().to_u64(), Some(i64::MAX as u64));
     }
 
     #[test]

@@ -1,10 +1,6 @@
-//! Synthetic workload generators.
-//!
-//! The paper's evaluation artifacts need structures of controlled shape:
-//! random tuple-independent databases (cross-engine property tests),
-//! bipartite/4-partite graphs (the Appendix B and C hardness reductions),
-//! and scalable instances for the `q_hier`-style queries (experiments E4,
-//! E5).
+//! Synthetic workload generators: random tuple-independent databases over
+//! the relations a query mentions, the inputs of the cross-engine property
+//! tests.
 
 use crate::database::ProbDb;
 use cq::{Query, RelId, Value, Vocabulary};
@@ -66,52 +62,6 @@ pub fn random_db_for_query<R: Rng>(
     db
 }
 
-/// Instance family for `q_hier = R(x), S(x,y)` with `n` `R`-tuples and `m`
-/// `S`-tuples per `R`-value — the scaling workload of experiments E4/E5.
-pub fn star_instance<R: Rng>(n: u64, m: u64, rng: &mut R) -> (ProbDb, Query) {
-    let mut voc = Vocabulary::new();
-    let q = cq::parse_query(&mut voc, "R(x), S(x,y)").unwrap();
-    let r = voc.find_relation("R").unwrap();
-    let s = voc.find_relation("S").unwrap();
-    let mut db = ProbDb::new(voc);
-    for i in 0..n {
-        db.insert(r, vec![Value(i)], rng.gen_range(0.05..0.95));
-        for j in 0..m {
-            db.insert(s, vec![Value(i), Value(n + j)], rng.gen_range(0.05..0.95));
-        }
-    }
-    (db, q)
-}
-
-/// The 4-partite layered graph of Proposition B.3: layers `u → X → Y → v`,
-/// with an edge `(x_i, y_j)` per clause of a bipartite 2DNF. Returned as an
-/// edge relation `E`; tuple probabilities follow the proposition (variable
-/// edges carry the variable probabilities, clause edges are certain).
-pub fn four_partite_from_clauses(
-    voc: &mut Vocabulary,
-    x_probs: &[f64],
-    y_probs: &[f64],
-    clauses: &[(usize, usize)],
-) -> ProbDb {
-    let e = voc.relation("E", 2).unwrap();
-    let mut db = ProbDb::new(voc.clone());
-    // Node numbering: u = 0; x_i = 1 + i; y_j = 1 + m + j; v = 1 + m + n.
-    let m = x_probs.len() as u64;
-    let n = y_probs.len() as u64;
-    let u = Value(0);
-    let v = Value(1 + m + n);
-    for (i, &p) in x_probs.iter().enumerate() {
-        db.insert(e, vec![u, Value(1 + i as u64)], p);
-    }
-    for &(i, j) in clauses {
-        db.insert(e, vec![Value(1 + i as u64), Value(1 + m + j as u64)], 1.0);
-    }
-    for (j, &p) in y_probs.iter().enumerate() {
-        db.insert(e, vec![Value(1 + m + j as u64), v], p);
-    }
-    db
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,23 +97,5 @@ mod tests {
         let a = db.voc.clone().named_const("a");
         // With 50 draws over a 3-value domain, 'a' almost surely appears.
         assert!(db.tuples().iter().any(|t| t.args.contains(&a)));
-    }
-
-    #[test]
-    fn star_instance_shape() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let (db, q) = star_instance(4, 3, &mut rng);
-        assert_eq!(db.num_tuples(), 4 + 12);
-        assert_eq!(q.atoms.len(), 2);
-    }
-
-    #[test]
-    fn four_partite_layout() {
-        let mut voc = Vocabulary::new();
-        let db = four_partite_from_clauses(&mut voc, &[0.5, 0.5], &[0.5], &[(0, 0), (1, 0)]);
-        // 2 variable edges + 2 clause edges + 1 y-edge.
-        assert_eq!(db.num_tuples(), 5);
-        let e = db.voc.find_relation("E").unwrap();
-        assert_eq!(db.prob_of(e, &[Value(1), Value(3)]), 1.0);
     }
 }

@@ -11,18 +11,19 @@
 //!   of all valuations — a small relational engine,
 //! * [`worlds`] — possible-world enumeration and the brute-force evaluator
 //!   computing Eq. 2 exactly (the small-instance ground truth),
+//! * [`exact`] — Eq. 2 and substructure counting in exact rationals,
 //! * [`lineage_ext`] — extraction of a query's lineage DNF over the tuple
 //!   events, bridging to the `lineage` crate's model counters,
-//! * [`generators`] — synthetic workload generators (random structures,
-//!   bipartite graphs, paths/rings) used by tests and benchmarks,
+//! * [`generators`] — synthetic workload generators (random structures)
+//!   used by tests and benchmarks,
 //! * [`bid`] — the block-independent-disjoint extension the paper's
-//!   conclusions point to (disjoint + independent tuples).
+//!   conclusions point to (disjoint + independent tuples), evaluated on the
+//!   same lineage back end through the standard encoding.
 //!
 //! MystiQ's role as the paper's motivating system is played by
 //! `dichotomy::engine`, which drives everything in this crate.
 
 pub mod bid;
-pub mod bid_exact;
 pub mod database;
 pub mod delta;
 pub mod epoch;
@@ -48,4 +49,4 @@ pub use text::{
     dump_db, dump_db_exact, load_db, load_db_exact, parse_delta_batches, parse_rational, DeltaPos,
     TextError,
 };
-pub use worlds::{brute_force_probability, count_satisfying_worlds, WorldIter};
+pub use worlds::{brute_force_probability, WorldIter};

@@ -61,21 +61,6 @@ pub fn brute_force_probability(db: &ProbDb, q: &Query) -> f64 {
         .sum()
 }
 
-/// Count the sub-structures (worlds) satisfying `q` — the counting problem
-/// the paper's conclusions ask about ("whether the hardness results can be
-/// sharpened to counting the number of substructures, i.e. when all
-/// probabilities are 1/2"). Equals `2^n · p(q)` on the database with every
-/// tuple probability replaced by 1/2; computed here by exact lineage so it
-/// scales past the 30-tuple enumeration bound.
-pub fn count_satisfying_worlds(db: &ProbDb, q: &Query) -> u64 {
-    let n = db.num_tuples();
-    assert!(n < 53, "count does not fit the f64 mantissa");
-    let dnf = crate::lineage_ext::lineage_of(db, q);
-    let probs = vec![0.5; n];
-    let p = lineage::exact_probability(&dnf, &probs);
-    (p * (1u64 << n) as f64).round() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,7 +139,9 @@ mod tests {
         db.insert(r, vec![Value(2)], 0.6);
         db.insert(s, vec![Value(1), Value(5)], 0.9);
         db.insert(s, vec![Value(2), Value(5)], 0.9);
-        let by_count = count_satisfying_worlds(&db, &q);
+        let by_count = crate::count_satisfying_worlds_exact(&db, &q)
+            .to_u64()
+            .unwrap();
         let by_enum = WorldIter::new(&db)
             .filter(|(w, _)| satisfies(&db, &q, w))
             .count() as u64;

@@ -1,7 +1,7 @@
 //! Bipartite 2DNF formulas `Φ = ⋁_{h} x_{i_h} ∧ y_{j_h}` (Eq. 12/13 of the
 //! paper's appendices) and direct model counting.
 
-use lineage::{model_count, Dnf, Lit};
+use lineage::{model_count_exact, Dnf, Lit};
 use rand::Rng;
 
 /// A bipartite 2DNF formula over variables `x_0..x_{m-1}` and
@@ -55,7 +55,9 @@ impl Bipartite2Dnf {
     /// The number of satisfying assignments, by exact weighted model
     /// counting (ground truth for the reduction pipelines).
     pub fn count_models(&self) -> u64 {
-        model_count(&self.to_dnf(), self.num_vars())
+        model_count_exact(&self.to_dnf(), self.num_vars())
+            .to_u64()
+            .expect("model count fits u64")
     }
 
     /// The probability that a uniformly random assignment satisfies `Φ`,

@@ -70,10 +70,7 @@ pub use dag::{
 };
 pub use exec::{scan_plan, CompiledPred, OpCounters, OpTimes, ScanPlan};
 pub use node::PlanNode;
-pub use optimize::{
-    columns, estimate_rows, optimize, optimize_with_stats, plan_shard_fanout, scan_estimate,
-    SHARD_MIN_ROWS,
-};
+pub use optimize::{columns, optimize, plan_shard_fanout, scan_estimate, SHARD_MIN_ROWS};
 // Re-exported so downstream crates and tests can read the executor's
 // reports, and fold in the kernels' number type, without a direct
 // `exec-parallel` or `lineage` dependency.

@@ -1,4 +1,5 @@
-//! Plan rewriting: algebraic rules and cost-based join ordering.
+//! Plan rewriting: algebraic rules, plus the scan estimate behind the
+//! shard fan-out.
 //!
 //! The compiler emits canonical plans; real engines (the paper's MystiQ
 //! context) rewrite them before execution. Every rule here preserves the
@@ -13,11 +14,7 @@
 //!   1 − Π_i (1 − p_i)`,
 //! * **push-select** — selections commute with independent project when
 //!   they only read kept columns (groups are filtered wholesale), and slide
-//!   into the join input that binds all their columns,
-//! * **join ordering** — inputs sorted by estimated cardinality so the
-//!   running intermediate result stays small (a textbook heuristic; exact
-//!   scan counts come from the database, selectivities are documented
-//!   constants).
+//!   into the join input that binds all their columns.
 //!
 //! The equivalence of every rewrite is fuzz-checked in `tests` by executing
 //! original and optimized plans on random databases.
@@ -37,13 +34,6 @@ pub fn optimize(plan: &PlanNode) -> PlanNode {
         }
         cur = next;
     }
-}
-
-/// As [`optimize`], then order join inputs by estimated cardinality
-/// against `db` (ascending — smallest input first keeps intermediate
-/// results small).
-pub fn optimize_with_stats(plan: &PlanNode, db: &ProbDb) -> PlanNode {
-    order_joins(&optimize(plan), db)
 }
 
 /// The output columns a node produces, computed statically.
@@ -188,55 +178,6 @@ pub fn scan_estimate(db: &ProbDb, atom: &Atom) -> usize {
     best.unwrap_or(all)
 }
 
-/// Estimated output cardinality of a node against `db`. Scans start from
-/// the **exact posting-list size** the executor will visit (see
-/// [`scan_estimate`]) — constants beyond the pushed-down one and
-/// repeated-variable positions still filter at the documented 1/3 guess;
-/// selections keep 1/3; independent projects keep every group (an upper
-/// bound: the group count is at most the row count); joins multiply and
-/// divide by 2 per shared column — the classic System-R-flavoured guess,
-/// sufficient for input ordering and build-side selection.
-pub fn estimate_rows(plan: &PlanNode, db: &ProbDb) -> f64 {
-    match plan {
-        PlanNode::Certain => 1.0,
-        PlanNode::Never => 0.0,
-        PlanNode::Scan { atom } => {
-            let consts = atom
-                .args
-                .iter()
-                .filter(|t| matches!(t, Term::Const(_)))
-                .count();
-            // Repeated-variable positions: arity minus constants minus
-            // distinct output columns.
-            let repeated = atom.args.len() - consts - columns(plan).len();
-            // One constant is priced exactly by the posting list; each
-            // residual constant and repeated position filters at 1/3.
-            let (base, residual) = if consts > 0 {
-                (scan_estimate(db, atom) as f64, consts - 1 + repeated)
-            } else {
-                (db.tuples_of(atom.rel).len() as f64, repeated)
-            };
-            base / 3f64.powi(residual as i32)
-        }
-        PlanNode::ComplementScan { .. } => {
-            // One row per domain binding of the distinct variables.
-            (db.active_domain().len().max(1) as f64).powi(columns(plan).len() as i32)
-        }
-        PlanNode::Select { input, .. } => estimate_rows(input, db) / 3.0,
-        PlanNode::IndependentProject { input, .. } => estimate_rows(input, db),
-        PlanNode::IndependentJoin { inputs } => {
-            let mut rows = 1.0;
-            let mut seen: BTreeSet<Var> = BTreeSet::new();
-            for i in inputs {
-                let shared = columns(i).intersection(&seen).count();
-                rows *= estimate_rows(i, db) / 2f64.powi(shared as i32);
-                seen.extend(columns(i));
-            }
-            rows
-        }
-    }
-}
-
 /// Minimum posting-list size at which hash-sharding a plan's scans pays
 /// for its per-shard scaffolding. Deliberately low so mid-size test
 /// workloads still exercise the sharded path when a test asks for shards;
@@ -271,32 +212,6 @@ fn widest_scan(plan: &PlanNode, db: &ProbDb) -> usize {
         }
         PlanNode::IndependentJoin { inputs } => {
             inputs.iter().map(|i| widest_scan(i, db)).max().unwrap_or(0)
-        }
-    }
-}
-
-fn order_joins(plan: &PlanNode, db: &ProbDb) -> PlanNode {
-    match plan {
-        PlanNode::Certain
-        | PlanNode::Never
-        | PlanNode::Scan { .. }
-        | PlanNode::ComplementScan { .. } => plan.clone(),
-        PlanNode::Select { pred, input } => PlanNode::Select {
-            pred: *pred,
-            input: Box::new(order_joins(input, db)),
-        },
-        PlanNode::IndependentProject { keep, input } => PlanNode::IndependentProject {
-            keep: keep.clone(),
-            input: Box::new(order_joins(input, db)),
-        },
-        PlanNode::IndependentJoin { inputs } => {
-            let mut ordered: Vec<PlanNode> = inputs.iter().map(|i| order_joins(i, db)).collect();
-            ordered.sort_by(|a, b| {
-                estimate_rows(a, db)
-                    .partial_cmp(&estimate_rows(b, db))
-                    .expect("finite estimates")
-            });
-            PlanNode::IndependentJoin { inputs: ordered }
         }
     }
 }
@@ -478,44 +393,12 @@ mod tests {
                 let db = random_db_for_query(&q, &voc, opts, &mut rng);
                 let base = query_probability(&db, &plan);
                 let opt = query_probability(&db, &optimize(&plan));
-                let opt_stats = query_probability(&db, &optimize_with_stats(&plan, &db));
                 assert!(
                     (base - opt).abs() < 1e-12,
                     "{shape} round {round}: {base} vs optimized {opt}"
                 );
-                assert!(
-                    (base - opt_stats).abs() < 1e-12,
-                    "{shape} round {round}: {base} vs stats-optimized {opt_stats}"
-                );
             }
         }
-    }
-
-    #[test]
-    fn join_ordering_puts_small_inputs_first() {
-        let (voc, q) = parse("R(x), S(x,y)");
-        let r = voc.find_relation("R").unwrap();
-        let s = voc.find_relation("S").unwrap();
-        let mut db = ProbDb::new(voc);
-        // R much larger than S.
-        for i in 0..20u64 {
-            db.insert(r, vec![cq::Value(i)], 0.5);
-        }
-        db.insert(s, vec![cq::Value(0), cq::Value(1)], 0.5);
-        let plan = build_plan(&q).unwrap();
-        let opt = optimize_with_stats(&plan, &db);
-        if let PlanNode::IndependentProject { input, .. } = &opt {
-            if let PlanNode::IndependentJoin { inputs } = &**input {
-                let first = estimate_rows(&inputs[0], &db);
-                let second = estimate_rows(&inputs[1], &db);
-                assert!(
-                    first <= second,
-                    "join inputs not ordered: {first} > {second}"
-                );
-                return;
-            }
-        }
-        panic!("unexpected plan shape: {opt:?}");
     }
 
     #[test]
@@ -530,8 +413,6 @@ mod tests {
         }
         let atom = &q.atoms[0];
         assert_eq!(scan_estimate(&db, atom), 3, "posting list is exact");
-        let est = estimate_rows(&PlanNode::Scan { atom: atom.clone() }, &db);
-        assert_eq!(est, 3.0, "one constant priced exactly, no residuals");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! example models a sensor fleet where each sensor reports *at most one*
 //! reading — the readings of one sensor are mutually exclusive (one block),
 //! sensors are independent of each other — and evaluates a join query three
-//! ways: block-wise world enumeration (ground truth), the scalable
-//! block-decomposition evaluator, and Monte Carlo.
+//! ways: block-wise world enumeration (ground truth), and the shared exact
+//! lineage compiler and Karp–Luby on the *encoded* lineage (the standard
+//! encoding turns the blocks into independent events).
 //!
 //! Run with: `cargo run --release --example bid_sensors`
 
@@ -43,8 +44,8 @@ fn main() {
     let by_mc = small.monte_carlo(&q, 200_000, &mut rng);
     println!("small instance ({} blocks):", small.num_blocks());
     println!("  world enumeration     : {by_enum:.9}");
-    println!("  block decomposition   : {by_blocks:.9}");
-    println!("  monte carlo (200k)    : {by_mc:.4}");
+    println!("  encoded lineage, exact: {by_blocks:.9}");
+    println!("  karp-luby (200k)      : {by_mc:.4}");
     assert!((by_enum - by_blocks).abs() < 1e-10);
     assert!((by_mc - by_enum).abs() < 0.01);
 
@@ -65,7 +66,7 @@ fn main() {
     println!("  (same tuples, independent semantics: {p_ind:.9} — exclusivity matters)");
     assert!((p_ind - by_blocks).abs() > 1e-3);
 
-    // --- Large instance: enumeration impossible, decomposition instant ----
+    // --- Large instance: enumeration impossible, encoded lineage instant --
     let mut large = BidDb::new(voc.clone());
     for s in 0..200u64 {
         large.add_block(
@@ -80,7 +81,7 @@ fn main() {
     let worlds: f64 = 3f64.powi(200);
     println!("\nlarge instance: 200 sensor blocks → ~{worlds:.1e} worlds");
     let p = large.exact_probability(&q);
-    println!("  block decomposition   : {p:.9}");
+    println!("  encoded lineage, exact: {p:.9}");
     // Closed form: P = 0.5 · (1 − 0.99^200).
     let expected = 0.5 * (1.0 - 0.99f64.powi(200));
     assert!((p - expected).abs() < 1e-9);

@@ -20,7 +20,7 @@
 //! `hardness_reduction`, `topk_multisim`) print the same experiments as
 //! tables.
 
-use lineage::exact::exact_probability_with_stats;
+use lineage::exact_probability_generic;
 use probdb::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -182,7 +182,7 @@ fn e7_exact_compilation_blows_up_on_h0_but_not_on_the_star() {
     let mut easy = Vec::new();
     for n in [4u64, 6, 8] {
         let (db, q) = h0(n, 3);
-        let (_, stats) = exact_probability_with_stats(&lineage_of(&db, &q), db.probs());
+        let (_, stats) = exact_probability_generic(&lineage_of(&db, &q), db.probs());
         hard.push((db.num_tuples() as f64, stats.decisions as f64));
         let (db, q) = star(n, 2, 3);
         easy.push((db.num_tuples() as f64, safe_plan_work(&db, &q).0 as f64));
