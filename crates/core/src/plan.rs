@@ -24,7 +24,7 @@
 use crate::safe_eval::eval_inversion_free;
 use cq::{Query, Vocabulary};
 use exec_parallel::ExecStats;
-use lineage::{exact_probability, karp_luby, karp_luby_par};
+use lineage::{exact_probability, karp_luby, karp_luby_par, Dnf};
 use numeric::QRat;
 use pdb::{lineage_of, ProbDb, RatProbs};
 use rand::rngs::StdRng;
@@ -215,31 +215,22 @@ impl Executor {
                 })
             }
             PhysicalPlan::RootRecursion { query } => {
-                match eval_inversion_free(db, db.probs(), query) {
-                    Ok(p) => Ok(exact(p, Method::SafePlan)),
+                Ok(match eval_inversion_free(db, db.probs(), query) {
+                    Ok(p) => outcome(p, Method::SafePlan),
                     // The safe plan's inclusion-exclusion budget is an
                     // engineering bound, a per-binding residual can carry
                     // constants that create unifications the planned
                     // template did not have, and a predicate spanning
                     // components leaves no root; exact lineage stays correct
                     // in every such case (if not worst-case polynomial).
-                    Err(_) => Ok(exact(self.exact_lineage(db, query), Method::ExactLineage)),
-                }
+                    Err(_) => self.exact_lineage(db, &lineage_of(db, query)),
+                })
             }
             PhysicalPlan::ExactLineage { query } => {
-                Ok(exact(self.exact_lineage(db, query), Method::ExactLineage))
+                Ok(self.exact_lineage(db, &lineage_of(db, query)))
             }
             PhysicalPlan::KarpLuby { query, samples } => {
-                let (p, se, stats) = self.karp_luby(db, query, *samples);
-                Ok(ExecOutcome {
-                    probability: p,
-                    std_error: se,
-                    method: Method::KarpLuby,
-                    parallel: stats,
-                    extensional: None,
-                    scheduler: None,
-                    sharding: None,
-                })
+                Ok(self.karp_luby(db, &lineage_of(db, query), *samples))
             }
         }
     }
@@ -275,36 +266,36 @@ impl Executor {
         }
     }
 
-    pub(crate) fn exact_lineage(&self, db: &ProbDb, q: &Query) -> f64 {
-        let dnf = lineage_of(db, q);
-        exact_probability(&dnf, db.probs())
+    /// Exact weighted model counting over `dnf`, a lineage over `db`'s
+    /// tuple events.
+    pub(crate) fn exact_lineage(&self, db: &ProbDb, dnf: &Dnf) -> ExecOutcome {
+        outcome(exact_probability(dnf, db.probs()), Method::ExactLineage)
     }
 
-    /// Karp–Luby over the lineage; at `threads > 1` the sample budget fans
-    /// out over per-worker seed-split RNG streams and per-thread counters
-    /// come back alongside the estimate.
-    pub(crate) fn karp_luby(
-        &self,
-        db: &ProbDb,
-        q: &Query,
-        samples: u64,
-    ) -> (f64, f64, Option<ExecStats>) {
-        let dnf = lineage_of(db, q);
-        if self.threads > 1 {
-            let (est, stats) = karp_luby_par(&dnf, db.probs(), samples, self.threads, self.seed);
+    /// Karp–Luby over `dnf`, a lineage over `db`'s tuple events; at
+    /// `threads > 1` the sample budget fans out over per-worker seed-split
+    /// RNG streams and per-thread counters come back alongside the
+    /// estimate.
+    pub(crate) fn karp_luby(&self, db: &ProbDb, dnf: &Dnf, samples: u64) -> ExecOutcome {
+        let (est, parallel) = if self.threads > 1 {
+            let (est, stats) = karp_luby_par(dnf, db.probs(), samples, self.threads, self.seed);
             // Degenerate lineages short-circuit without fanning out; empty
             // stats mean nothing ran in parallel, so report no counters.
-            let stats = (stats.threads() > 0).then_some(stats);
-            (est.estimate, est.std_error, stats)
+            (est, (stats.threads() > 0).then_some(stats))
         } else {
             let mut rng = StdRng::seed_from_u64(self.seed);
-            let est = karp_luby(&dnf, db.probs(), samples, &mut rng);
-            (est.estimate, est.std_error, None)
+            (karp_luby(dnf, db.probs(), samples, &mut rng), None)
+        };
+        ExecOutcome {
+            std_error: est.std_error,
+            parallel,
+            ..outcome(est.estimate, Method::KarpLuby)
         }
     }
 }
 
-fn exact(p: f64, method: Method) -> ExecOutcome {
+/// An outcome with no standard error and no execution counters.
+fn outcome(p: f64, method: Method) -> ExecOutcome {
     ExecOutcome {
         probability: p,
         std_error: 0.0,

@@ -42,7 +42,7 @@ pub enum RankedPlan {
         head: Vec<Var>,
     },
     /// The residual template `q[ā/h̄]` planned once on generic bindings;
-    /// each candidate instantiates `kind` without re-classifying.
+    /// every candidate runs `kind` without re-classifying.
     PerBinding {
         head: Vec<Var>,
         kind: ResidualKind,
@@ -51,26 +51,14 @@ pub enum RankedPlan {
     },
 }
 
-/// Which evaluator a per-binding residual runs.
+/// Which evaluator a per-binding residual runs. Lineage kinds answer
+/// every candidate from one lineage extraction pass
+/// ([`pdb::lineages_by_head`]); root recursion runs per candidate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ResidualKind {
     RootRecursion,
     ExactLineage,
     KarpLuby { samples: u64 },
-}
-
-impl ResidualKind {
-    /// Instantiate the template for one candidate's residual query.
-    pub fn instantiate(self, residual: Query) -> PhysicalPlan {
-        match self {
-            ResidualKind::RootRecursion => PhysicalPlan::RootRecursion { query: residual },
-            ResidualKind::ExactLineage => PhysicalPlan::ExactLineage { query: residual },
-            ResidualKind::KarpLuby { samples } => PhysicalPlan::KarpLuby {
-                query: residual,
-                samples,
-            },
-        }
-    }
 }
 
 /// Cache observability: cumulative counters since the planner was built.

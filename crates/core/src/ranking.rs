@@ -10,17 +10,22 @@
 //!   the planner emits a **batched extensional plan** whose output relation
 //!   holds one row per candidate binding — the whole ranked answer set in a
 //!   single set-at-a-time execution, no per-candidate work at all.
-//! * Otherwise the **residual template** `q[ā/h̄]` is classified once and
-//!   each candidate executes the template's evaluator directly — earlier
-//!   revisions re-ran the dichotomy classifier for *every* candidate
-//!   tuple; the planner now runs it at most once per query shape.
+//! * Otherwise the **residual template** `q[ā/h̄]` is classified once —
+//!   earlier revisions re-ran the dichotomy classifier for *every*
+//!   candidate tuple; the planner now runs it at most once per query shape.
+//!   Residuals that run on lineage (exact or Karp–Luby, and every answer
+//!   under forced [`Strategy::ExactLineage`]) take their lineages from one
+//!   [`pdb::lineages_by_head`] pass over the query's matches; only
+//!   root-recursion residuals are instantiated and executed per candidate.
 
 use crate::engine::{Engine, EngineError, Method, Strategy};
-use crate::planner::RankedPlan;
+use crate::plan::{ExecOutcome, PhysicalPlan};
+use crate::planner::{RankedPlan, ResidualKind};
 use cq::{Query, Subst, Value, Var};
 use exec_parallel::ExecStats;
-use pdb::{all_valuations, ProbDb};
+use pdb::{each_match, lineages_by_head, ProbDb};
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 /// One ranked answer.
 #[derive(Clone, Debug, PartialEq)]
@@ -84,17 +89,65 @@ fn assert_head_occurs(q: &Query, head: &[Var]) {
     }
 }
 
-/// Candidate answers: distinct projections of the valuations.
-pub(crate) fn candidates(db: &ProbDb, q: &Query, head: &[Var]) -> BTreeSet<Vec<Value>> {
+/// Candidate answers: distinct head projections of the matches.
+fn candidates(db: &ProbDb, q: &Query, head: &[Var]) -> BTreeSet<Vec<Value>> {
     let mut out: BTreeSet<Vec<Value>> = BTreeSet::new();
-    for val in all_valuations(db, q) {
+    let _ = each_match(db, q, None, |val, _| {
         out.insert(head.iter().map(|h| val[h]).collect());
-    }
+        ControlFlow::Continue(())
+    });
     out
 }
 
-/// Evaluate a non-Boolean query: candidates for `head` are enumerated from
-/// the valuations of `q` over the possible tuples (or read off the batched
+/// Every candidate's answer under the residual evaluator `kind`. Lineage
+/// kinds read all candidates' lineages off one extraction pass; each is
+/// the lineage its residual would extract, so the answers are those of
+/// executing the residual's plan. Root recursion runs per residual.
+fn residual_answers(
+    engine: &Engine,
+    db: &ProbDb,
+    q: &Query,
+    head: &[Var],
+    kind: ResidualKind,
+) -> Result<Vec<RankedAnswer>, EngineError> {
+    let executor = engine.executor();
+    let answer = |tuple, outcome: ExecOutcome| RankedAnswer {
+        tuple,
+        probability: outcome.probability,
+        std_error: outcome.std_error,
+        method: outcome.method,
+    };
+    if kind == ResidualKind::RootRecursion {
+        return candidates(db, q, head)
+            .into_iter()
+            .map(|tuple| {
+                let subst: Subst = head
+                    .iter()
+                    .zip(&tuple)
+                    .map(|(&h, &v)| (h, v.into()))
+                    .collect();
+                let plan = PhysicalPlan::RootRecursion {
+                    query: q.apply(&subst),
+                };
+                let outcome = executor.execute(db, &plan).map_err(EngineError::Eval)?;
+                Ok(answer(tuple, outcome))
+            })
+            .collect();
+    }
+    Ok(lineages_by_head(db, q, head)
+        .into_iter()
+        .map(|(tuple, dnf)| {
+            let outcome = match kind {
+                ResidualKind::KarpLuby { samples } => executor.karp_luby(db, &dnf, samples),
+                _ => executor.exact_lineage(db, &dnf),
+            };
+            answer(tuple, outcome)
+        })
+        .collect())
+}
+
+/// Evaluate a non-Boolean query: candidates for `head` are the head
+/// bindings of `q`'s matches into the possible tuples (or read off the batched
 /// plan's output relation); answers come back sorted by probability,
 /// descending (ties broken by tuple order for determinism).
 pub fn ranked_answers(
@@ -121,7 +174,33 @@ pub fn ranked_answers_counted(
     assert_head_occurs(q, head);
     let (mut out, run) = match strategy {
         Strategy::Auto => ranked_auto(engine, db, q, head)?,
-        _ => ranked_forced(engine, db, q, head, strategy)?,
+        Strategy::ExactLineage => (
+            residual_answers(engine, db, q, head, ResidualKind::ExactLineage)?,
+            RankedRun::default(),
+        ),
+        // Forced Monte Carlo routes through the shared multisimulation
+        // harness: one lineage-extraction pass and candidate-parallel
+        // sampling from per-candidate seed-split streams — byte-identical
+        // per seed at every thread count.
+        Strategy::MonteCarlo { samples } => (
+            crate::multisim::multisim_marginals(
+                db,
+                q,
+                head,
+                samples,
+                engine.seed,
+                engine.exec.threads,
+            )
+            .into_iter()
+            .map(|(tuple, probability, std_error)| RankedAnswer {
+                tuple,
+                probability,
+                std_error,
+                method: Method::KarpLuby,
+            })
+            .collect(),
+            RankedRun::default(),
+        ),
     };
     out.sort_by(|a, b| {
         b.probability
@@ -160,7 +239,6 @@ fn ranked_auto(
         .planner()
         .plan_ranked(q, head)
         .map_err(EngineError::Classify)?;
-    let mut run = RankedRun::default();
     match &*template {
         RankedPlan::Batched { plan, head } => {
             // One set-at-a-time execution computes every candidate's
@@ -177,106 +255,28 @@ fn ranked_auto(
                 &safeplan::DagOptions::new(engine.exec.threads, fanout),
                 &mut counters,
             );
-            run.parallel = Some(dag.threads);
-            run.scheduler = Some(dag.sched);
-            run.sharding = Some(dag.shards);
-            run.extensional = Some(counters);
-            Ok((
-                pairs
-                    .into_iter()
-                    .map(|(tuple, probability)| RankedAnswer {
-                        tuple,
-                        probability,
-                        std_error: 0.0,
-                        method: Method::Extensional,
-                    })
-                    .collect(),
-                run,
-            ))
-        }
-        RankedPlan::PerBinding { kind, .. } => {
-            let executor = engine.executor();
-            let mut out = Vec::new();
-            let mut ops = safeplan::OpCounters::default();
-            let mut saw_ops = false;
-            for tuple in candidates(db, q, head) {
-                let mut subst = Subst::new();
-                for (h, &v) in head.iter().zip(&tuple) {
-                    subst.bind(*h, v);
-                }
-                let residual = q.apply(&subst);
-                let plan = kind.instantiate(residual);
-                let outcome = executor.execute(db, &plan).map_err(EngineError::Eval)?;
-                if let Some(c) = &outcome.extensional {
-                    ops.absorb(c);
-                    saw_ops = true;
-                }
-                out.push(RankedAnswer {
+            let answers = pairs
+                .into_iter()
+                .map(|(tuple, probability)| RankedAnswer {
                     tuple,
-                    probability: outcome.probability,
-                    std_error: outcome.std_error,
-                    method: outcome.method,
-                });
-            }
-            if saw_ops {
-                run.extensional = Some(ops);
-            }
-            Ok((out, run))
+                    probability,
+                    std_error: 0.0,
+                    method: Method::Extensional,
+                })
+                .collect();
+            let run = RankedRun {
+                parallel: Some(dag.threads),
+                extensional: Some(counters),
+                scheduler: Some(dag.sched),
+                sharding: Some(dag.shards),
+            };
+            Ok((answers, run))
         }
-    }
-}
-
-/// Forced strategies evaluate each residual under that strategy (no
-/// classification happens there either).
-fn ranked_forced(
-    engine: &Engine,
-    db: &ProbDb,
-    q: &Query,
-    head: &[Var],
-    strategy: Strategy,
-) -> Result<(Vec<RankedAnswer>, RankedRun), EngineError> {
-    // Forced Monte Carlo routes through the shared multisimulation
-    // harness: one lineage-extraction pass over the valuations and
-    // candidate-parallel sampling from per-candidate seed-split streams —
-    // byte-identical per seed at every thread count, where the old
-    // per-residual Karp–Luby loop re-enumerated the join per candidate.
-    if let Strategy::MonteCarlo { samples } = strategy {
-        return Ok((
-            crate::multisim::multisim_marginals(
-                db,
-                q,
-                head,
-                samples,
-                engine.seed,
-                engine.exec.threads,
-            )
-            .into_iter()
-            .map(|(tuple, probability, std_error)| RankedAnswer {
-                tuple,
-                probability,
-                std_error,
-                method: Method::KarpLuby,
-            })
-            .collect(),
+        RankedPlan::PerBinding { kind, .. } => Ok((
+            residual_answers(engine, db, q, head, *kind)?,
             RankedRun::default(),
-        ));
+        )),
     }
-    let mut out = Vec::new();
-    for tuple in candidates(db, q, head) {
-        let mut subst = Subst::new();
-        for (h, &v) in head.iter().zip(&tuple) {
-            subst.bind(*h, v);
-        }
-        let residual = q.apply(&subst);
-        let ev = engine.evaluate(db, &residual, strategy)?;
-        out.push(RankedAnswer {
-            tuple,
-            probability: ev.probability,
-            std_error: ev.std_error,
-            method: ev.method,
-        });
-    }
-    Ok((out, RankedRun::default()))
 }
 
 /// The top-`k` answers (MystiQ-style ranked retrieval).

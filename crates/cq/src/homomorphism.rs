@@ -19,7 +19,7 @@ pub fn find_homomorphism(from: &Query, to: &Query) -> Option<Subst> {
 }
 
 /// Find a homomorphism extending the partial assignment `fixed`.
-pub fn find_homomorphism_with(from: &Query, to: &Query, fixed: &Subst) -> Option<Subst> {
+fn find_homomorphism_with(from: &Query, to: &Query, fixed: &Subst) -> Option<Subst> {
     let theory = to.theory()?;
     let mut assignment = fixed.clone();
     if search(from, to, 0, &mut assignment, &theory) {

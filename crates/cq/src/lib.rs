@@ -35,9 +35,7 @@ pub mod unify;
 pub mod vocab;
 
 pub use atom::Atom;
-pub use homomorphism::{
-    all_homomorphisms, contains, equivalent, find_homomorphism, find_homomorphism_with,
-};
+pub use homomorphism::{all_homomorphisms, contains, equivalent, find_homomorphism};
 pub use minimize::minimize;
 pub use parser::{parse_query, ParseError};
 pub use predicate::{CompOp, Pred, PredTheory};

@@ -167,7 +167,8 @@ fn most_frequent_var(dnf: &Dnf) -> u32 {
         .expect("non-constant DNF has variables")
 }
 
-/// Partition clauses into groups sharing no variables (union–find).
+/// Partition clauses into groups sharing no variables (union–find), in the
+/// order of each group's first clause.
 fn components(dnf: &Dnf) -> Vec<Dnf> {
     let n = dnf.clauses.len();
     let mut parent: Vec<usize> = (0..n).collect();
@@ -192,12 +193,20 @@ fn components(dnf: &Dnf) -> Vec<Dnf> {
             }
         }
     }
-    let mut groups: HashMap<usize, Dnf> = HashMap::new();
+    // Groups in the order of their first clause: the evaluator folds the
+    // component complements in this order, so it must not depend on a
+    // hash state.
+    let mut slot: Vec<Option<usize>> = vec![None; n];
+    let mut groups: Vec<Dnf> = Vec::new();
     for (i, c) in dnf.clauses.iter().enumerate() {
         let r = find(&mut parent, i);
-        groups.entry(r).or_default().clauses.push(c.clone());
+        let g = *slot[r].get_or_insert_with(|| {
+            groups.push(Dnf::new());
+            groups.len() - 1
+        });
+        groups[g].clauses.push(c.clone());
     }
-    groups.into_values().collect()
+    groups
 }
 
 #[cfg(test)]
@@ -301,6 +310,21 @@ mod tests {
             let p = exact_probability(&d, &probs);
             let bf = brute_force(&d, &probs);
             assert!((p - bf).abs() < 1e-10, "dnf={d} p={p} bf={bf}");
+        }
+    }
+
+    #[test]
+    fn repeated_calls_are_bit_identical() {
+        // Ten independent components: the complement product's rounding
+        // depends on the order the components are folded in.
+        let mut dnf = Dnf::new();
+        for i in 0..10u32 {
+            dnf.add_clause(vec![Lit::pos(2 * i), Lit::neg(2 * i + 1)]);
+        }
+        let probs: Vec<f64> = (0..20).map(|i| 0.05 + 0.9 * f64::from(i) / 19.3).collect();
+        let first = exact_probability(&dnf, &probs).to_bits();
+        for _ in 0..200 {
+            assert_eq!(exact_probability(&dnf, &probs).to_bits(), first);
         }
     }
 

@@ -754,18 +754,6 @@ impl ProbDb {
     pub fn prob_vector(&self) -> Vec<f64> {
         self.probs.clone()
     }
-
-    /// Render one tuple for diagnostics.
-    pub fn display_tuple(&self, id: TupleId) -> String {
-        let t = self.tuple(id);
-        let args: Vec<String> = t.args.iter().map(|&v| self.voc.value_name(v)).collect();
-        format!(
-            "{}({}) @ {:.3}",
-            self.voc.rel_name(t.rel),
-            args.join(","),
-            self.prob(id)
-        )
-    }
 }
 
 #[cfg(test)]

@@ -1,223 +1,187 @@
-//! Satisfaction of conjunctive queries on deterministic worlds, and
-//! enumeration of valuations — a small relational engine.
+//! The one enumeration of a query's matches, and satisfaction of
+//! conjunctive queries on deterministic worlds — a small relational engine.
+//!
+//! A *match* of `q` is a valuation of its variables that maps every
+//! positive sub-goal onto a possible tuple and satisfies the arithmetic
+//! predicates. [`each_match`] enumerates them with one backtracking join
+//! and hands each to a visitor with the tuple ids it landed on. World
+//! satisfaction ([`satisfies`]), lineage extraction ([`crate::lineage_ext`])
+//! and ranked candidates are its visitors, so a change to the join changes
+//! all three.
 //!
 //! A *world* is a sub-structure of the possible tuples, represented as a
 //! presence bitmap aligned with the database's [`TupleId`]s. A query is
-//! satisfied when some valuation of its variables into the domain maps
-//! every positive sub-goal onto a present tuple, maps no negated sub-goal
-//! onto a present tuple, and satisfies the arithmetic predicates.
+//! satisfied when some match lands only on present tuples and maps no
+//! negated sub-goal onto a present tuple.
 
 use crate::database::{ProbDb, TupleId};
-use cq::{Atom, Query, Term, Value, Var};
+use cq::{Atom, Pred, Query, Term, Value, Var};
 use std::collections::BTreeMap;
-
-/// An assignment of query variables to domain values.
-pub type Valuation = BTreeMap<Var, Value>;
+use std::ops::ControlFlow;
 
 /// Does `world` satisfy `q`? `world[i]` is the presence of tuple
 /// `TupleId(i)`.
 pub fn satisfies(db: &ProbDb, q: &Query, world: &[bool]) -> bool {
-    let positives: Vec<&Atom> = q.positive_atoms().collect();
-    let mut val = Valuation::new();
-    sat_rec(db, q, &positives, 0, world, &mut val)
+    each_match(db, q, Some(world), |val, _| {
+        if negated_hits(db, q, val).any(|id| world[id.0 as usize]) {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
+        }
+    })
+    .is_break()
 }
 
-fn tuple_matches(
+/// Visit every match of `q` into the possible tuples of `db` (only those
+/// present in `world`, when one is given) with its bindings and the ids of
+/// the tuples its positive sub-goals landed on, in atom order. Negated
+/// sub-goals are left to the visitor. Positive sub-goals bind in atom
+/// order over [`ProbDb::tuples_of`], then the variables of no positive
+/// sub-goal range over the evaluation domain in [`Query::vars`] order, so
+/// matches come in a fixed order. Stops at the first
+/// [`ControlFlow::Break`] and returns it.
+pub fn each_match(
     db: &ProbDb,
-    id: TupleId,
-    atom: &Atom,
-    val: &Valuation,
-) -> Option<Vec<(Var, Value)>> {
-    let tup = db.tuple(id);
-    let mut added = Vec::new();
-    let mut local: BTreeMap<Var, Value> = BTreeMap::new();
-    for (term, &actual) in atom.args.iter().zip(&tup.args) {
-        match *term {
-            Term::Const(c) => {
-                if c != actual {
-                    return None;
-                }
-            }
-            Term::Var(v) => {
-                let bound = val.get(&v).copied().or_else(|| local.get(&v).copied());
-                match bound {
-                    Some(b) => {
-                        if b != actual {
-                            return None;
-                        }
-                    }
-                    None => {
-                        local.insert(v, actual);
-                        added.push((v, actual));
-                    }
-                }
-            }
-        }
+    q: &Query,
+    world: Option<&[bool]>,
+    visit: impl FnMut(&BTreeMap<Var, Value>, &[TupleId]) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let positives: Vec<&Atom> = q.positive_atoms().collect();
+    let rest: Vec<Var> = q
+        .vars()
+        .into_iter()
+        .filter(|&v| !positives.iter().any(|a| a.contains_var(v)))
+        .collect();
+    // The domain is O(database): built once, and only when a variable
+    // ranges over it.
+    let domain = if rest.is_empty() {
+        Vec::new()
+    } else {
+        db.eval_domain(q).into_iter().collect()
+    };
+    Matcher {
+        db,
+        q,
+        world,
+        positives,
+        rest,
+        domain,
+        val: BTreeMap::new(),
+        trail: Vec::new(),
+        ids: Vec::new(),
+        visit,
     }
-    Some(added)
+    .atoms(0)
 }
 
-fn ground_pred_holds(q: &Query, val: &Valuation) -> bool {
-    q.preds.iter().all(|p| {
-        let resolve = |t: Term| match t {
-            Term::Const(c) => Some(c),
-            Term::Var(v) => val.get(&v).copied(),
-        };
-        match (resolve(p.lhs), resolve(p.rhs)) {
-            (Some(l), Some(r)) => match p.op {
-                cq::CompOp::Lt => l < r,
-                cq::CompOp::Eq => l == r,
-                cq::CompOp::Ne => l != r,
-            },
-            // Unbound predicates cannot be judged yet; callers only invoke
-            // this with complete valuations.
-            _ => true,
-        }
+/// The possible tuples `q`'s negated sub-goals land on under the complete
+/// bindings `val`; a negated sub-goal over an impossible tuple yields none.
+pub(crate) fn negated_hits<'a>(
+    db: &'a ProbDb,
+    q: &'a Query,
+    val: &'a BTreeMap<Var, Value>,
+) -> impl Iterator<Item = TupleId> + 'a {
+    q.atoms.iter().filter(|a| a.negated).filter_map(|atom| {
+        let args: Vec<Value> = atom.args.iter().map(|&t| ground(t, val)).collect();
+        db.find(atom.rel, &args)
     })
 }
 
-fn negated_ok(db: &ProbDb, q: &Query, world: &[bool], val: &Valuation) -> bool {
-    for atom in q.atoms.iter().filter(|a| a.negated) {
-        let mut args = Vec::with_capacity(atom.args.len());
-        for t in &atom.args {
-            match *t {
-                Term::Const(c) => args.push(c),
-                Term::Var(v) => match val.get(&v) {
-                    Some(&b) => args.push(b),
-                    None => return true, // unbound: handled by caller's domain loop
-                },
-            }
-        }
-        if let Some(id) = db.find(atom.rel, &args) {
-            if world[id.0 as usize] {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-fn sat_rec(
-    db: &ProbDb,
-    q: &Query,
-    positives: &[&Atom],
-    i: usize,
-    world: &[bool],
-    val: &mut Valuation,
-) -> bool {
-    if i == positives.len() {
-        // Bind any leftover variables (occurring only in negated sub-goals
-        // or predicates) over the evaluation domain.
-        let unbound: Vec<Var> = q
-            .vars()
-            .into_iter()
-            .filter(|v| !val.contains_key(v))
-            .collect();
-        return bind_rest(db, q, &unbound, 0, world, val);
-    }
-    let atom = positives[i];
-    for &id in db.tuples_of(atom.rel) {
-        if !world[id.0 as usize] {
-            continue;
-        }
-        if let Some(added) = tuple_matches(db, id, atom, val) {
-            for &(v, a) in &added {
-                val.insert(v, a);
-            }
-            if sat_rec(db, q, positives, i + 1, world, val) {
-                return true;
-            }
-            for &(v, _) in &added {
-                val.remove(&v);
-            }
-        }
-    }
-    false
-}
-
-fn bind_rest(
-    db: &ProbDb,
-    q: &Query,
-    unbound: &[Var],
-    i: usize,
-    world: &[bool],
-    val: &mut Valuation,
-) -> bool {
-    if i == unbound.len() {
-        return ground_pred_holds(q, val) && negated_ok(db, q, world, val);
-    }
-    for a in db.eval_domain(q) {
-        val.insert(unbound[i], a);
-        if bind_rest(db, q, unbound, i + 1, world, val) {
-            return true;
-        }
-        val.remove(&unbound[i]);
-    }
-    false
-}
-
-/// Enumerate every valuation of `q`'s variables such that all *positive*
-/// sub-goals land on possible tuples of `db` and all arithmetic predicates
-/// hold. Negated sub-goals are *not* filtered — the lineage extractor turns
-/// them into negative literals. Variables occurring only in negated
-/// sub-goals or predicates range over the evaluation domain.
-pub fn all_valuations(db: &ProbDb, q: &Query) -> Vec<Valuation> {
-    let positives: Vec<&Atom> = q.positive_atoms().collect();
-    let mut out = Vec::new();
-    let mut val = Valuation::new();
-    enum_rec(db, q, &positives, 0, &mut val, &mut out);
-    out
-}
-
-fn enum_rec(
-    db: &ProbDb,
-    q: &Query,
-    positives: &[&Atom],
-    i: usize,
-    val: &mut Valuation,
-    out: &mut Vec<Valuation>,
-) {
-    if i == positives.len() {
-        let unbound: Vec<Var> = q
-            .vars()
-            .into_iter()
-            .filter(|v| !val.contains_key(v))
-            .collect();
-        enum_rest(db, q, &unbound, 0, val, out);
-        return;
-    }
-    let atom = positives[i];
-    for &id in db.tuples_of(atom.rel) {
-        if let Some(added) = tuple_matches(db, id, atom, val) {
-            for &(v, a) in &added {
-                val.insert(v, a);
-            }
-            enum_rec(db, q, positives, i + 1, val, out);
-            for &(v, _) in &added {
-                val.remove(&v);
-            }
-        }
+/// The value of `t` under bindings that cover it.
+fn ground(t: Term, val: &BTreeMap<Var, Value>) -> Value {
+    match t {
+        Term::Const(c) => c,
+        Term::Var(v) => val[&v],
     }
 }
 
-fn enum_rest(
-    db: &ProbDb,
-    q: &Query,
-    unbound: &[Var],
-    i: usize,
-    val: &mut Valuation,
-    out: &mut Vec<Valuation>,
-) {
-    if i == unbound.len() {
-        if ground_pred_holds(q, val) {
-            out.push(val.clone());
+/// The backtracking state of one [`each_match`] enumeration.
+struct Matcher<'a, F> {
+    db: &'a ProbDb,
+    q: &'a Query,
+    world: Option<&'a [bool]>,
+    positives: Vec<&'a Atom>,
+    /// The variables of no positive sub-goal, bound over `domain`.
+    rest: Vec<Var>,
+    domain: Vec<Value>,
+    val: BTreeMap<Var, Value>,
+    /// Variables in binding order, popped on backtracking.
+    trail: Vec<Var>,
+    /// The tuple each bound positive sub-goal landed on.
+    ids: Vec<TupleId>,
+    visit: F,
+}
+
+impl<F> Matcher<'_, F>
+where
+    F: FnMut(&BTreeMap<Var, Value>, &[TupleId]) -> ControlFlow<()>,
+{
+    /// Bind positive sub-goal `i` and every later one.
+    fn atoms(&mut self, i: usize) -> ControlFlow<()> {
+        let Some(&atom) = self.positives.get(i) else {
+            return self.rest_vars(0);
+        };
+        let db = self.db;
+        for &id in db.tuples_of(atom.rel) {
+            if self.world.is_some_and(|w| !w[id.0 as usize]) {
+                continue;
+            }
+            let mark = self.trail.len();
+            let mut flow = ControlFlow::Continue(());
+            if self.bind(atom, &db.tuple(id).args) {
+                self.ids.push(id);
+                flow = self.atoms(i + 1);
+                self.ids.pop();
+            }
+            for v in self.trail.drain(mark..) {
+                self.val.remove(&v);
+            }
+            flow?;
         }
-        return;
+        ControlFlow::Continue(())
     }
-    for a in db.eval_domain(q) {
-        val.insert(unbound[i], a);
-        enum_rest(db, q, unbound, i + 1, val, out);
-        val.remove(&unbound[i]);
+
+    /// Bind `atom`'s unbound variables to `args`; `false` once `args`
+    /// contradicts a constant or a binding.
+    fn bind(&mut self, atom: &Atom, args: &[Value]) -> bool {
+        atom.args
+            .iter()
+            .zip(args)
+            .all(|(term, &actual)| match *term {
+                Term::Const(c) => c == actual,
+                Term::Var(v) => {
+                    *self.val.entry(v).or_insert_with(|| {
+                        self.trail.push(v);
+                        actual
+                    }) == actual
+                }
+            })
+    }
+
+    /// Bind `rest[i..]` over the domain, then check the predicates.
+    fn rest_vars(&mut self, i: usize) -> ControlFlow<()> {
+        let Some(&v) = self.rest.get(i) else {
+            let holds = self.q.preds.iter().all(|p| {
+                let (lhs, rhs) = (ground(p.lhs, &self.val), ground(p.rhs, &self.val));
+                let pred = Pred {
+                    lhs: lhs.into(),
+                    rhs: rhs.into(),
+                    ..*p
+                };
+                pred.eval_ground() == Some(true)
+            });
+            return if holds {
+                (self.visit)(&self.val, &self.ids)
+            } else {
+                ControlFlow::Continue(())
+            };
+        };
+        for k in 0..self.domain.len() {
+            self.val.insert(v, self.domain[k]);
+            self.rest_vars(i + 1)?;
+        }
+        self.val.remove(&v);
+        ControlFlow::Continue(())
     }
 }
 
@@ -225,6 +189,16 @@ fn enum_rest(
 mod tests {
     use super::*;
     use cq::{parse_query, Vocabulary};
+
+    /// Every match's bindings, in enumeration order.
+    fn match_valuations(db: &ProbDb, q: &Query) -> Vec<BTreeMap<Var, Value>> {
+        let mut out = Vec::new();
+        let _ = each_match(db, q, None, |val, _| {
+            out.push(val.clone());
+            ControlFlow::Continue(())
+        });
+        out
+    }
 
     fn db_rs() -> (ProbDb, Query) {
         let mut voc = Vocabulary::new();
@@ -249,7 +223,7 @@ mod tests {
     #[test]
     fn valuations_enumerate_joins() {
         let (db, q) = db_rs();
-        let vals = all_valuations(&db, &q);
+        let vals = match_valuations(&db, &q);
         assert_eq!(vals.len(), 1);
         let v = &vals[0];
         let vars = q.vars();
@@ -265,7 +239,7 @@ mod tests {
         let mut db = ProbDb::new(voc);
         db.insert(s, vec![Value(1), Value(2)], 0.5);
         db.insert(s, vec![Value(2), Value(1)], 0.5);
-        let vals = all_valuations(&db, &q);
+        let vals = match_valuations(&db, &q);
         assert_eq!(vals.len(), 1);
         assert!(satisfies(&db, &q, &[true, false]));
         assert!(!satisfies(&db, &q, &[false, true]));
@@ -281,7 +255,7 @@ mod tests {
         db.insert(s, vec![Value(3), Value(4)], 0.5);
         assert!(satisfies(&db, &q, &[true, true]));
         assert!(!satisfies(&db, &q, &[false, true]));
-        assert_eq!(all_valuations(&db, &q).len(), 1);
+        assert_eq!(match_valuations(&db, &q).len(), 1);
     }
 
     #[test]
@@ -330,6 +304,6 @@ mod tests {
         let (db, _) = db_rs();
         let q = Query::truth();
         assert!(satisfies(&db, &q, &[false, false, false]));
-        assert_eq!(all_valuations(&db, &q).len(), 1);
+        assert_eq!(match_valuations(&db, &q).len(), 1);
     }
 }

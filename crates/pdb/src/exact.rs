@@ -17,9 +17,8 @@
 //!   53-bit mantissa ceiling.
 
 use crate::database::ProbDb;
-use crate::eval::satisfies;
 use crate::lineage_ext::lineage_of;
-use crate::worlds::WorldIter;
+use crate::worlds::brute_force;
 use cq::Query;
 use lineage::exact_probability_generic;
 use numeric::{BigUint, QRat};
@@ -73,20 +72,9 @@ impl RatProbs {
 
 /// Eq. 2 by exhaustive world enumeration in exact rational arithmetic.
 /// Ground truth for small instances; panics past 30 tuples like
-/// [`WorldIter`].
+/// [`crate::WorldIter`].
 pub fn brute_force_probability_exact(db: &ProbDb, probs: &RatProbs, q: &Query) -> QRat {
-    let mut total = QRat::zero();
-    for (world, _) in WorldIter::new(db) {
-        if satisfies(db, q, &world) {
-            let mut wp = QRat::one();
-            for (i, &present) in world.iter().enumerate() {
-                let p = &probs.probs[i];
-                wp = wp.mul_ref(&if present { p.clone() } else { p.complement() });
-            }
-            total = total.add_ref(&wp);
-        }
-    }
-    total
+    brute_force(db, &probs.probs, q)
 }
 
 /// Exact rational `p(q)` via lineage compilation — polynomial for safe
@@ -158,23 +146,41 @@ mod tests {
 
     #[test]
     fn exact_agrees_with_f64_on_random_instances() {
-        let mut voc = Vocabulary::new();
-        let q = parse_query(&mut voc, "R(x), S(x,y), T(y)").unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
+        // Negated sub-goals, a predicate, a constant, a self-join, and a
+        // variable of no positive sub-goal (bound over the domain).
+        let shapes = [
+            "R(x), S(x,y), T(y)",
+            "R(x), S(x,y), not T(y)",
+            "R(x), S(x,y), x < y",
+            "R(1), S(1,y), T(y)",
+            "S(x,y), S(y,z)",
+            "R(x), not S(x,y)",
+        ];
         let opts = RandomDbOptions {
             domain: 3,
-            tuples_per_relation: 3,
+            tuples_per_relation: 4,
             prob_range: (0.1, 0.9),
         };
-        for _ in 0..5 {
-            let db = random_db_for_query(&q, &voc, opts, &mut rng);
-            let probs = RatProbs::from_db(&db);
-            let exact = exact_query_probability(&db, &probs, &q);
-            let float = brute_force_probability(&db, &q);
-            assert!(
-                (exact.to_f64() - float).abs() < 1e-9,
-                "exact {exact} vs float {float}"
-            );
+        for (i, text) in shapes.iter().enumerate() {
+            let mut voc = Vocabulary::new();
+            let q = parse_query(&mut voc, text).unwrap();
+            let mut rng = StdRng::seed_from_u64(11 + i as u64);
+            for _ in 0..5 {
+                let db = random_db_for_query(&q, &voc, opts, &mut rng);
+                assert!(db.num_tuples() <= 12);
+                let probs = RatProbs::from_db(&db);
+                let exact = exact_query_probability(&db, &probs, &q);
+                assert_eq!(
+                    exact,
+                    brute_force_probability_exact(&db, &probs, &q),
+                    "{text}"
+                );
+                let float = brute_force_probability(&db, &q);
+                assert!(
+                    (exact.to_f64() - float).abs() < 1e-9,
+                    "{text}: exact {exact} vs float {float}"
+                );
+            }
         }
     }
 

@@ -6,9 +6,9 @@
 //!
 //! * [`database`] — the probabilistic structure: relations, tuples, tuple
 //!   probabilities, active domain, conditioning,
-//! * [`eval`] — satisfaction of conjunctive queries (with negated sub-goals
-//!   and arithmetic predicates) on a deterministic world, plus enumeration
-//!   of all valuations — a small relational engine,
+//! * [`eval`] — the one enumeration of a query's matches, a backtracking
+//!   join over the possible tuples that world satisfaction (with negated
+//!   sub-goals and arithmetic predicates) and lineage extraction share,
 //! * [`worlds`] — possible-world enumeration and the brute-force evaluator
 //!   computing Eq. 2 exactly (the small-instance ground truth),
 //! * [`exact`] — Eq. 2 and substructure counting in exact rationals,
@@ -39,14 +39,13 @@ pub use bid::{BidDb, Block};
 pub use database::{ProbDb, ProbTuple, ShardColumn, TupleId, MAX_DELTA_LOG};
 pub use delta::{AppliedDelta, ChangeKind, DeltaBatch, DeltaOp, TupleChange};
 pub use epoch::{EpochStore, PublishCounts, ReaderHandle};
-pub use eval::{all_valuations, satisfies, Valuation};
+pub use eval::{each_match, satisfies};
 pub use exact::{
     brute_force_probability_exact, count_satisfying_worlds_exact, exact_query_probability, RatProbs,
 };
 pub use lineage_ext::{lineage_of, lineages_by_head};
 pub use shard::ShardMap;
 pub use text::{
-    dump_db, dump_db_exact, load_db, load_db_exact, parse_delta_batches, parse_rational, DeltaPos,
-    TextError,
+    dump_db, dump_db_exact, load_db, load_db_exact, parse_delta_batches, DeltaPos, TextError,
 };
 pub use worlds::{brute_force_probability, WorldIter};

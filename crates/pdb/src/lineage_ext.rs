@@ -1,82 +1,49 @@
 //! Lineage extraction: from a query and a probabilistic structure to a DNF
 //! over tuple events.
 //!
-//! Each valuation of the query into the possible tuples contributes one
-//! clause: a positive literal per positive sub-goal's tuple and a negative
-//! literal per negated sub-goal whose tuple is *possible* (a negated
-//! sub-goal over an impossible tuple is vacuously true and contributes no
-//! literal). `P(q) = P(lineage)` by construction, which the cross-engine
-//! tests verify against brute-force world enumeration.
+//! Each match of the query into the possible tuples ([`crate::each_match`])
+//! contributes one clause, built from the tuples the match landed on: a
+//! positive literal per positive sub-goal's tuple and a negative literal
+//! per negated sub-goal whose tuple is *possible* (a negated sub-goal over
+//! an impossible tuple is vacuously true and contributes no literal).
+//! `P(q) = P(lineage)` by construction, which the cross-engine tests
+//! verify against brute-force world enumeration.
 
 use crate::database::ProbDb;
-use crate::eval::{all_valuations, Valuation};
-use cq::{Query, Term, Value, Var};
+use crate::eval::{each_match, negated_hits};
+use cq::{Query, Value, Var};
 use lineage::{Dnf, Lit};
 use std::collections::BTreeMap;
-
-/// The clause one valuation contributes: a positive literal per positive
-/// sub-goal's tuple and a negative literal per negated sub-goal whose
-/// tuple is possible. `None` when some positive sub-goal lands on an
-/// impossible tuple (the valuation never fires).
-fn clause_of_valuation(db: &ProbDb, q: &Query, val: &Valuation) -> Option<Vec<Lit>> {
-    let mut lits = Vec::with_capacity(q.atoms.len());
-    for atom in &q.atoms {
-        let args: Vec<Value> = atom
-            .args
-            .iter()
-            .map(|t| match *t {
-                Term::Const(c) => c,
-                Term::Var(v) => val[&v],
-            })
-            .collect();
-        match db.find(atom.rel, &args) {
-            Some(id) => lits.push(if atom.negated {
-                Lit::neg(id.0)
-            } else {
-                Lit::pos(id.0)
-            }),
-            None => {
-                if atom.negated {
-                    // Impossible tuple: never present, negation certain.
-                    continue;
-                }
-                // Positive sub-goal over an impossible tuple.
-                return None;
-            }
-        }
-    }
-    Some(lits)
-}
+use std::ops::ControlFlow;
 
 /// Compute the lineage DNF of `q` over `db`. Event variable `i` is
 /// `TupleId(i)`; pair the result with [`ProbDb::probs`] for the model
 /// counters.
 pub fn lineage_of(db: &ProbDb, q: &Query) -> Dnf {
-    let mut dnf = Dnf::new();
-    for val in all_valuations(db, q) {
-        if let Some(lits) = clause_of_valuation(db, q, &val) {
-            dnf.add_clause(lits);
-        }
-    }
-    dnf.absorb();
-    dnf
+    lineages_by_head(db, q, &[])
+        .pop()
+        .map_or_else(Dnf::new, |(_, dnf)| dnf)
 }
 
-/// Compute, in **one pass** over the valuations, the lineage of every
+/// Compute, in **one pass** over the matches, the lineage of every
 /// candidate answer of a non-Boolean query: the result maps each distinct
-/// binding of `head` to the DNF of its residual `q[ā/h̄]`. Equivalent to
-/// calling [`lineage_of`] on every residual, but the join work is shared
-/// across candidates instead of repeated per candidate — the batched
-/// substrate of the multisimulation top-k.
+/// binding of `head`, ascending, to the DNF of its residual `q[ā/h̄]`. It
+/// equals [`lineage_of`] on every residual, clause order included, but the
+/// join work is shared across candidates instead of repeated per
+/// candidate — the batched substrate of ranked answers on lineage and of
+/// the multisimulation top-k.
 pub fn lineages_by_head(db: &ProbDb, q: &Query, head: &[Var]) -> Vec<(Vec<Value>, Dnf)> {
     let mut by_head: BTreeMap<Vec<Value>, Dnf> = BTreeMap::new();
-    for val in all_valuations(db, q) {
-        let tuple: Vec<Value> = head.iter().map(|h| val[h]).collect();
-        let dnf = by_head.entry(tuple).or_default();
-        if let Some(lits) = clause_of_valuation(db, q, &val) {
-            dnf.add_clause(lits);
-        }
-    }
+    let _ = each_match(db, q, None, |val, ids| {
+        let lits = ids
+            .iter()
+            .map(|id| Lit::pos(id.0))
+            .chain(negated_hits(db, q, val).map(|id| Lit::neg(id.0)))
+            .collect();
+        let tuple = head.iter().map(|h| val[h]).collect();
+        by_head.entry(tuple).or_default().add_clause(lits);
+        ControlFlow::Continue(())
+    });
     by_head
         .into_iter()
         .map(|(tuple, mut dnf)| {
@@ -178,7 +145,24 @@ mod tests {
 
     #[test]
     fn grouped_lineages_match_per_residual_extraction() {
+        use crate::generators::{random_db_for_query, RandomDbOptions};
         use cq::Subst;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        // Each candidate's grouped lineage is the residual's own, clause
+        // order included, so evaluating either gives the same bits.
+        fn check(db: &ProbDb, q: &Query, head: &[Var]) {
+            for (tuple, dnf) in lineages_by_head(db, q, head) {
+                let mut subst = Subst::new();
+                for (h, &v) in head.iter().zip(&tuple) {
+                    subst.bind(*h, v);
+                }
+                let residual = q.apply(&subst);
+                assert_eq!(dnf, lineage_of(db, &residual), "{q:?} at {tuple:?}");
+            }
+        }
+
         let mut voc = Vocabulary::new();
         let q = parse_query(&mut voc, "R(x), S(x,y)").unwrap();
         let x = q.vars()[0];
@@ -190,16 +174,34 @@ mod tests {
         db.insert(s, vec![Value(1), Value(7)], 0.4);
         db.insert(s, vec![Value(1), Value(8)], 0.6);
         db.insert(s, vec![Value(2), Value(7)], 0.6);
-        let grouped = lineages_by_head(&db, &q, &[x]);
-        assert_eq!(grouped.len(), 2);
-        for (tuple, dnf) in &grouped {
-            let residual = q.apply(&Subst::singleton(x, tuple[0]));
-            let direct = lineage_of(&db, &residual);
-            let pv = db.probs();
-            assert!(
-                (exact_probability(dnf, pv) - exact_probability(&direct, pv)).abs() < 1e-12,
-                "candidate {tuple:?}: grouped {dnf} vs direct {direct}"
-            );
+        assert_eq!(lineages_by_head(&db, &q, &[x]).len(), 2);
+        check(&db, &q, &[x]);
+
+        let shapes = [
+            "R(x), S(x,y)",
+            "R(x), S(x,1)",
+            "R(x), S(x,x), S(x,y)",
+            "R(x), S(x,y), x < y",
+            "R(x), S(y,x), x != y",
+            "R(x), S(x,y), not T(x)",
+            "R(x), not T(y)",
+            "S(x,y), S(y,z)",
+        ];
+        let opts = RandomDbOptions {
+            domain: 3,
+            tuples_per_relation: 5,
+            prob_range: (0.1, 0.9),
+        };
+        for (i, text) in shapes.iter().enumerate() {
+            let mut voc = Vocabulary::new();
+            let q = parse_query(&mut voc, text).unwrap();
+            let vars = q.vars();
+            let mut rng = StdRng::seed_from_u64(i as u64);
+            for _ in 0..4 {
+                let db = random_db_for_query(&q, &voc, opts, &mut rng);
+                check(&db, &q, &vars[..1]);
+                check(&db, &q, &vars[..vars.len().min(2)]);
+            }
         }
     }
 

@@ -242,7 +242,7 @@ fn parse_delta_line(
 /// Parse a probability written as `n/d` (exact rational), a decimal like
 /// `0.25` (exact: `25/100`), or an integer `0`/`1`. Arbitrary precision —
 /// `1/3` and fifty-digit decimals survive exactly.
-pub fn parse_rational(s: &str) -> Option<QRat> {
+fn parse_rational(s: &str) -> Option<QRat> {
     let s = s.trim();
     if let Some((n, d)) = s.split_once('/') {
         let num = BigUint::from_decimal(n.trim())?;

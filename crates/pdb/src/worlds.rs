@@ -3,6 +3,7 @@
 use crate::database::ProbDb;
 use crate::eval::satisfies;
 use cq::Query;
+use lineage::ProbValue;
 
 /// Iterator over all `2^n` worlds of a database, yielding the presence
 /// bitmap and the world probability (Eq. 1).
@@ -55,10 +56,21 @@ impl Iterator for WorldIter<'_> {
 /// Compute `p(q) = Σ_{B ⊆ A, B ⊨ q} p(B)` (Eq. 2) by enumerating all
 /// worlds. Exact ground truth for small instances.
 pub fn brute_force_probability(db: &ProbDb, q: &Query) -> f64 {
+    brute_force(db, db.probs(), q)
+}
+
+/// Eq. 2 by world enumeration with tuple probabilities `probs` in any
+/// number type; the body of [`brute_force_probability`] and
+/// [`crate::brute_force_probability_exact`].
+pub(crate) fn brute_force<P: ProbValue>(db: &ProbDb, probs: &[P], q: &Query) -> P {
     WorldIter::new(db)
         .filter(|(world, _)| satisfies(db, q, world))
-        .map(|(_, p)| p)
-        .sum()
+        .fold(P::zero(), |total, (world, _)| {
+            let p = world.iter().zip(probs).fold(P::one(), |p, (&present, t)| {
+                p.mul(&if present { t.clone() } else { t.complement() })
+            });
+            total.add(&p)
+        })
 }
 
 #[cfg(test)]

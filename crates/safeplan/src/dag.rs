@@ -408,7 +408,7 @@ pub fn dag_execute_counted<P: ProbValue + Send + Sync>(
 /// [`exec_parallel::run_dag_with_picker`]). The torn-schedule property
 /// tests drive this with seeded random pickers and assert the output bits
 /// never move.
-pub fn dag_execute_counted_with_picker<P, PK>(
+fn dag_execute_counted_with_picker<P, PK>(
     db: &ProbDb,
     probs: &[P],
     plan: &PlanNode,

@@ -64,9 +64,9 @@ pub mod relation;
 
 pub use build::{build_plan, build_ranked_plan, PlanError};
 pub use dag::{
-    dag_execute_counted, dag_execute_counted_with_picker, dag_query_probability,
-    dag_ranked_probabilities_counted, execute, query_probability, query_probability_counted,
-    query_probability_exact, ranked_probabilities, DagOptions, DagRun, ShardStats,
+    dag_execute_counted, dag_query_probability, dag_ranked_probabilities_counted, execute,
+    query_probability, query_probability_counted, query_probability_exact, ranked_probabilities,
+    DagOptions, DagRun, ShardStats,
 };
 pub use exec::{scan_plan, CompiledPred, OpCounters, OpTimes, ScanPlan};
 pub use node::PlanNode;

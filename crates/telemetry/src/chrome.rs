@@ -19,7 +19,7 @@ pub fn chrome_trace(spans: &[SpanRec]) -> String {
 
 /// [`chrome_trace`] with an explicit dropped-span count (callers that
 /// snapshot the counter themselves, and tests that need a pure function).
-pub fn chrome_trace_with_drops(spans: &[SpanRec], dropped: u64) -> String {
+fn chrome_trace_with_drops(spans: &[SpanRec], dropped: u64) -> String {
     let mut tids: Vec<u64> = spans.iter().map(|s| s.tid).collect();
     tids.sort_unstable();
     tids.dedup();

@@ -43,12 +43,12 @@ pub mod metrics;
 pub mod recorder;
 pub mod span;
 
-pub use chrome::{chrome_trace, chrome_trace_with_drops};
+pub use chrome::chrome_trace;
 pub use expose::prometheus_text;
 pub use metrics::{registry, Counter, Gauge, Histogram, MetricSet, MetricValue, Registry};
 pub use span::{
-    capture_active, clear_spans, dropped_spans, flush_thread, span, span_count, span_with,
-    take_spans, Capture, Clock, Span, SpanRec,
+    clear_spans, dropped_spans, flush_thread, span, span_count, span_with, take_spans, Capture,
+    Clock, Span, SpanRec,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

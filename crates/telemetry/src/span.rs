@@ -149,7 +149,7 @@ thread_local! {
 
 /// Is a capture window open on the calling thread?
 #[inline]
-pub fn capture_active() -> bool {
+fn capture_active() -> bool {
     CAPTURE_ON.try_with(|c| c.get()).unwrap_or(false)
 }
 
